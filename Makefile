@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-json golden check-golden bench-record obs-smoke resume-smoke serve-smoke lint ci
+.PHONY: build test race bench bench-json golden check-golden bench-record obs-smoke resume-smoke serve-smoke fuzz lint ci
 
 build:
 	$(GO) build ./...
@@ -22,7 +22,7 @@ bench:
 # The pinned data-plane benchmark set the benchstat CI gate compares
 # against main. Parent names only: sub-benchmarks (WritePath/vnc, ...) run
 # because go test splits the -bench regex on '/'.
-BENCH_PIN = BenchmarkDevicePeek$$|BenchmarkDeviceWrite$$|BenchmarkDeviceDisturb$$|BenchmarkWDInject$$|BenchmarkWritePath$$|BenchmarkSimulatorThroughput$$|BenchmarkSimRunSharded$$
+BENCH_PIN = BenchmarkDevicePeek$$|BenchmarkDeviceWrite$$|BenchmarkDeviceDisturb$$|BenchmarkWDInject$$|BenchmarkWritePath$$|BenchmarkSimulatorThroughput$$
 
 # Where bench-json records the per-benchmark medians; the CI bench-gate sets
 # it explicitly so the Makefile and workflow can never disagree on the name.
@@ -55,10 +55,17 @@ serve-smoke:
 	./scripts/serve_smoke.sh
 
 # Kill a checkpointing sdpcm-sim run with SIGKILL at ~50%, resume it, and
-# diff the output byte-for-byte against an uninterrupted run — plain and
-# -race builds, Shards=1 and Shards=4 (the CI resume-determinism job).
+# diff the output byte-for-byte against an uninterrupted run — one
+# kill-and-resume per build mode, plain and -race (the CI resume-determinism
+# job).
 resume-smoke:
 	./scripts/resume_smoke.sh
+
+# Fuzz each outside-input decoder for ~20 s from its seed corpus (the CI fuzz
+# job). go test accepts one -fuzz target per invocation.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 20s ./internal/topo
+	$(GO) test -run '^$$' -fuzz '^FuzzEventKindJSON$$' -fuzztime 20s ./internal/metrics
 
 # Emit one point of the performance trajectory (BENCH_ci.json).
 bench-record:

@@ -77,10 +77,10 @@ func BenchmarkFig11(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(t.Get("gmean", "DIN"), "din-speedup")
-		b.ReportMetric(t.Get("gmean", "LazyC(ECP-6)"), "lazyc-speedup")
-		b.ReportMetric(t.Get("gmean", "LazyC+PreRead+(2:3)"), "all3-speedup")
-		b.ReportMetric(t.Get("gmean", "(1:2)-Alloc"), "alloc12-speedup")
+		b.ReportMetric(t.Get("gmean", "DIN"), "din_speedup")
+		b.ReportMetric(t.Get("gmean", "LazyC(ECP-6)"), "lazyc_speedup")
+		b.ReportMetric(t.Get("gmean", "LazyC+PreRead+(2:3)"), "all3_speedup")
+		b.ReportMetric(t.Get("gmean", "(1:2)-Alloc"), "alloc12_speedup")
 	}
 }
 
@@ -101,8 +101,8 @@ func BenchmarkFig13(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(t.Get("gmean", "ECP-6"), "ecp6-speedup")
-		b.ReportMetric(t.Get("gmean", "ECP-12"), "ecp12-speedup")
+		b.ReportMetric(t.Get("gmean", "ECP-6"), "ecp6_speedup")
+		b.ReportMetric(t.Get("gmean", "ECP-12"), "ecp12_speedup")
 	}
 }
 
@@ -124,9 +124,9 @@ func BenchmarkFig15(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(t.Get("gmean", "wq-8"), "wq8-speedup")
-		b.ReportMetric(t.Get("gmean", "wq-32"), "wq32-speedup")
-		b.ReportMetric(t.Get("gmean", "wq-64"), "wq64-speedup")
+		b.ReportMetric(t.Get("gmean", "wq-8"), "wq8_speedup")
+		b.ReportMetric(t.Get("gmean", "wq-32"), "wq32_speedup")
+		b.ReportMetric(t.Get("gmean", "wq-64"), "wq64_speedup")
 	}
 }
 
@@ -136,9 +136,9 @@ func BenchmarkFig16(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(t.Get("gmean", "(1:2)"), "alloc12-speedup")
-		b.ReportMetric(t.Get("gmean", "(2:3)"), "alloc23-speedup")
-		b.ReportMetric(t.Get("gmean", "(3:4)"), "alloc34-speedup")
+		b.ReportMetric(t.Get("gmean", "(1:2)"), "alloc12_speedup")
+		b.ReportMetric(t.Get("gmean", "(2:3)"), "alloc23_speedup")
+		b.ReportMetric(t.Get("gmean", "(3:4)"), "alloc34_speedup")
 	}
 }
 
@@ -168,8 +168,8 @@ func BenchmarkFig19(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(t.Get("gmean", "WC"), "wc-speedup")
-		b.ReportMetric(t.Get("gmean", "WC+LazyC"), "wc-lazyc-speedup")
+		b.ReportMetric(t.Get("gmean", "WC"), "wc_speedup")
+		b.ReportMetric(t.Get("gmean", "WC+LazyC"), "wc-lazyc_speedup")
 	}
 }
 
@@ -216,35 +216,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(8*5000*b.N)/b.Elapsed().Seconds(), "refs/s")
-}
-
-// BenchmarkSimRunSharded measures intra-run scaling of the bank-sharded
-// executor on the BenchmarkSimulatorThroughput workload: the same run at 1
-// (single-goroutine), 4 and 8 shard workers. Results are byte-identical at
-// every shard count (pinned by the equivalence fixture); only refs/s should
-// move, and only on multi-core hosts — on a single-core runner the sharded
-// variants price the channel machinery, not the parallelism.
-func BenchmarkSimRunSharded(b *testing.B) {
-	for _, shards := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("%d", shards), func(b *testing.B) {
-			cfg := sdpcm.SimConfig{
-				Scheme:      sdpcm.AllThree(6, sdpcm.Tag23),
-				Mix:         sdpcm.HomogeneousMix("mcf", 8),
-				RefsPerCore: 5000,
-				MemPages:    1 << 16,
-				RegionPages: 1024,
-				Seed:        1,
-				Shards:      shards,
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sdpcm.Run(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(8*5000*b.N)/b.Elapsed().Seconds(), "refs/s")
-		})
-	}
 }
 
 // BenchmarkAblationEncoding compares word-line codecs on the same workload

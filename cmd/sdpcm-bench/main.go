@@ -28,49 +28,10 @@ import (
 
 	"sdpcm"
 	"sdpcm/internal/obs"
-	"sdpcm/internal/pcm"
 	"sdpcm/internal/prof"
 	"sdpcm/internal/serve"
 	"sdpcm/internal/topo"
 )
-
-// maxShardsFlag bounds what -shards accepts: anything beyond the bank count
-// is already clamped by the simulator, but values this far out are always a
-// typo and deserve a usage error rather than a silent clamp.
-const maxShardsFlag = 1024
-
-// resolveShards maps the -shards flag to a concrete shard count: 0 picks
-// min(banks, GOMAXPROCS) — no point spawning more workers than cores or more
-// shards than banks. Results are byte-identical at every value.
-func resolveShards(n int) (int, error) {
-	if n < 0 || n > maxShardsFlag {
-		return 0, fmt.Errorf("-shards %d out of range (usage: -shards 0..%d, 0 = min(banks, GOMAXPROCS))", n, maxShardsFlag)
-	}
-	if n == 0 {
-		return min(pcm.NumBanks, runtime.GOMAXPROCS(0)), nil
-	}
-	return n, nil
-}
-
-// shardsString renders the resolved shard count for the stderr summary. A
-// multi-module topology clamps the global request per module (a module never
-// runs more shards than it has banks), so the line reports each module's
-// effective count, not just what was asked for.
-func shardsString(opts sdpcm.ExperimentOptions) string {
-	if opts.Topology.IsDefault() {
-		return fmt.Sprintf("shards=%d", opts.Shards)
-	}
-	placements, err := opts.Topology.Resolve(opts.MemPages, opts.RegionPages)
-	if err != nil {
-		return fmt.Sprintf("shards=%d", opts.Shards)
-	}
-	parts := make([]string, len(placements))
-	for i, pl := range placements {
-		n := min(opts.Shards, pl.Banks)
-		parts[i] = fmt.Sprintf("%s=%d", pl.Name, n)
-	}
-	return fmt.Sprintf("shards=%d (%s)", opts.Shards, strings.Join(parts, ", "))
-}
 
 // experiments is the shared evaluation registry — the same list the sweep
 // service resolves job names against, so the -exp vocabulary and the job
@@ -144,9 +105,6 @@ func run() int {
 		memMB     = flag.Int("mem-mb", 512, "simulated PCM capacity in MB")
 		region    = flag.Int("region-pages", 1024, "(n:m) marking-region size in pages (paper: 16384 = 64MB)")
 		parallel  = flag.Int("parallel", 0, "concurrent simulations (0 = all cores, 1 = sequential; results are identical)")
-		shards    = flag.Int("shards", 1, "bank-shard worker goroutines inside each simulation (0 = min(banks, GOMAXPROCS), 1 = single-goroutine; results are byte-identical)")
-		batchWin  = flag.Int("batch-window", 0, "cap the sharded executor's adaptive batch window in ops (0 = default; tuning only, results unchanged)")
-		calibrate = flag.Bool("calibrate", false, "sweep shard count and batch window on this host, print the timing table and the fastest configuration, then exit")
 		progress  = flag.Bool("progress", false, "stream one line per completed simulation point to stderr")
 		noCache   = flag.Bool("no-cache", false, "disable result memoization (re-simulate points shared between figures)")
 		metricf   = flag.String("metrics", "", "emit the aggregated metrics snapshot after the tables: 'json' or 'table'")
@@ -189,18 +147,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "sdpcm-bench: unknown -metrics format %q (usage: -metrics json|table)\n", *metricf)
 		return 2
 	}
-	nshards, err := resolveShards(*shards)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sdpcm-bench: %v\n", err)
-		return 2
-	}
-	if *batchWin < 0 {
-		fmt.Fprintf(os.Stderr, "sdpcm-bench: -batch-window %d out of range (usage: -batch-window N, N >= 0)\n", *batchWin)
-		return 2
-	}
-	if *calibrate {
-		return runCalibrate(*refs, *seed)
-	}
 	opts := sdpcm.ExperimentOptions{
 		RefsPerCore:     *refs,
 		Cores:           *cores,
@@ -208,8 +154,6 @@ func run() int {
 		MemPages:        *memMB * 256, // 4KB pages
 		RegionPages:     *region,
 		Parallel:        *parallel,
-		Shards:          nshards,
-		BatchWindow:     *batchWin,
 		NoCache:         *noCache,
 		CollectMetrics:  *metricf != "" || *benchOut != "" || *listen != "",
 		TraceEvents:     *trEv,
@@ -350,9 +294,9 @@ func run() int {
 	}
 	st := opts.Exec.Stats()
 	if st.Points > 0 {
-		fmt.Fprintf(os.Stderr, "total: %d points, %d simulated, %d cache hits, %v wall (parallel=%d, %s), %s\n",
+		fmt.Fprintf(os.Stderr, "total: %d points, %d simulated, %d cache hits, %v wall (parallel=%d), %s\n",
 			st.Points, st.SimRuns, st.CacheHits,
-			time.Since(start).Round(time.Millisecond), *parallel, shardsString(opts), heapString())
+			time.Since(start).Round(time.Millisecond), *parallel, heapString())
 		logger.Info("sweep done", "experiments", len(ranExps),
 			"points", st.Points, "sim_runs", st.SimRuns,
 			"cache_hits", st.CacheHits, "store_hits", st.StoreHits,

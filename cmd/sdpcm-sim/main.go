@@ -14,33 +14,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 
 	"sdpcm"
 	"sdpcm/internal/obs"
-	"sdpcm/internal/pcm"
 	"sdpcm/internal/prof"
 	"sdpcm/internal/topo"
 )
-
-// maxShardsFlag bounds what -shards accepts: anything beyond the bank count
-// is already clamped by the simulator, but values this far out are always a
-// typo and deserve a usage error rather than a silent clamp.
-const maxShardsFlag = 1024
-
-// resolveShards maps the -shards flag to a concrete shard count: 0 picks
-// min(banks, GOMAXPROCS) — no point spawning more workers than cores or more
-// shards than banks. Results are byte-identical at every value.
-func resolveShards(n int) (int, error) {
-	if n < 0 || n > maxShardsFlag {
-		return 0, fmt.Errorf("-shards %d out of range (usage: -shards 0..%d, 0 = min(banks, GOMAXPROCS))", n, maxShardsFlag)
-	}
-	if n == 0 {
-		return min(pcm.NumBanks, runtime.GOMAXPROCS(0)), nil
-	}
-	return n, nil
-}
 
 func main() { os.Exit(run()) }
 
@@ -56,8 +36,6 @@ func run() int {
 		ecp       = flag.Int("ecp", sdpcm.DefaultECPEntries, "ECP entries per line for LazyC schemes")
 		queue     = flag.Int("queue", 32, "write queue entries per bank")
 		seed      = flag.Uint64("seed", 42, "random seed")
-		shards    = flag.Int("shards", 0, "bank-shard worker goroutines per run (0 = min(banks, GOMAXPROCS), 1 = single-goroutine; results are byte-identical)")
-		batchWin  = flag.Int("batch-window", 0, "cap the sharded executor's adaptive batch window in ops (0 = default; tuning only, results unchanged)")
 		topoFile  = flag.String("topology", "", "JSON topology spec file: run on the multi-module memory it describes instead of the single default DIMM (see DESIGN.md §9)")
 		noBase    = flag.Bool("no-baseline", false, "skip the baseline comparison run")
 		traces    = flag.String("trace", "", "comma-separated trace files to replay (one per core) instead of -bench")
@@ -114,15 +92,6 @@ func run() int {
 	if *perfOut != "" && *trEv <= 0 {
 		*trEv = 65536 // the timeline needs events; keep a generous tail
 	}
-	nshards, err := resolveShards(*shards)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sdpcm-sim: %v\n", err)
-		return 2
-	}
-	if *batchWin < 0 {
-		fmt.Fprintf(os.Stderr, "sdpcm-sim: -batch-window %d out of range (usage: -batch-window N, N >= 0)\n", *batchWin)
-		return 2
-	}
 	cfg := sdpcm.SimConfig{
 		Scheme:         s,
 		Mix:            sdpcm.HomogeneousMix(*bench, *cores),
@@ -131,8 +100,6 @@ func run() int {
 		MemPages:       1 << 17,
 		RegionPages:    1024,
 		Seed:           *seed,
-		Shards:         nshards,
-		BatchWindow:    *batchWin,
 		CollectMetrics: *metricf != "" || *listen != "",
 		TraceEvents:    *trEv,
 	}
@@ -190,7 +157,7 @@ func run() int {
 		}
 	}
 	logger.Info("run starting", "scheme", s.Name, "bench", *bench,
-		"refs_per_core", cfg.RefsPerCore, "cores", *cores, "shards", cfg.Shards)
+		"refs_per_core", cfg.RefsPerCore, "cores", *cores)
 	res, err := sdpcm.Run(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -198,16 +165,9 @@ func run() int {
 	}
 	logger.Info("run complete", "scheme", res.Scheme, "bench", *bench,
 		"cycles", res.Cycles, "cpi", res.CPI)
-	if srv != nil && res.ExecMetrics != nil {
-		// Mid-run snapshots stay deterministic (byte-identical at every shard
-		// count); the final served snapshot folds in the executor-behaviour
-		// counters so they reach Prometheus scrapes.
-		srv.SetSnapshot(res.Metrics.Combine(res.ExecMetrics))
-	}
 
 	fmt.Printf("scheme        %s\n", res.Scheme)
 	fmt.Printf("workload      %s x %d cores\n", res.Mix, len(cfg.Mix.Cores)+len(cfg.Streams))
-	fmt.Printf("shards        %d\n", cfg.Shards)
 	fmt.Printf("cycles        %d\n", res.Cycles)
 	fmt.Printf("instructions  %d\n", res.Instructions)
 	fmt.Printf("CPI           %.3f\n", res.CPI)
@@ -263,14 +223,11 @@ func run() int {
 
 	if res.Metrics != nil && *metricf != "" {
 		fmt.Println()
-		// Executor-behaviour counters (sharded runs only) render alongside
-		// the deterministic snapshot; the events tail stays the run's own.
-		snap := res.Metrics.Combine(res.ExecMetrics)
 		var err error
 		if *metricf == "json" {
-			err = snap.WriteJSON(os.Stdout)
+			err = res.Metrics.WriteJSON(os.Stdout)
 		} else {
-			err = snap.WriteTable(os.Stdout)
+			err = res.Metrics.WriteTable(os.Stdout)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

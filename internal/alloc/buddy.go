@@ -46,12 +46,6 @@ type Allocator struct {
 	fragments map[Tag]map[int]bool
 	allocated map[int]Block
 	owner     map[int]Tag // region start -> (n:m) tag owning it
-
-	// OnOwnerChange, when set, observes every owner-map mutation: a region
-	// acquired by an (n:m) tag (present=true) or returned to Free-(1:1)
-	// (present=false, t=Tag11). The sharded simulator uses it to version
-	// region-tag updates into per-shard mirrors in program order.
-	OnOwnerChange func(regionStart int, t Tag, present bool)
 }
 
 // New builds an allocator over totalPages of physical memory with the given
@@ -212,9 +206,6 @@ func (a *Allocator) insert(t Tag, start, order int) {
 			// Free-(1:1) and keep coalescing there.
 			for r := start; r < start+(1<<order); r += a.regionPages {
 				delete(a.owner, r)
-				if a.OnOwnerChange != nil {
-					a.OnOwnerChange(r, Tag11, false)
-				}
 			}
 			t = Tag11
 		}
@@ -332,9 +323,6 @@ func (a *Allocator) Alloc(pages int, t Tag) (Block, error) {
 			}
 			for r := rStart; r < rStart+(1<<rOrder); r += a.regionPages {
 				a.owner[r] = t
-				if a.OnOwnerChange != nil {
-					a.OnOwnerChange(r, t, true)
-				}
 			}
 			// Push directly: insert would hand the region-sized block
 			// straight back to Free-(1:1).

@@ -91,9 +91,7 @@ func (a *Allocator) EncodeState(e *snap.Encoder) {
 }
 
 // DecodeState restores state written by EncodeState into an allocator
-// freshly built with the same geometry. OnOwnerChange is deliberately not
-// fired: the caller restores any owner mirrors itself from the same
-// checkpoint, so replaying ownership events would double-apply them.
+// freshly built with the same geometry.
 func (a *Allocator) DecodeState(d *snap.Decoder) error {
 	d.Begin("alloc.allocator")
 	if tp, rp := d.Int(), d.Int(); d.Err() == nil && (tp != a.totalPages || rp != a.regionPages) {

@@ -24,6 +24,7 @@ package din
 
 import (
 	"fmt"
+	"math/bits"
 
 	"sdpcm/internal/pcm"
 )
@@ -160,8 +161,8 @@ func groupCost(old, cand uint16, hasLeft bool, leftOld, leftNew uint64, atSegSta
 	resets := old &^ cand     // cells pulsed 1→0
 	idle := ^(old ^ cand)     // cells not programmed
 	amorphous := idle & ^cand // idle cells reading 0
-	changes := popcount16(old ^ cand)
-	risk := popcount16(amorphous & ((resets << 1) | (resets >> 1)))
+	changes := bits.OnesCount16(old ^ cand)
+	risk := bits.OnesCount16(amorphous & ((resets << 1) | (resets >> 1)))
 	if hasLeft {
 		leftIdle := leftOld == leftNew
 		if leftIdle && leftNew == 0 && resets&1 != 0 {
@@ -242,15 +243,6 @@ func (c *Codec) AuxBits(a pcm.LineAddr) uint32 {
 		return 0
 	}
 	return c.aux[a]
-}
-
-func popcount16(x uint16) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }
 
 // sanity check at init: exactly one 64-bit word per chip segment.

@@ -64,14 +64,6 @@ type Options struct {
 	// result carries a per bank × line-region accumulation of injected
 	// flips, parked errors and cascade activity (sim.Result.Heatmap).
 	HeatmapRegions int
-	// Shards selects the intra-run bank-sharded executor for every point
-	// (<=1 single-goroutine; results are byte-identical at any value). Use
-	// it when a run is dominated by a few large points; Parallel is the
-	// better lever when a sweep has many independent points.
-	Shards int
-	// BatchWindow caps the sharded executor's adaptive batch window (0 =
-	// default; see sim.Config.BatchWindow). Tuning only — never results.
-	BatchWindow int
 	// Topology, when non-default, runs every simulation point on the
 	// multi-module simulator described by the spec (see sim.Config.Topology).
 	// Nil keeps the classic single-DIMM behaviour and cache keys.
@@ -145,8 +137,6 @@ func (o Options) base() runner.Base {
 		CollectMetrics: o.CollectMetrics,
 		TraceEvents:    o.TraceEvents,
 		HeatmapRegions: o.HeatmapRegions,
-		Shards:         o.Shards,
-		BatchWindow:    o.BatchWindow,
 		Topology:       o.Topology,
 	}
 }

@@ -204,44 +204,6 @@ func TestMergeIsOrderIndependent(t *testing.T) {
 	}
 }
 
-func TestCombineKeepsReceiverEvents(t *testing.T) {
-	r := New()
-	r.Counter("mc.write_ops").Add(7)
-	r.Gauge("g").Set(4)
-	r.EnableTrace(4).Emit(10, EvWDInjected, 1, 0, 0)
-	base := r.Snapshot()
-
-	aux := New()
-	aux.Counter("exec.batches_published").Add(3)
-	aux.Gauge("g").Set(9)
-	out := base.Combine(aux.Snapshot())
-
-	if got := out.Counter("mc.write_ops"); got != 7 {
-		t.Fatalf("combined counter = %d, want 7", got)
-	}
-	if got := out.Counter("exec.batches_published"); got != 3 {
-		t.Fatalf("combined aux counter = %d, want 3", got)
-	}
-	if got := out.Gauge("g"); got != 9 {
-		t.Fatalf("combined gauge = %d, want max 9", got)
-	}
-	if len(out.Events) != 1 || out.EventsDropped != 0 {
-		t.Fatalf("combine lost the receiver's event tail: %d kept / %d dropped", len(out.Events), out.EventsDropped)
-	}
-	// Neither input is mutated.
-	if len(base.Events) != 1 || base.Counter("exec.batches_published") != 0 {
-		t.Fatal("Combine mutated its receiver")
-	}
-	// Nil handling: nil aux is a no-op; nil receiver adopts aux instruments.
-	if base.Combine(nil) != base {
-		t.Fatal("nil other should return the receiver unchanged")
-	}
-	var nilSnap *Snapshot
-	if got := nilSnap.Combine(aux.Snapshot()); got.Counter("exec.batches_published") != 3 || len(got.Events) != 0 {
-		t.Fatalf("nil receiver combine = %+v", got)
-	}
-}
-
 func TestWriteTable(t *testing.T) {
 	r := New()
 	r.Counter("mc.write_ops").Add(7)

@@ -196,26 +196,6 @@ func (s *Snapshot) Merge(o *Snapshot) *Snapshot {
 	return s
 }
 
-// Combine returns a rendering union of two snapshots: instruments merge as
-// in Merge, but the receiver's event tail (and drop count) survives — the
-// right shape for displaying a run's deterministic snapshot together with
-// auxiliary counters (e.g. executor behaviour), which carry no timeline of
-// their own. Neither argument is mutated.
-func (s *Snapshot) Combine(o *Snapshot) *Snapshot {
-	if o == nil {
-		return s
-	}
-	out := (&Snapshot{}).Merge(s).Merge(o)
-	if s != nil {
-		out.Events = s.Events
-		out.EventsDropped = s.EventsDropped
-	} else {
-		out.Events = nil
-		out.EventsDropped = 0
-	}
-	return out
-}
-
 func mergeHistogram(a, b HistogramPoint) HistogramPoint {
 	a.Sum += b.Sum
 	a.Count += b.Count

@@ -85,7 +85,8 @@ func (k EventKind) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON accepts a wire name, so /events payloads and snapshot JSON
-// round-trip through Event.
+// round-trip through Event. Malformed JSON fails with encoding/json's typed
+// errors, an unknown name with *UnknownKindError.
 func (k *EventKind) UnmarshalJSON(b []byte) error {
 	var s string
 	if err := json.Unmarshal(b, &s); err != nil {
@@ -97,7 +98,14 @@ func (k *EventKind) UnmarshalJSON(b []byte) error {
 			return nil
 		}
 	}
-	return fmt.Errorf("metrics: unknown event kind %q", s)
+	return &UnknownKindError{Name: s}
+}
+
+// UnknownKindError reports an event-kind wire name no EventKind carries.
+type UnknownKindError struct{ Name string }
+
+func (e *UnknownKindError) Error() string {
+	return fmt.Sprintf("metrics: unknown event kind %q", e.Name)
 }
 
 // Event is one trace record. Seq is the global emission index (0-based,

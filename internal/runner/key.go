@@ -17,11 +17,6 @@ import (
 // streams (the stream is stateful and unnamed) and hard-error functions not
 // declared through Overrides.HardErrorLifetime (an opaque func pointer says
 // nothing about its behaviour).
-//
-// Config.Shards is intentionally NOT encoded: the sharded executor's
-// contract (pinned by TestShardDeterminismMatrix and the equivalence
-// fixture) is a byte-identical Result at every shard count, so two configs
-// differing only in Shards name the same simulation.
 func Key(cfg sim.Config, hardErrorLifetime float64) (string, bool) {
 	if len(cfg.Streams) > 0 {
 		return "", false

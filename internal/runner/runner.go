@@ -53,16 +53,6 @@ type Base struct {
 	// bank × line-region accumulation in sim.Result.Heatmap). Part of the
 	// cache key, like the other observability toggles.
 	HeatmapRegions int
-	// Shards selects the intra-run bank-sharded executor for every point
-	// (see sim.Config.Shards; <=1 runs single-goroutine). Deliberately NOT
-	// part of the cache key: the executor contract is a byte-identical
-	// Result at every shard count, so points differing only in Shards are
-	// the same point.
-	Shards int
-	// BatchWindow caps the sharded executor's adaptive batch window (see
-	// sim.Config.BatchWindow; 0 = default). Like Shards it is NOT part of
-	// the cache key: it changes wall-clock speed, never the Result.
-	BatchWindow int
 	// Topology, when non-default, runs every point on the multi-module
 	// simulator (see sim.Config.Topology). Part of the cache key via its
 	// canonical rendering; nil keeps old keys (and stored results) valid.
@@ -118,8 +108,6 @@ func (s Spec) Resolve(b Base) sim.Config {
 		CollectMetrics: b.CollectMetrics,
 		TraceEvents:    b.TraceEvents,
 		HeatmapRegions: b.HeatmapRegions,
-		Shards:         b.Shards,
-		BatchWindow:    b.BatchWindow,
 		Topology:       b.Topology,
 	}
 }

@@ -59,7 +59,6 @@ type JobSpec struct {
 	Benchmarks  []string `json:"benchmarks,omitempty"`
 	Schemes     []string `json:"schemes,omitempty"`
 	Seed        uint64   `json:"seed,omitempty"`
-	Shards      int      `json:"shards,omitempty"`
 	// TraceEvents keeps the last N controller events per point, feeding the
 	// job's /events view.
 	TraceEvents int `json:"trace_events,omitempty"`
@@ -104,7 +103,6 @@ func (s JobSpec) options() experiments.Options {
 		Benchmarks:     s.Benchmarks,
 		Schemes:        s.Schemes,
 		Seed:           s.Seed,
-		Shards:         s.Shards,
 		CollectMetrics: true,
 		TraceEvents:    s.TraceEvents,
 		HeatmapRegions: s.HeatmapRegions,

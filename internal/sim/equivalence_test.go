@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -25,16 +26,13 @@ var updateEquivalence = flag.Bool("update-equivalence", false,
 // equivalenceFixture is the pinned simulator behaviour: one fingerprint per
 // Figure 11 scheme × benchmark, covering the full Result (controller,
 // device, ECP and WD statistics, cycle counts, CPI) plus the rendered
-// metrics snapshot. The same hash must hold at every Config.Shards value —
-// the sweep cross-checks the sharded executor against the inline one before
-// pinning. Any refactor of the write path must reproduce these
+// metrics snapshot. Any refactor of the write path must reproduce these
 // byte-for-byte; refresh intentional simulator changes with
 //
 //	go test ./internal/sim -run TestWritePathEquivalence -update-equivalence
 //
-// Last regenerated for the bank-sharded executor: per-run RNG became
-// per-bank labeled streams (root → "mc" → "bank-<b>"), a sanctioned
-// one-time stochastic change.
+// Last regenerated when per-run RNG became per-bank labeled streams
+// (root → "mc" → "bank-<b>"), a sanctioned one-time stochastic change.
 const equivalenceFixture = "testdata/equivalence.golden"
 
 func equivalencePoints() []struct {
@@ -103,6 +101,22 @@ func fingerprint(t *testing.T, r Result) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
+// fullFingerprint extends fingerprint with the heatmap, so byte-identical
+// stats, metrics snapshot, event trace and heatmap are pinned by one hash.
+func fullFingerprint(t *testing.T, r Result) string {
+	t.Helper()
+	h := sha256.New()
+	fmt.Fprintf(h, "%s\n", fingerprint(t, r))
+	if r.Heatmap != nil {
+		b, err := json.Marshal(r.Heatmap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(b)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
 func TestWritePathEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence sweep is not short")
@@ -119,16 +133,7 @@ func TestWritePathEquivalence(t *testing.T) {
 			Seed:           42,
 			CollectMetrics: true,
 		}
-		r := run(t, cfg)
-		fp := fingerprint(t, r)
-		// The sharded executor must land on the same fingerprint: the fixture
-		// pins one hash per point that holds at every shard count.
-		sharded := cfg
-		sharded.Shards = 8
-		if sfp := fingerprint(t, run(t, sharded)); sfp != fp {
-			t.Errorf("%s|%s: Shards=8 fingerprint %s != inline %s",
-				pt.scheme.Name, pt.bench, sfp, fp)
-		}
+		fp := fingerprint(t, run(t, cfg))
 		fmt.Fprintf(&out, "%s|%s %s\n", pt.scheme.Name, pt.bench, fp)
 	}
 	got := out.String()

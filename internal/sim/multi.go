@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"fmt"
 	"os"
-	"slices"
 
 	"sdpcm/internal/alloc"
 	"sdpcm/internal/core"
@@ -47,20 +46,17 @@ func (m ModuleResult) CorrectionsPerWrite() float64 {
 }
 
 // moduleRun bundles one module's live machinery: its own device, buddy
-// allocator (strip width = the module's bank count), per-bank controllers
-// and executor. Addresses handed to a module's executor are module-local —
-// the address-range router assigns each core to one module and its address
-// space allocates module-local frames, so no global translation exists on
-// the hot path.
+// allocator (strip width = the module's bank count) and bank plane.
+// Addresses handed to a module's plane are module-local — the address-range
+// router assigns each core to one module and its address space allocates
+// module-local frames, so no global translation exists on the hot path.
 type moduleRun struct {
-	pl      topo.Placement
-	scheme  core.Scheme
-	link    uint64
-	dev     *pcm.Device
-	alloc   *alloc.Allocator
-	p       *bankPlane
-	exec    bankExec
-	mirrors []*tagMirror
+	pl     topo.Placement
+	scheme core.Scheme
+	link   uint64
+	dev    *pcm.Device
+	alloc  *alloc.Allocator
+	p      *bankPlane
 }
 
 // moduleTiming builds the module's device timing: the Table 2 defaults with
@@ -121,19 +117,7 @@ func newModuleRun(cfg Config, i int, pl topo.Placement, sub *rng.Rand) (*moduleR
 	}
 	bankRngs := sub.SplitLabeled("mc").SplitLabeledSeq("bank", pl.Banks)
 
-	shards := cfg.Shards
-	if shards > pl.Banks {
-		shards = pl.Banks
-	}
 	m := &moduleRun{pl: pl, scheme: scheme, link: uint64(pl.LinkCycles), dev: dev, alloc: allocator}
-	resolve := func(bank int) mc.RegionResolver { return allocator }
-	if shards > 1 {
-		m.mirrors = make([]*tagMirror, shards)
-		for s := range m.mirrors {
-			m.mirrors[s] = newTagMirror(allocator)
-		}
-		resolve = func(bank int) mc.RegionResolver { return m.mirrors[bank%shards] }
-	}
 	mcCfg := func() mc.Config {
 		c := scheme.MCConfig(cfg.WriteQueueCap)
 		c.Timing = timing
@@ -145,16 +129,9 @@ func newModuleRun(cfg Config, i int, pl topo.Placement, sub *rng.Rand) (*moduleR
 		}
 		return c
 	}
-	m.p, err = newBankPlane(cfg, dev, mcCfg, resolve, bankRngs)
+	m.p, err = newBankPlane(cfg, dev, mcCfg, allocator, bankRngs)
 	if err != nil {
 		return nil, fmt.Errorf("sim: module %s: %w", pl.Name, err)
-	}
-	if shards > 1 {
-		se := newShardExec(m.p, m.mirrors, cfg)
-		allocator.OnOwnerChange = se.ownerChange
-		m.exec = se
-	} else {
-		m.exec = newInlineExec(m.p, cfg.CheckIntegrity)
 	}
 	return m, nil
 }
@@ -183,18 +160,10 @@ func runMulti(cfg Config) (Result, error) {
 	for i, pl := range placements {
 		m, err := newModuleRun(cfg, i, pl, root.SplitLabeled(fmt.Sprintf("module-%d", i)))
 		if err != nil {
-			for _, built := range mods[:i] {
-				built.exec.close()
-			}
 			return Result{}, err
 		}
 		mods[i] = m
 	}
-	defer func() {
-		for _, m := range mods {
-			m.exec.close() // idempotent; joins shard goroutines on error paths
-		}
-	}()
 
 	type coreSrc struct {
 		stream trace.Stream
@@ -254,11 +223,6 @@ func runMulti(cfg Config) (Result, error) {
 		}
 		return sc
 	}
-	barrierAll := func() {
-		for _, m := range mods {
-			m.exec.barrier()
-		}
-	}
 	snapshotting := cfg.SnapshotInterval > 0 && cfg.OnSnapshot != nil
 	nextSnap := cfg.SnapshotInterval
 
@@ -296,12 +260,6 @@ func runMulti(cfg Config) (Result, error) {
 		c.time += uint64(rec.Gap)
 		c.instrs += uint64(rec.Gap) + 1
 		m := mods[c.mod]
-		if rec.Kind == trace.Read {
-			// Lookahead: this module is about to field a blocking read;
-			// publish its in-flight batches so workers drain backlog while
-			// translation resolves the bank.
-			m.exec.hintRead()
-		}
 		addr, err := translate(c, rec, false)
 		if err != nil {
 			return Result{}, fmt.Errorf("core %d: %w", c.id, err)
@@ -310,14 +268,14 @@ func runMulti(cfg Config) (Result, error) {
 			// The request crosses the link before the module sees it and
 			// the data crosses back: both legs charge the module's link
 			// latency on the blocking load.
-			done, _, err := m.exec.read(c.time+m.link, addr, addr)
+			done, err := m.p.read(c.time+m.link, addr, addr)
 			if err != nil {
 				return Result{}, err
 			}
 			c.time = done + m.link
 		} else {
 			mut := c.mut.DrawMutation()
-			m.exec.write(c.time+m.link, addr, addr, mut)
+			m.p.write(c.time+m.link, addr, addr, mut)
 			c.time++ // posted write: the core only pays the issue cycle
 		}
 		c.refs++
@@ -327,7 +285,6 @@ func runMulti(cfg Config) (Result, error) {
 			heap.Fix(&h, 0)
 		}
 		if snapshotting && c.time >= nextSnap {
-			barrierAll()
 			cfg.OnSnapshot(assembleMultiSnapshot(mods, cfg.TraceEvents, sumCounters(c.time)))
 			for nextSnap <= c.time {
 				nextSnap += cfg.SnapshotInterval
@@ -335,18 +292,9 @@ func runMulti(cfg Config) (Result, error) {
 		}
 		ckpt.totalRefs++
 		if checkpointing && ckpt.totalRefs%uint64(cfg.CheckpointEvery) == 0 {
-			barrierAll()
 			ckpt.nextSnap = nextSnap
 			if err := writeCheckpoint(cfg.CheckpointPath, ckpt.encodeCheckpoint()); err != nil {
 				return Result{}, err
-			}
-		}
-	}
-	for _, m := range mods {
-		m.exec.close()
-		if se, ok := m.exec.(*shardExec); ok {
-			if sm := se.execMetrics(); sm != nil {
-				res.ExecMetrics = res.ExecMetrics.Merge(sm)
 			}
 		}
 	}
@@ -366,15 +314,9 @@ func runMulti(cfg Config) (Result, error) {
 	for _, m := range mods {
 		end = max(end, m.p.flushAll(maxEnd))
 	}
-	if cfg.CheckIntegrity {
-		for _, m := range mods {
-			for _, sh := range m.exec.shadows() {
-				for logical, want := range sh {
-					if got := m.p.ctrlFor(logical).PeekData(logical); got != want {
-						return Result{}, fmt.Errorf("sim: integrity violation: module %s line %d corrupted after flush (WD escaped VnC)", m.pl.Name, logical)
-					}
-				}
-			}
+	for _, m := range mods {
+		if err := m.p.checkShadow(func(a pcm.LineAddr) pcm.LineAddr { return a }, "module "+m.pl.Name+" "); err != nil {
+			return Result{}, err
 		}
 	}
 	res.Cycles = end
@@ -438,7 +380,7 @@ func stackHeatmaps(mods []*moduleRun) *wd.HeatmapSnapshot {
 // modules: module stats are summed and rendered once, then every module's
 // per-bank registries merge in module-major, bank-minor order, and the
 // event-ring tails combine into one canonical bounded tail. Pure function of
-// per-bank state — byte-identical across shard counts.
+// per-bank state.
 func assembleMultiSnapshot(mods []*moduleRun, traceCap int, sc simCounters) *metrics.Snapshot {
 	tmp := metrics.New()
 	var mcS mc.Stats
@@ -488,8 +430,7 @@ func assembleMultiSnapshot(mods []*moduleRun, traceCap int, sc simCounters) *met
 // surfaces as a snap.VersionError wrapped in ErrResume.
 const multiCheckpointVersion = 2
 
-// multiState is runState's multi-module counterpart. Encode and restore run
-// only with every module executor quiesced.
+// multiState is runState's multi-module counterpart.
 type multiState struct {
 	cfg   Config
 	spec  *topo.Spec
@@ -547,25 +488,7 @@ func (s *multiState) encodeCheckpoint() []byte {
 		for b := range m.p.regs {
 			m.p.regs[b].EncodeState(e) // nil-safe: disabled registries encode as absent
 		}
-		e.Bool(s.cfg.CheckIntegrity)
-		if s.cfg.CheckIntegrity {
-			merged := make(map[pcm.LineAddr]pcm.Line)
-			for _, sh := range m.exec.shadows() {
-				for a, l := range sh {
-					merged[a] = l
-				}
-			}
-			addrs := make([]pcm.LineAddr, 0, len(merged))
-			for a := range merged {
-				addrs = append(addrs, a)
-			}
-			slices.Sort(addrs)
-			e.Uvarint(uint64(len(addrs)))
-			for _, a := range addrs {
-				e.U64(uint64(a))
-				pcm.EncodeLine(e, merged[a])
-			}
-		}
+		m.p.encodeShadow(e)
 	}
 	e.End()
 	return e.Finish()
@@ -636,33 +559,13 @@ func (s *multiState) restoreCheckpoint(path string) ([]bool, error) {
 				return nil, resumeErr(err)
 			}
 		}
-		hasShadow := d.Bool()
-		if d.Err() == nil && hasShadow != s.cfg.CheckIntegrity {
-			return nil, resumeErr(fmt.Errorf("checkpoint integrity-shadow presence %t does not match this run's %t", hasShadow, s.cfg.CheckIntegrity))
-		}
-		if hasShadow {
-			n := d.Uvarint()
-			for i := uint64(0); i < n && d.Err() == nil; i++ {
-				a := pcm.LineAddr(d.U64())
-				m.exec.restoreShadow(a, pcm.DecodeLine(d))
-			}
+		if err := m.p.decodeShadow(d); err != nil {
+			return nil, resumeErr(err)
 		}
 	}
 	d.End()
 	if err := d.Close(); err != nil {
 		return nil, resumeErr(err)
-	}
-
-	// Re-sync each module's shard tag mirrors with its restored region
-	// ownership — DecodeState deliberately does not replay OnOwnerChange.
-	for _, m := range s.mods {
-		for _, mir := range m.mirrors {
-			for r := 0; r < m.pl.Pages; r += m.pl.RegionPages {
-				if t := m.alloc.RegionTag(pcm.PageAddr(r)); t != alloc.Tag11 {
-					mir.apply(r, t, true)
-				}
-			}
-		}
 	}
 
 	if replay {

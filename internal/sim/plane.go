@@ -1,20 +1,25 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
+
 	"sdpcm/internal/alloc"
 	"sdpcm/internal/ecp"
 	"sdpcm/internal/mc"
 	"sdpcm/internal/metrics"
 	"sdpcm/internal/pcm"
 	"sdpcm/internal/rng"
+	"sdpcm/internal/snap"
 	"sdpcm/internal/wd"
+	"sdpcm/internal/workload"
 )
 
 // bankPlane is the per-bank decomposition of a run's memory-system state:
 // one mc.Controller per PCM bank, each with its own ECP table, policy
 // instances, disturbance engine (on a labeled per-bank RNG stream) and — when
 // collection is on — its own metrics registry and event ring. The device and
-// heatmap are shared, but their mutable state is bank-sharded internally
+// heatmap are shared, but their mutable state is split per bank internally
 // (per-bank stat counters and storage arenas; bank-major heatmap cells), so
 // controllers driving disjoint banks never write the same memory.
 //
@@ -22,16 +27,21 @@ import (
 // independent resources and write disturbance only couples physically
 // adjacent rows within one bank (rows r±1 of the same bank), so per-bank
 // state machines fed the same per-bank op sequences produce identical state
-// regardless of how banks are grouped onto goroutines. Aggregate results are
+// whatever the interleaving of ops across banks. Aggregate results are
 // folded in fixed bank order 0..Banks-1. One plane covers one module; a
 // multi-module topology builds one plane per module over that module's
-// device geometry.
+// device geometry. The run loop applies every op at issue time on its own
+// goroutine.
 type bankPlane struct {
 	dev   *pcm.Device
 	geo   pcm.Geometry
 	ctrls []*mc.Controller
 	regs  []*metrics.Registry // nil entries when collection is off
 	hm    *wd.Heatmap         // nil when disabled; shared, bank-disjoint cells
+	// shadow is the integrity shadow (Config.CheckIntegrity): the last data
+	// written to each line, keyed by logical (pre-wear-leveling) address.
+	// Nil when integrity checking is off.
+	shadow map[pcm.LineAddr]pcm.Line
 
 	traceCap int
 }
@@ -39,10 +49,9 @@ type bankPlane struct {
 // newBankPlane builds the per-bank controllers over the device's bank
 // geometry. mcCfg produces a fresh controller configuration per bank (policy
 // values are stateful and must not be shared); bankRngs must hold one labeled
-// stream per bank (module root "mc" → "bank-<b>"); resolve supplies each
-// bank's RegionResolver — the live allocator for single-goroutine execution,
-// a versioned tag mirror for shard goroutines.
-func newBankPlane(cfg Config, dev *pcm.Device, mcCfg func() mc.Config, resolve func(bank int) mc.RegionResolver, bankRngs []*rng.Rand) (*bankPlane, error) {
+// stream per bank (module root "mc" → "bank-<b>"); a is the module's live
+// allocator, every controller's RegionResolver.
+func newBankPlane(cfg Config, dev *pcm.Device, mcCfg func() mc.Config, a *alloc.Allocator, bankRngs []*rng.Rand) (*bankPlane, error) {
 	p := &bankPlane{
 		dev:      dev,
 		geo:      dev.Geometry(),
@@ -53,9 +62,12 @@ func newBankPlane(cfg Config, dev *pcm.Device, mcCfg func() mc.Config, resolve f
 	if cfg.HeatmapRegions > 0 {
 		p.hm = wd.NewHeatmapGeo(cfg.HeatmapRegions, dev.RowsPerBank, dev.Geometry())
 	}
+	if cfg.CheckIntegrity {
+		p.shadow = make(map[pcm.LineAddr]pcm.Line)
+	}
 	collect := cfg.CollectMetrics || cfg.TraceEvents > 0 || cfg.SnapshotInterval > 0
 	for b := range p.ctrls {
-		ctrl, err := mc.New(mcCfg(), dev, resolve(b), bankRngs[b])
+		ctrl, err := mc.New(mcCfg(), dev, a, bankRngs[b])
 		if err != nil {
 			return nil, err
 		}
@@ -73,18 +85,92 @@ func newBankPlane(cfg Config, dev *pcm.Device, mcCfg func() mc.Config, resolve f
 	return p, nil
 }
 
-// bankOf returns the bank a line address belongs to under the plane's
-// geometry.
-func (p *bankPlane) bankOf(a pcm.LineAddr) int { return p.geo.Locate(a).Bank }
-
 // ctrlFor returns the controller owning a line address.
-func (p *bankPlane) ctrlFor(a pcm.LineAddr) *mc.Controller { return p.ctrls[p.bankOf(a)] }
+func (p *bankPlane) ctrlFor(a pcm.LineAddr) *mc.Controller { return p.ctrls[p.geo.Locate(a).Bank] }
+
+// read performs a blocking demand read and returns its completion time.
+// logical keys the integrity shadow; a mismatch is an integrity violation.
+func (p *bankPlane) read(now uint64, addr, logical pcm.LineAddr) (uint64, error) {
+	done, data := p.ctrlFor(addr).Read(now, addr)
+	if p.shadow != nil {
+		if want, ok := p.shadow[logical]; ok && data != want {
+			return done, fmt.Errorf("sim: integrity violation: read of line %d returned corrupted data", logical)
+		}
+	}
+	return done, nil
+}
+
+// write posts a write of the pre-drawn mutation applied to the line's
+// latest queued-or-stored content.
+func (p *bankPlane) write(now uint64, addr, logical pcm.LineAddr, m workload.Mutation) {
+	ctrl := p.ctrlFor(addr)
+	data := pcm.Line(m.Apply([8]uint64(ctrl.LatestData(addr))))
+	ctrl.Write(now, addr, data)
+	if p.shadow != nil {
+		p.shadow[logical] = data
+	}
+}
+
+// copyLine posts a Start-Gap line copy. Start-Gap rotates slots within a
+// row, so from and to share a bank.
+func (p *bankPlane) copyLine(now uint64, from, to pcm.LineAddr) {
+	ctrl := p.ctrlFor(to)
+	ctrl.Write(now, to, ctrl.LatestData(from))
+}
+
+// checkShadow verifies, after the final flush, that every line the cores
+// wrote still holds its last written data. remap maps a logical address to
+// its physical slot (identity without wear leveling); module names the
+// module in the error ("" on the single-module path).
+func (p *bankPlane) checkShadow(remap func(pcm.LineAddr) pcm.LineAddr, module string) error {
+	for logical, want := range p.shadow {
+		if got := p.ctrlFor(remap(logical)).PeekData(remap(logical)); got != want {
+			return fmt.Errorf("sim: integrity violation: %sline %d corrupted after flush (WD escaped VnC)", module, logical)
+		}
+	}
+	return nil
+}
+
+// encodeShadow writes the integrity shadow in ascending address order, so
+// the checkpoint bytes do not depend on map iteration order.
+func (p *bankPlane) encodeShadow(e *snap.Encoder) {
+	e.Bool(p.shadow != nil)
+	if p.shadow == nil {
+		return
+	}
+	addrs := make([]pcm.LineAddr, 0, len(p.shadow))
+	for a := range p.shadow {
+		addrs = append(addrs, a)
+	}
+	slices.Sort(addrs)
+	e.Uvarint(uint64(len(addrs)))
+	for _, a := range addrs {
+		e.U64(uint64(a))
+		pcm.EncodeLine(e, p.shadow[a])
+	}
+}
+
+// decodeShadow restores what encodeShadow wrote. The checkpoint must agree
+// with this run on whether integrity checking is on.
+func (p *bankPlane) decodeShadow(d *snap.Decoder) error {
+	has := d.Bool()
+	if d.Err() == nil && has != (p.shadow != nil) {
+		return fmt.Errorf("checkpoint integrity-shadow presence %t does not match this run's %t", has, p.shadow != nil)
+	}
+	if has {
+		n := d.Uvarint()
+		for i := uint64(0); i < n && d.Err() == nil; i++ {
+			a := pcm.LineAddr(d.U64())
+			p.shadow[a] = pcm.DecodeLine(d)
+		}
+	}
+	return nil
+}
 
 // collecting reports whether metric registries are attached.
 func (p *bankPlane) collecting() bool { return p.regs[0] != nil }
 
-// mergedStats folds the per-bank module counters in bank order. Only valid
-// when no shard goroutine is active (quiesced or joined).
+// mergedStats folds the per-bank module counters in bank order.
 func (p *bankPlane) mergedStats() (mcS mc.Stats, devS pcm.Stats, ecpS ecp.Stats, wdS wd.Stats) {
 	for b := range p.ctrls {
 		mcS.Add(p.ctrls[b].Stats)
@@ -108,7 +194,7 @@ type simCounters struct {
 // stats are rendered into a scratch registry, merged with every bank
 // registry's histograms, and the per-bank event-ring tails are combined into
 // one canonical bounded tail. The result is a pure function of per-bank
-// state, so it is byte-identical across shard counts.
+// state.
 func (p *bankPlane) assembleSnapshot(sc simCounters) *metrics.Snapshot {
 	tmp := metrics.New()
 	mcS, devS, ecpS, wdS := p.mergedStats()
@@ -154,46 +240,4 @@ func (p *bankPlane) flushAll(now uint64) uint64 {
 		drain += d
 	}
 	return end + drain
-}
-
-// tagMirror is a RegionResolver fed by in-band ownership updates: the
-// orchestrator broadcasts every allocator owner-map mutation into each
-// shard's op stream, so a shard resolving a page's (n:m) tag sees exactly
-// the allocator state at the moment the op was issued — which is when the
-// live allocator would have been consulted on one goroutine.
-type tagMirror struct {
-	regionPages int
-	stripPages  int
-	strips      int
-	owner       map[int]alloc.Tag
-}
-
-func newTagMirror(a *alloc.Allocator) *tagMirror {
-	return &tagMirror{
-		regionPages: a.RegionPages(),
-		stripPages:  a.StripPages(),
-		strips:      a.StripsPerRegion(),
-		owner:       make(map[int]alloc.Tag),
-	}
-}
-
-func (m *tagMirror) RegionTag(p pcm.PageAddr) alloc.Tag {
-	if t, ok := m.owner[int(p)/m.regionPages*m.regionPages]; ok {
-		return t
-	}
-	return alloc.Tag11
-}
-
-func (m *tagMirror) StripIndexInRegion(p pcm.PageAddr) int {
-	return (int(p) % m.regionPages) / m.stripPages
-}
-
-func (m *tagMirror) StripsPerRegion() int { return m.strips }
-
-func (m *tagMirror) apply(regionStart int, t alloc.Tag, present bool) {
-	if present {
-		m.owner[regionStart] = t
-	} else {
-		delete(m.owner, regionStart)
-	}
 }

@@ -62,23 +62,6 @@ type Config struct {
 	RegionPages int
 	// WriteQueueCap per bank (default 32, Table 2).
 	WriteQueueCap int
-	// Shards selects the intra-run parallel executor: banks are partitioned
-	// into Shards groups (bank b → shard b % Shards), each group's
-	// controller work running on its own goroutine behind a conservative
-	// bounded-lag window. Shards <= 1 runs the same per-bank-decomposed code
-	// on one goroutine; values above pcm.NumBanks are clamped. The Result is
-	// byte-identical — stats, metrics snapshot, event trace, heatmap —
-	// across every shard count and GOMAXPROCS: sharding changes wall-clock
-	// speed, never simulated behavior.
-	Shards int
-	// BatchWindow caps the sharded executor's adaptive batch window: the
-	// number of ops a shard accumulates before a publication when no demand
-	// read is pending (the window starts small and doubles up to this cap,
-	// resetting on every read). 0 selects the default (256); values are
-	// clamped to the ring's safe ceiling. Like Shards it can change
-	// wall-clock speed only, never simulated behavior, so it is excluded
-	// from result caching and checkpoint identity.
-	BatchWindow int
 	// Seed drives every stochastic element of the run.
 	Seed uint64
 	// CoreTags overrides the allocator tag per core (§4.4's usage model:
@@ -126,18 +109,16 @@ type Config struct {
 	CheckIntegrity bool
 	// CheckpointEvery, when positive together with CheckpointPath, writes a
 	// versioned snapshot of the complete simulator state every
-	// CheckpointEvery processed references (counted in program order, so
-	// the trigger points are identical across shard counts). Each write
-	// atomically replaces the previous file; a killed run loses at most one
-	// interval of progress.
+	// CheckpointEvery processed references (counted in program order).
+	// Each write atomically replaces the previous file; a killed run loses
+	// at most one interval of progress.
 	CheckpointEvery int
 	// CheckpointPath is where checkpoints are published (tmp-and-rename).
 	CheckpointPath string
 	// ResumeFrom, when set, loads a checkpoint written by a run with the
-	// same configuration (any shard count) and continues it; the final
-	// Result is byte-identical to the uninterrupted run's. Load or
-	// validation failures wrap ErrResume so callers can fall back to a
-	// cold start.
+	// same configuration and continues it; the final Result is
+	// byte-identical to the uninterrupted run's. Load or validation
+	// failures wrap ErrResume so callers can fall back to a cold start.
 	ResumeFrom string
 }
 
@@ -197,16 +178,6 @@ type Result struct {
 	// Modules holds the per-module breakdown of a multi-module topology
 	// run, in module order. Empty on the classic single-DIMM path.
 	Modules []ModuleResult `json:",omitempty"`
-
-	// ExecMetrics is the sharded executor's behaviour snapshot: batch
-	// publication counts and occupancy, ring stalls, worker parks,
-	// steal-on-read and rendezvous tallies. Unlike Metrics it is
-	// timing-dependent — scheduling, GOMAXPROCS and host load all move it —
-	// so it is deliberately excluded from the determinism contract, from
-	// serialized Results and from checkpoints. Nil on the inline path or
-	// when metrics collection is off. Under a multi-module topology the
-	// per-module executors' snapshots are merged.
-	ExecMetrics *metrics.Snapshot `json:"-"`
 }
 
 // CorrectionsPerWrite is the Figure 12 metric.
@@ -261,9 +232,8 @@ func (r Result) ECPChipLifetime() float64 {
 
 // mutator synthesises write-back payloads; live generators and the replay
 // Mutator both satisfy it. Payloads are drawn (consuming the per-core RNG in
-// program order, on the orchestrator goroutine) separately from their
-// application to the line's latest content (on whichever goroutine owns the
-// bank).
+// program order) separately from their application to the line's latest
+// content.
 type mutator interface {
 	DrawMutation() workload.Mutation
 }
@@ -322,36 +292,13 @@ func Run(cfg Config) (Result, error) {
 	}
 	// Per-bank RNG streams: the root's "mc" child seeds one labeled stream
 	// per bank, so a bank's stochastic disturbance draws depend only on
-	// (seed, bank, that bank's op sequence) — never on global call order —
-	// which is what makes results shard-count invariant.
+	// (seed, bank, that bank's op sequence), never on global call order. The
+	// goldens are pinned to this decomposition.
 	bankRngs := root.SplitLabeled("mc").SplitLabeledSeq("bank", pcm.NumBanks)
-
-	shards := cfg.Shards
-	if shards > pcm.NumBanks {
-		shards = pcm.NumBanks
-	}
-	var mirrors []*tagMirror
-	resolve := func(bank int) mc.RegionResolver { return allocator }
-	if shards > 1 {
-		mirrors = make([]*tagMirror, shards)
-		for s := range mirrors {
-			mirrors[s] = newTagMirror(allocator)
-		}
-		resolve = func(bank int) mc.RegionResolver { return mirrors[bank%shards] }
-	}
-	p, err := newBankPlane(cfg, dev, func() mc.Config { return cfg.Scheme.MCConfig(cfg.WriteQueueCap) }, resolve, bankRngs)
+	p, err := newBankPlane(cfg, dev, func() mc.Config { return cfg.Scheme.MCConfig(cfg.WriteQueueCap) }, allocator, bankRngs)
 	if err != nil {
 		return Result{}, err
 	}
-	var exec bankExec
-	if shards > 1 {
-		se := newShardExec(p, mirrors, cfg)
-		allocator.OnOwnerChange = se.ownerChange
-		exec = se
-	} else {
-		exec = newInlineExec(p, cfg.CheckIntegrity)
-	}
-	defer exec.close() // idempotent; joins shard goroutines on error paths
 
 	type coreSrc struct {
 		stream trace.Stream
@@ -434,7 +381,7 @@ func Run(cfg Config) (Result, error) {
 	nextSnap := cfg.SnapshotInterval
 
 	ckpt := runState{
-		cfg: cfg, p: p, exec: exec, allocator: allocator, mirrors: mirrors,
+		cfg: cfg, p: p, allocator: allocator,
 		cores: cores, h: &h, wl: wl, nextSnap: nextSnap,
 	}
 	checkpointing := cfg.CheckpointEvery > 0 && cfg.CheckpointPath != ""
@@ -472,32 +419,26 @@ func Run(cfg Config) (Result, error) {
 		// Non-memory instructions: 1 cycle each on the in-order core.
 		c.time += uint64(rec.Gap)
 		c.instrs += uint64(rec.Gap) + 1
-		if rec.Kind == trace.Read {
-			// Lookahead: the next op is a blocking read, but which bank it
-			// hits is only known after translation. Publish in-flight batches
-			// now so workers drain backlog while the TLB/page tables resolve.
-			exec.hintRead()
-		}
 		logical, err := translate(c, rec, wl != nil)
 		if err != nil {
 			return Result{}, fmt.Errorf("core %d: %w", c.id, err)
 		}
 		addr := remap(logical)
 		if rec.Kind == trace.Read {
-			done, _, err := exec.read(c.time, addr, logical)
+			done, err := p.read(c.time, addr, logical)
 			if err != nil {
 				return Result{}, err
 			}
 			c.time = done // blocking load
 		} else {
 			m := c.mut.DrawMutation()
-			exec.write(c.time, addr, logical, m)
+			p.write(c.time, addr, logical, m)
 			c.time++
 			if wl != nil {
 				if from, to, moved := wl.NoteWrite(addr); moved {
 					// Start-Gap copy, routed through the controller so it
 					// forwards from queued writes and undergoes VnC.
-					exec.copyLine(c.time, from, to)
+					p.copyLine(c.time, from, to)
 				}
 			}
 		}
@@ -508,9 +449,6 @@ func Run(cfg Config) (Result, error) {
 			heap.Fix(&h, 0)
 		}
 		if snapshotting && c.time >= nextSnap {
-			// Quiesce the shards so the plane state is exactly the inline
-			// state at this point in program order, then snapshot it.
-			exec.barrier()
 			cfg.OnSnapshot(p.assembleSnapshot(sumCounters(c.time)))
 			for nextSnap <= c.time {
 				nextSnap += cfg.SnapshotInterval
@@ -518,16 +456,11 @@ func Run(cfg Config) (Result, error) {
 		}
 		ckpt.totalRefs++
 		if checkpointing && ckpt.totalRefs%uint64(cfg.CheckpointEvery) == 0 {
-			exec.barrier()
 			ckpt.nextSnap = nextSnap
 			if err := writeCheckpoint(cfg.CheckpointPath, ckpt.encodeCheckpoint()); err != nil {
 				return Result{}, err
 			}
 		}
-	}
-	exec.close()
-	if se, ok := exec.(*shardExec); ok {
-		res.ExecMetrics = se.execMetrics()
 	}
 
 	var maxEnd uint64
@@ -542,14 +475,8 @@ func Run(cfg Config) (Result, error) {
 		res.PageFaults += c.as.Faults
 	}
 	end := p.flushAll(maxEnd)
-	if cfg.CheckIntegrity {
-		for _, sh := range exec.shadows() {
-			for logical, want := range sh {
-				if got := p.ctrlFor(remap(logical)).PeekData(remap(logical)); got != want {
-					return Result{}, fmt.Errorf("sim: integrity violation: line %d corrupted after flush (WD escaped VnC)", logical)
-				}
-			}
-		}
+	if err := p.checkShadow(remap, ""); err != nil {
+		return Result{}, err
 	}
 	if wl != nil {
 		res.WearMoves = wl.Moves

@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"sdpcm/internal/alloc"
 	"sdpcm/internal/core"
+	"sdpcm/internal/trace"
 	"sdpcm/internal/workload"
 )
 
@@ -58,6 +61,48 @@ func TestDeterminism(t *testing.T) {
 	})
 	if a.Cycles == c.Cycles {
 		t.Log("different seeds produced identical cycles (suspicious but possible)")
+	}
+}
+
+// TestShardDeterminismMatrix: a run with every optional subsystem at once
+// (the integrity shadow, wear leveling, the event trace and the heatmap) is
+// byte-identical across repeated runs and across GOMAXPROCS settings.
+func TestShardDeterminismMatrix(t *testing.T) {
+	full := checkpointCfg()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want string
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for rep := 0; rep < 2; rep++ {
+			got := fullFingerprint(t, run(t, full))
+			if want == "" {
+				want = got
+				continue
+			}
+			if got != want {
+				t.Errorf("GOMAXPROCS=%d run %d: fingerprint %s != %s", procs, rep, got, want)
+			}
+		}
+	}
+}
+
+// TestCPIEmptyReplayStreams is the Result.CPI divide-by-zero regression: a
+// replay whose streams are all empty must report CPI 0, not NaN, so JSON
+// output stays valid.
+func TestCPIEmptyReplayStreams(t *testing.T) {
+	r := run(t, Config{
+		Scheme:      core.Baseline(),
+		Streams:     []trace.Stream{trace.NewSliceStream(nil), trace.NewSliceStream(nil)},
+		RefsPerCore: 100,
+		MemPages:    1 << 16,
+		RegionPages: 1024,
+		Seed:        3,
+	})
+	if math.IsNaN(r.CPI) || r.CPI != 0 {
+		t.Fatalf("CPI = %v for empty replay, want 0", r.CPI)
+	}
+	if r.Instructions != 0 || r.MC.WriteOps != 0 {
+		t.Fatalf("empty replay did work: %+v", r)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 )
@@ -23,6 +24,18 @@ import (
 // DefaultBanks is the bank count of an unspecified module — the fixed
 // 16-bank DIMM (2 ranks × 8 banks) every single-module run uses.
 const DefaultBanks = 16
+
+// SpecError reports a topology spec the package rejects. Every error
+// ParseSpec, Validate and Resolve return is a *SpecError, so callers can
+// tell a bad spec from any other failure with errors.As.
+type SpecError struct{ err error }
+
+func (e *SpecError) Error() string { return "topo: " + e.err.Error() }
+func (e *SpecError) Unwrap() error { return e.err }
+
+func invalid(format string, args ...any) error {
+	return &SpecError{fmt.Errorf(format, args...)}
+}
 
 // Module describes one PCM module of a topology.
 type Module struct {
@@ -95,7 +108,7 @@ func Demo2() *Spec {
 // (topo itself may not import it); nil skips scheme-name checking.
 func (s *Spec) Validate(schemeKnown func(name string) bool) error {
 	if s == nil || len(s.Modules) == 0 {
-		return fmt.Errorf("topo: spec has no modules")
+		return invalid("spec has no modules")
 	}
 	explicit := false
 	for i, m := range s.Modules {
@@ -104,7 +117,7 @@ func (s *Spec) Validate(schemeKnown func(name string) bool) error {
 		}
 	}
 	names := make(map[string]int, len(s.Modules))
-	prevEnd := 0
+	prevEnd, total := 0, 0
 	for i, m := range s.Modules {
 		// Names key per-module results (and experiment columns), so they must
 		// be unique after the "m<i>" default is applied.
@@ -113,7 +126,7 @@ func (s *Spec) Validate(schemeKnown func(name string) bool) error {
 			name = fmt.Sprintf("m%d", i)
 		}
 		if prev, dup := names[name]; dup {
-			return fmt.Errorf("topo: modules %d and %d share the name %q", prev, i, name)
+			return invalid("modules %d and %d share the name %q", prev, i, name)
 		}
 		names[name] = i
 		banks := m.Banks
@@ -121,29 +134,35 @@ func (s *Spec) Validate(schemeKnown func(name string) bool) error {
 			banks = DefaultBanks
 		}
 		if banks < 1 || banks > 1024 || banks&(banks-1) != 0 {
-			return fmt.Errorf("topo: module %d: banks %d not a power of two in [1,1024]", i, m.Banks)
+			return invalid("module %d: banks %d not a power of two in [1,1024]", i, m.Banks)
 		}
 		if m.Pages < 0 || m.Start < 0 || m.RegionPages < 0 || m.ECPEntries < 0 ||
 			m.ReadCycles < 0 || m.SetCycles < 0 || m.ResetCycles < 0 ||
 			m.ParallelBits < 0 || m.LinkCycles < 0 {
-			return fmt.Errorf("topo: module %d: negative field", i)
+			return invalid("module %d: negative field", i)
 		}
+		// Page counts sum into the layout, so their total (and with it every
+		// module's end page) must fit an int.
+		if m.Pages > math.MaxInt-total {
+			return invalid("module %d: %d pages overflow the total page count", i, m.Pages)
+		}
+		total += m.Pages
 		if m.WordLineRate < 0 || m.WordLineRate > 1 || m.BitLineRate < 0 || m.BitLineRate > 1 {
-			return fmt.Errorf("topo: module %d: WD rate outside [0,1]", i)
+			return invalid("module %d: WD rate outside [0,1]", i)
 		}
 		if m.Scheme != "" && schemeKnown != nil && !schemeKnown(m.Scheme) {
-			return fmt.Errorf("topo: module %d: unknown scheme %q", i, m.Scheme)
+			return invalid("module %d: unknown scheme %q", i, m.Scheme)
 		}
 		if explicit {
 			if m.Pages == 0 {
-				return fmt.Errorf("topo: module %d: explicit starts need explicit pages on every module", i)
+				return invalid("module %d: explicit starts need explicit pages on every module", i)
 			}
 			if m.Start != prevEnd {
 				if m.Start < prevEnd {
-					return fmt.Errorf("topo: module %d: range [%d,%d) overlaps or is unsorted (previous end %d)",
-						i, m.Start, m.Start+m.Pages, prevEnd)
+					return invalid("module %d: range starting at %d overlaps or is unsorted (previous end %d)",
+						i, m.Start, prevEnd)
 				}
-				return fmt.Errorf("topo: module %d: range starts at %d, leaving a gap after %d",
+				return invalid("module %d: range starts at %d, leaving a gap after %d",
 					i, m.Start, prevEnd)
 			}
 			prevEnd = m.Start + m.Pages
@@ -165,32 +184,37 @@ type Placement struct {
 // equally, and ranges become contiguous in declaration order. regionPages
 // is the run's default marking-region size, applied to modules without
 // their own. The returned placements have Banks, Pages, Start, RegionPages
-// and Name all concrete.
+// and Name all concrete; they are contiguous from page 0 and cover exactly
+// memPages.
 func (s *Spec) Resolve(memPages, regionPages int) ([]Placement, error) {
 	if err := s.Validate(nil); err != nil {
 		return nil, err
 	}
+	if memPages <= 0 {
+		return nil, invalid("%d simulated pages cannot hold a module", memPages)
+	}
+	// remaining stays in [0, memPages]: a module larger than what is left is
+	// refused before it is subtracted, so no sum can wrap.
 	remaining := memPages
 	auto := 0
 	for _, m := range s.Modules {
 		if m.Pages == 0 {
 			auto++
+		} else if m.Pages > remaining {
+			return nil, invalid("modules claim more than the %d simulated pages", memPages)
 		} else {
 			remaining -= m.Pages
 		}
 	}
-	if remaining < 0 {
-		return nil, fmt.Errorf("topo: modules claim more than the %d simulated pages", memPages)
-	}
 	share := 0
 	if auto > 0 {
 		if remaining%auto != 0 {
-			return nil, fmt.Errorf("topo: %d leftover pages do not split evenly across %d auto-sized modules",
+			return nil, invalid("%d leftover pages do not split evenly across %d auto-sized modules",
 				remaining, auto)
 		}
 		share = remaining / auto
 	} else if remaining != 0 {
-		return nil, fmt.Errorf("topo: modules cover %d of the %d simulated pages", memPages-remaining, memPages)
+		return nil, invalid("modules cover %d of the %d simulated pages", memPages-remaining, memPages)
 	}
 	out := make([]Placement, len(s.Modules))
 	start := 0
@@ -211,7 +235,7 @@ func (s *Spec) Resolve(memPages, regionPages int) ([]Placement, error) {
 		p.Start = start
 		start += p.Pages
 		if p.Pages <= 0 || p.Pages%p.Banks != 0 {
-			return nil, fmt.Errorf("topo: module %d: %d pages not a positive multiple of %d banks",
+			return nil, invalid("module %d: %d pages not a positive multiple of %d banks",
 				i, p.Pages, p.Banks)
 		}
 		out[i] = p
@@ -259,11 +283,11 @@ func ParseSpec(data []byte) (*Spec, error) {
 	dec.DisallowUnknownFields()
 	var s Spec
 	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("topo: parse spec: %w", err)
+		return nil, invalid("parse spec: %w", err)
 	}
 	var extra json.RawMessage
 	if err := dec.Decode(&extra); err == nil || extra != nil {
-		return nil, fmt.Errorf("topo: parse spec: trailing data after spec")
+		return nil, invalid("parse spec: trailing data after spec")
 	}
 	return &s, nil
 }

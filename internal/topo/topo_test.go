@@ -2,6 +2,7 @@ package topo
 
 import (
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -80,11 +81,21 @@ func TestValidateRanges(t *testing.T) {
 		}}, "explicit pages"},
 		{"bad banks", &Spec{Modules: []Module{{Banks: 12}}}, "power of two"},
 		{"bad rate", &Spec{Modules: []Module{{BitLineRate: 1.5}}}, "WD rate"},
+		// The page sum wraps int64 back to exactly 2^21: before the overflow
+		// check this resolved to modules with negative starts.
+		{"page sum overflow", &Spec{Modules: []Module{
+			{Pages: 1 << 62}, {Pages: 1 << 62}, {Pages: 1 << 62}, {Pages: 1<<62 + 1<<21},
+		}}, "overflow"},
+		{"explicit range overflow", &Spec{Modules: []Module{
+			{Pages: 1 << 62}, {Start: 1 << 62, Pages: 1 << 62}, {Start: 1<<63 - 1, Pages: 1 << 62},
+		}}, "overflow"},
 	}
 	for _, tc := range cases {
-		err := tc.s.Validate(nil)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: got %v, want error containing %q", tc.name, err, tc.want)
+		for _, err := range []error{tc.s.Validate(nil), resolveErr(tc.s)} {
+			var se *SpecError
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !errors.As(err, &se) {
+				t.Errorf("%s: got %v, want a *SpecError containing %q", tc.name, err, tc.want)
+			}
 		}
 	}
 	ok := &Spec{Modules: []Module{
@@ -93,6 +104,11 @@ func TestValidateRanges(t *testing.T) {
 	if err := ok.Validate(nil); err != nil {
 		t.Errorf("sorted contiguous ranges rejected: %v", err)
 	}
+}
+
+func resolveErr(s *Spec) error {
+	_, err := s.Resolve(1<<21, 16384)
+	return err
 }
 
 func TestResolveAutoLayout(t *testing.T) {
@@ -149,6 +165,15 @@ func TestResolveErrors(t *testing.T) {
 	s = &Spec{Modules: []Module{{Pages: 512}}}
 	if _, err := s.Resolve(1024, 256); err == nil {
 		t.Error("undersubscribed explicit spec resolved")
+	}
+	// Explicit modules that each fit but together exceed memory.
+	s = &Spec{Modules: []Module{{Pages: 768}, {Pages: 768}, {}}}
+	if _, err := s.Resolve(1024, 256); err == nil {
+		t.Error("jointly oversubscribed spec resolved")
+	}
+	// No memory to lay out.
+	if _, err := Default().Resolve(0, 256); err == nil {
+		t.Error("zero-page memory resolved")
 	}
 }
 

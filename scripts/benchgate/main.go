@@ -15,16 +15,12 @@
 // informational benchstat diff — see DESIGN.md ("Data plane & memory
 // layout") for how to read the two together.
 //
-// Speedup mode gates the sharded executor's scaling claim on a live record:
-//
-//	benchgate -speedup -new BENCH_10.json -base BenchmarkSimRunSharded/1 -min 2.0
-//
-// It reads the median ns/op of every BenchmarkSimRunSharded/<n> variant,
-// reports each variant's speedup over the -base (inline) run, and fails
-// unless the best variant reaches -min. With -worst the gate flips to the
-// slowest variant, turning -min into an overhead bound: single-core CI runs
-// -worst -min 0.925 to pin every sharded configuration's overhead at ~8%
-// over inline.
+// Every emitted record carries a host stamp: the CPU count, GOMAXPROCS and
+// Go version of the emitting process, plus the commit checked out in the
+// working directory. Run emit on the host, in the environment and in the
+// checkout the benchmarks ran in. Gate mode refuses to compare records whose
+// host stamps differ or are missing: a ns/op delta across machines measures
+// the machines, not the change.
 package main
 
 import (
@@ -34,7 +30,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -49,47 +47,64 @@ type record struct {
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
+// host identifies where a record was measured. Commit is informational:
+// the gate compares records of different commits by design.
+type host struct {
+	NumCPU     int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	Commit     string `json:"commit,omitempty"`
+}
+
+func (h host) String() string {
+	return fmt.Sprintf("nproc=%d GOMAXPROCS=%d %s", h.NumCPU, h.GOMAXPROCS, h.GoVersion)
+}
+
 type report struct {
 	Note       string   `json:"note"`
+	Host       *host    `json:"host,omitempty"`
 	Benchmarks []record `json:"benchmarks"`
+}
+
+// stamp describes this process's host and the working directory's commit
+// (empty outside a git checkout).
+func stamp() *host {
+	h := &host{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
+	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
+		h.Commit = strings.TrimSpace(string(out))
+	}
+	return h
+}
+
+// sameHost reports why two records may not be compared, or nil.
+func sameHost(oldPath string, o *host, newPath string, n *host) error {
+	switch {
+	case o == nil:
+		return fmt.Errorf("%s has no host stamp; re-emit it with this benchgate on the gating host", oldPath)
+	case n == nil:
+		return fmt.Errorf("%s has no host stamp; re-emit it with this benchgate on the gating host", newPath)
+	case o.NumCPU != n.NumCPU || o.GOMAXPROCS != n.GOMAXPROCS || o.GoVersion != n.GoVersion:
+		return fmt.Errorf("records come from different hosts (%s: %s; %s: %s); measure both on one host", oldPath, o, newPath, n)
+	}
+	return nil
 }
 
 func main() {
 	var (
 		emit      = flag.Bool("emit", false, "parse `go test -bench` text (file arg or stdin) and print a JSON record")
 		gate      = flag.Bool("gate", false, "compare -new against -old and fail on ns/op regressions")
-		speedup   = flag.Bool("speedup", false, "gate the sharded-vs-inline speedup recorded in -new")
 		oldPath   = flag.String("old", "", "baseline JSON record for -gate")
-		newPath   = flag.String("new", "", "candidate JSON record for -gate or -speedup")
+		newPath   = flag.String("new", "", "candidate JSON record for -gate")
 		threshold = flag.Float64("threshold", 10, "ns/op regression percentage that fails the gate")
-		baseName  = flag.String("base", "BenchmarkSimRunSharded/1", "inline-reference benchmark for -speedup")
-		variants  = flag.String("variants", "BenchmarkSimRunSharded/", "benchmark-name prefix whose records compete for the -speedup gate")
-		minRatio  = flag.Float64("min", 2.0, "minimum gated speedup over -base that passes -speedup")
-		worst     = flag.Bool("worst", false, "gate the slowest variant instead of the fastest (overhead bound)")
 	)
 	flag.Parse()
-	nModes := 0
-	for _, m := range []bool{*emit, *gate, *speedup} {
-		if m {
-			nModes++
-		}
-	}
 	switch {
-	case nModes != 1:
-		fmt.Fprintln(os.Stderr, "benchgate: exactly one of -emit, -gate or -speedup is required")
+	case *emit == *gate:
+		fmt.Fprintln(os.Stderr, "benchgate: exactly one of -emit or -gate is required")
 		os.Exit(2)
 	case *emit:
-		if err := runEmit(flag.Arg(0)); err != nil {
+		if err := runEmit(flag.Arg(0), os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-			os.Exit(1)
-		}
-	case *speedup:
-		ok, err := runSpeedup(*newPath, *baseName, *variants, *minRatio, *worst)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-			os.Exit(1)
-		}
-		if !ok {
 			os.Exit(1)
 		}
 	default:
@@ -148,7 +163,7 @@ func median(vs []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
-func runEmit(path string) error {
+func runEmit(path string, out io.Writer) error {
 	in := io.Reader(os.Stdin)
 	if path != "" && path != "-" {
 		f, err := os.Open(path)
@@ -162,7 +177,7 @@ func runEmit(path string) error {
 	if err != nil {
 		return err
 	}
-	rep := report{Note: "medians over repeated `go test -bench` runs; see scripts/benchgate"}
+	rep := report{Note: "medians over repeated `go test -bench` runs; see scripts/benchgate", Host: stamp()}
 	for _, name := range order {
 		rec := record{Name: name}
 		for unit, vs := range samples[name] {
@@ -184,7 +199,7 @@ func runEmit(path string) error {
 		}
 		rep.Benchmarks = append(rep.Benchmarks, rec)
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
 }
@@ -213,6 +228,9 @@ func runGate(oldPath, newPath string, threshold float64) (ok bool, err error) {
 	if err != nil {
 		return false, err
 	}
+	if err := sameHost(oldPath, oldRep.Host, newPath, newRep.Host); err != nil {
+		return false, err
+	}
 	base := map[string]record{}
 	for _, r := range oldRep.Benchmarks {
 		base[r.Name] = r
@@ -237,53 +255,4 @@ func runGate(oldPath, newPath string, threshold float64) (ok bool, err error) {
 		fmt.Printf("\nbenchgate: ns/op regression beyond %g%% — see rows marked FAIL\n", threshold)
 	}
 	return ok, nil
-}
-
-// runSpeedup reads one record and gates one variant's speedup over the base
-// benchmark: the fastest by default, the slowest with worst. The default
-// deliberately takes the best variant, not a fixed one — which shard count
-// wins is host-dependent (core count, SMT), while the claim under test,
-// "sharding beats inline by at least minRatio here", is not. The worst
-// flavour is for overhead bounds, where every configuration must stay close
-// to inline.
-func runSpeedup(path, base, prefix string, minRatio float64, worst bool) (bool, error) {
-	if path == "" {
-		return false, fmt.Errorf("-speedup needs -new")
-	}
-	rep, err := loadReport(path)
-	if err != nil {
-		return false, err
-	}
-	var baseNs float64
-	for _, r := range rep.Benchmarks {
-		if r.Name == base {
-			baseNs = r.NsPerOp
-		}
-	}
-	if baseNs == 0 {
-		return false, fmt.Errorf("%s: no %s record to compare against", path, base)
-	}
-	gated, gatedName, label := 0.0, "", "best"
-	if worst {
-		label = "worst"
-	}
-	for _, r := range rep.Benchmarks {
-		if r.Name == base || !strings.HasPrefix(r.Name, prefix) || r.NsPerOp == 0 {
-			continue
-		}
-		ratio := baseNs / r.NsPerOp
-		fmt.Printf("%-50s %12.1f ns/op  %.2fx vs %s\n", r.Name, r.NsPerOp, ratio, base)
-		if gatedName == "" || (worst && ratio < gated) || (!worst && ratio > gated) {
-			gated, gatedName = ratio, r.Name
-		}
-	}
-	if gatedName == "" {
-		return false, fmt.Errorf("%s: no %s* variants besides the base", path, prefix)
-	}
-	if gated < minRatio {
-		fmt.Printf("\nbenchgate: %s sharded speedup %.2fx (%s) below the %.2fx gate\n", label, gated, gatedName, minRatio)
-		return false, nil
-	}
-	fmt.Printf("\nbenchgate: speedup gate passed: %s %.2fx (%s) >= %.2fx\n", label, gated, gatedName, minRatio)
-	return true, nil
 }

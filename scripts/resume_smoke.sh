@@ -5,8 +5,8 @@
 # The checkpoint/resume contract: a run killed mid-flight (SIGKILL — no
 # cleanup, the checkpoint must already be durable) and resumed from its last
 # checkpoint prints a report byte-identical to the uninterrupted run. This
-# script enforces it end-to-end through the sdpcm-sim binary, at Shards=1 and
-# Shards=4, with a plain and a -race build:
+# script enforces it end-to-end through the sdpcm-sim binary, once with a
+# plain and once with a -race build:
 #
 #   1. run to completion                          -> full.txt
 #   2. run with -checkpoint, SIGKILL once the
@@ -39,43 +39,39 @@ go build -race -o "$tmp/sdpcm-sim-race" ./cmd/sdpcm-sim
 for mode in plain race; do
   bin="$tmp/sdpcm-sim"
   [ "$mode" = race ] && bin="$tmp/sdpcm-sim-race"
-  for shards in 1 4; do
-    echo "== $mode shards=$shards"
-    ckpt="$tmp/$mode-$shards.ckpt"
+  echo "== $mode"
+  ckpt="$tmp/$mode.ckpt"
 
-    "$bin" "${FLAGS[@]}" -shards "$shards" >"$tmp/full.txt"
+  "$bin" "${FLAGS[@]}" >"$tmp/full.txt"
 
-    "$bin" "${FLAGS[@]}" -shards "$shards" \
-      -checkpoint "$ckpt" -checkpoint-every "$EVERY" >/dev/null &
-    SIM_PID=$!
-    # The checkpoint is published by atomic rename, so existence implies a
-    # complete, loadable file. Kill the instant it appears.
-    while [ ! -f "$ckpt" ]; do
-      if ! kill -0 "$SIM_PID" 2>/dev/null; then
-        break # finished before we could kill it; the checkpoint remains
-      fi
-      sleep 0.02
-    done
-    if [ ! -f "$ckpt" ]; then
-      echo "run exited without writing a checkpoint" >&2
-      exit 1
+  "$bin" "${FLAGS[@]}" -checkpoint "$ckpt" -checkpoint-every "$EVERY" >/dev/null &
+  SIM_PID=$!
+  # The checkpoint is published by atomic rename, so existence implies a
+  # complete, loadable file. Kill the instant it appears.
+  while [ ! -f "$ckpt" ]; do
+    if ! kill -0 "$SIM_PID" 2>/dev/null; then
+      break # finished before we could kill it; the checkpoint remains
     fi
-    kill -9 "$SIM_PID" 2>/dev/null || true
-    wait "$SIM_PID" 2>/dev/null || true
-    SIM_PID=""
-
-    "$bin" "${FLAGS[@]}" -shards "$shards" \
-      -checkpoint "$ckpt" -checkpoint-every "$EVERY" -resume \
-      >"$tmp/resumed.txt" 2>"$tmp/resumed.err"
-    grep -q "resuming from" "$tmp/resumed.err" || {
-      echo "resumed run did not pick up the checkpoint:" >&2
-      cat "$tmp/resumed.err" >&2
-      exit 1
-    }
-    if ! diff -u "$tmp/full.txt" "$tmp/resumed.txt"; then
-      echo "resume diverged ($mode, shards=$shards)" >&2
-      exit 1
-    fi
+    sleep 0.02
   done
+  if [ ! -f "$ckpt" ]; then
+    echo "run exited without writing a checkpoint" >&2
+    exit 1
+  fi
+  kill -9 "$SIM_PID" 2>/dev/null || true
+  wait "$SIM_PID" 2>/dev/null || true
+  SIM_PID=""
+
+  "$bin" "${FLAGS[@]}" -checkpoint "$ckpt" -checkpoint-every "$EVERY" -resume \
+    >"$tmp/resumed.txt" 2>"$tmp/resumed.err"
+  grep -q "resuming from" "$tmp/resumed.err" || {
+    echo "resumed run did not pick up the checkpoint:" >&2
+    cat "$tmp/resumed.err" >&2
+    exit 1
+  }
+  if ! diff -u "$tmp/full.txt" "$tmp/resumed.txt"; then
+    echo "resume diverged ($mode)" >&2
+    exit 1
+  fi
 done
-echo "resume smoke OK: killed-and-resumed output byte-identical (plain+race, shards 1 and 4)"
+echo "resume smoke OK: killed-and-resumed output byte-identical (plain and race builds)"

@@ -148,7 +148,7 @@ func Run(cfg SimConfig) (SimResult, error) { return sim.Run(cfg) }
 // Checkpoint/resume re-exports: set SimConfig.CheckpointEvery/CheckpointPath
 // to periodically snapshot a run's complete state, and SimConfig.ResumeFrom
 // to continue from such a snapshot with a Result byte-identical to the
-// uninterrupted run (at any Shards count). Sweeps checkpoint through
+// uninterrupted run. Sweeps checkpoint through
 // ExperimentOptions.CheckpointDir / SweepRunner.CheckpointDir.
 var (
 	// ErrResume marks a checkpoint that cannot be used (missing, corrupt,
