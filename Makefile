@@ -22,11 +22,11 @@ bench:
 # The pinned data-plane benchmark set the benchstat CI gate compares
 # against main. Parent names only: sub-benchmarks (WritePath/vnc, ...) run
 # because go test splits the -bench regex on '/'.
-BENCH_PIN = BenchmarkDevicePeek$$|BenchmarkDeviceWrite$$|BenchmarkDeviceDisturb$$|BenchmarkWDInject$$|BenchmarkWritePath$$|BenchmarkSimulatorThroughput$$
+BENCH_PIN = BenchmarkDevicePeek$$|BenchmarkDeviceWrite$$|BenchmarkDeviceDisturb$$|BenchmarkDeviceFirstTouch$$|BenchmarkWDInject$$|BenchmarkWritePath$$|BenchmarkSimulatorThroughput$$
 
 # Where bench-json records the per-benchmark medians; the CI bench-gate sets
 # it explicitly so the Makefile and workflow can never disagree on the name.
-BENCH_OUT ?= BENCH_10.json
+BENCH_OUT ?= BENCH_14.json
 
 # Run the pinned set three times, keep the raw text (bench.txt, what
 # benchstat consumes) and record per-benchmark medians as $(BENCH_OUT).

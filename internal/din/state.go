@@ -25,8 +25,10 @@ func (c *Codec) EncodeState(e *snap.Encoder) {
 }
 
 // DecodeState restores state written by EncodeState. The receiver's
-// presence (nil or not, fixed by the scheme) must match the checkpoint's.
-func (c *Codec) DecodeState(d *snap.Decoder) error {
+// presence (nil or not, fixed by the scheme) must match the checkpoint's,
+// and every coded line must satisfy owns (the owning controller's device
+// and bank).
+func (c *Codec) DecodeState(d *snap.Decoder, owns func(pcm.LineAddr) bool) error {
 	d.Begin("din.codec")
 	present := d.Bool()
 	if err := checkPresence(d, "din", present, c != nil); err != nil {
@@ -37,7 +39,7 @@ func (c *Codec) DecodeState(d *snap.Decoder) error {
 		c.Stats.GroupsInverted = d.U64()
 		c.Stats.VulnerableCells = d.U64()
 		c.Stats.BitsSaved = d.U64()
-		c.aux = decodeAux(d)
+		c.aux = decodeAux(d, "din", owns)
 	}
 	d.End()
 	return d.Err()
@@ -71,11 +73,15 @@ func encodeAux(e *snap.Encoder, aux map[pcm.LineAddr]uint32) {
 	}
 }
 
-func decodeAux(d *snap.Decoder) map[pcm.LineAddr]uint32 {
+// decodeAux reads what encodeAux wrote, rejecting a line owns refuses.
+func decodeAux(d *snap.Decoder, name string, owns func(pcm.LineAddr) bool) map[pcm.LineAddr]uint32 {
 	n := d.Count()
 	aux := make(map[pcm.LineAddr]uint32, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		a := pcm.LineAddr(d.U64())
+		if d.Err() == nil && !owns(a) {
+			d.Invalid("%s: checkpoint codes line %d outside this controller's device or bank", name, a)
+		}
 		aux[a] = uint32(d.Uvarint())
 	}
 	return aux

@@ -41,8 +41,9 @@ func (t *Table) EncodeState(e *snap.Encoder) {
 }
 
 // DecodeState restores state written by EncodeState into a freshly
-// constructed table of the same configuration.
-func (t *Table) DecodeState(d *snap.Decoder) error {
+// constructed table of the same configuration. Every line must satisfy owns
+// (the owning controller's device and bank).
+func (t *Table) DecodeState(d *snap.Decoder, owns func(pcm.LineAddr) bool) error {
 	d.Begin("ecp.table")
 	t.Stats.WDRecorded = d.U64()
 	t.Stats.WDDuplicates = d.U64()
@@ -70,6 +71,9 @@ func (t *Table) DecodeState(d *snap.Decoder) error {
 	n := d.Count()
 	for i := 0; i < n && d.Err() == nil; i++ {
 		a := pcm.LineAddr(d.U64())
+		if d.Err() == nil && !owns(a) {
+			d.Invalid("ecp: checkpoint holds line %d outside this controller's device or bank", a)
+		}
 		s := &lineState{hard: d.Int()}
 		s.wd = cells()
 		s.seen = cells()

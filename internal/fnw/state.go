@@ -32,8 +32,10 @@ func (c *Codec) EncodeState(e *snap.Encoder) {
 }
 
 // DecodeState restores state written by EncodeState. The receiver's
-// presence (nil or not, fixed by the scheme) must match the checkpoint's.
-func (c *Codec) DecodeState(d *snap.Decoder) error {
+// presence (nil or not, fixed by the scheme) must match the checkpoint's,
+// and every coded line must satisfy owns (the owning controller's device
+// and bank).
+func (c *Codec) DecodeState(d *snap.Decoder, owns func(pcm.LineAddr) bool) error {
 	d.Begin("fnw.codec")
 	present := d.Bool()
 	if err := d.Err(); err != nil {
@@ -50,6 +52,9 @@ func (c *Codec) DecodeState(d *snap.Decoder) error {
 		c.aux = make(map[pcm.LineAddr]uint32, n)
 		for i := 0; i < n && d.Err() == nil; i++ {
 			a := pcm.LineAddr(d.U64())
+			if d.Err() == nil && !owns(a) {
+				d.Invalid("fnw: checkpoint codes line %d outside this controller's device or bank", a)
+			}
 			c.aux[a] = uint32(d.Uvarint())
 		}
 	}

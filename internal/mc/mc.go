@@ -230,6 +230,7 @@ type Controller struct {
 	drainer       Drainer
 
 	banks  []bank
+	bank   int // the one bank this controller serves (BindBank), or -1 for all
 	nextID uint64
 	Stats  Stats
 
@@ -280,6 +281,7 @@ func New(cfg Config, dev *pcm.Device, region RegionResolver, rnd *rng.Rand) (*Co
 		engine: wd.New(cfg.Rates, rnd.SplitLabeled("mc:wd")),
 		region: region,
 		banks:  make([]bank, dev.Banks()),
+		bank:   -1,
 	}
 	c.readOverride, _ = cfg.Correction.(ReadOverrider)
 	c.writeObserver, _ = cfg.Correction.(WriteObserver)
@@ -313,6 +315,11 @@ func (c *Controller) InstrumentHeatmap(h *wd.Heatmap) {
 	c.hm = h
 	c.engine.InstrumentHeatmap(h)
 }
+
+// BindBank declares that the controller serves only bank b of its device,
+// as the simulator's per-bank controllers do. DecodeState then rejects
+// checkpointed ECP and codec state for lines of any other bank.
+func (c *Controller) BindBank(b int) { c.bank = b }
 
 // Device exposes the underlying array (for wear statistics).
 func (c *Controller) Device() *pcm.Device { return c.dev }

@@ -22,7 +22,7 @@ type PolicyState interface {
 // *din.Codec (including the nil identity form) and *fnw.Codec implement it.
 type codecState interface {
 	EncodeState(e *snap.Encoder)
-	DecodeState(d *snap.Decoder) error
+	DecodeState(d *snap.Decoder, owns func(pcm.LineAddr) bool) error
 }
 
 // CheckpointSupported reports whether this controller's configuration can
@@ -157,6 +157,13 @@ func (c *Controller) EncodeState(e *snap.Encoder) {
 	e.End()
 }
 
+// owns reports whether checkpointed per-line state (ECP entries, codec bits)
+// for line a can belong to this controller: a line of its device, in its
+// bank when BindBank bound it to one.
+func (c *Controller) owns(a pcm.LineAddr) bool {
+	return uint64(a) < uint64(c.dev.Lines()) && (c.bank < 0 || c.geo.Locate(a).Bank == c.bank)
+}
+
 // validEntry reports whether a decoded write-queue entry of bank i targets a
 // line of this device in that bank, with the neighbour fields newEntry
 // would have derived from its address.
@@ -171,7 +178,8 @@ func (c *Controller) validEntry(i int, w *writeEntry) bool {
 
 // DecodeState restores state written by EncodeState into a controller
 // freshly constructed with the same Config. A queued write must target a
-// line of this device in its own bank's queue.
+// line of this device in its own bank's queue, and ECP and codec state must
+// name lines the controller owns.
 func (c *Controller) DecodeState(d *snap.Decoder) error {
 	d.Begin("mc.controller")
 	decodeMCStats(d, &c.Stats)
@@ -220,7 +228,7 @@ func (c *Controller) DecodeState(d *snap.Decoder) error {
 			b.prereads = append(b.prereads, p)
 		}
 	}
-	if err := c.ecp.DecodeState(d); err != nil {
+	if err := c.ecp.DecodeState(d, c.owns); err != nil {
 		return err
 	}
 	if err := c.engine.DecodeState(d); err != nil {
@@ -232,7 +240,7 @@ func (c *Controller) DecodeState(d *snap.Decoder) error {
 		return fmt.Errorf("mc: checkpoint codec-state presence %t does not match this run's codec %T", hasCodec, c.codec)
 	}
 	if hasCodec && d.Err() == nil {
-		if err := cs.DecodeState(d); err != nil {
+		if err := cs.DecodeState(d, c.owns); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"errors"
 	"testing"
 
 	"sdpcm/internal/pcm"
@@ -35,6 +36,43 @@ func TestDecodeRejectsForeignQueueEntry(t *testing.T) {
 		}
 		err = newRig(t, baselineCfg()).c.DecodeState(d)
 		if (err == nil) != (tc.name == "valid") {
+			t.Errorf("%s: DecodeState err = %v", tc.name, err)
+		}
+	}
+}
+
+// TestDecodeRejectsOtherBankState: a controller bound to one bank refuses
+// checkpointed codec state for a line of another bank, while an unbound
+// controller (serving every bank) and one bound to the line's bank accept it.
+func TestDecodeRejectsOtherBankState(t *testing.T) {
+	r := newRig(t, baselineCfg())
+	addr := pcm.LineOf(100, 0)
+	r.c.Write(0, addr, lineWith(1))
+	r.c.Flush(0) // the DIN codec now holds the line's coding bits
+	e := snap.NewEncoder(1)
+	r.c.EncodeState(e)
+	data := e.Finish()
+	home := r.c.geo.Locate(addr).Bank
+	for _, tc := range []struct {
+		name  string
+		bank  int // -1: unbound
+		valid bool
+	}{
+		{"unbound", -1, true},
+		{"bound to the line's bank", home, true},
+		{"bound to another bank", (home + 1) % r.d.Banks(), false},
+	} {
+		d, err := snap.NewDecoder(data, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := newRig(t, baselineCfg()).c
+		if tc.bank >= 0 {
+			c.BindBank(tc.bank)
+		}
+		err = c.DecodeState(d)
+		var ie *snap.InvalidError
+		if (err == nil) != tc.valid || (err != nil && !errors.As(err, &ie)) {
 			t.Errorf("%s: DecodeState err = %v", tc.name, err)
 		}
 	}

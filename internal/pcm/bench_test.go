@@ -100,3 +100,35 @@ func BenchmarkDeviceDisturb(b *testing.B) {
 		d.Disturb(addrs[i%len(addrs)], flips)
 	}
 }
+
+// BenchmarkDeviceFirstTouch measures materializing lines on first write at
+// scattered addresses of a 1 GB device, nearly one line per chunk, the
+// pattern of a sparse workload's first pass. It reports the store's bytes
+// per resident line beside ns/op; the device is rebuilt (untimed) every
+// firstTouchBatch lines so memory stays bounded at any b.N.
+func BenchmarkDeviceFirstTouch(b *testing.B) {
+	const firstTouchBatch = 1 << 14
+	newDev := func() *Device {
+		d, err := NewDevice(Config{Pages: 1 << 18, FillSeed: 7})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return d
+	}
+	d := newDev()
+	addrs := benchAddrs(d, firstTouchBatch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%firstTouchBatch == 0 {
+			b.StopTimer()
+			d = newDev()
+			b.StartTimer()
+		}
+		d.Write(addrs[i%firstTouchBatch], Line{uint64(i)}, NormalWrite)
+	}
+	b.StopTimer()
+	if n := residentLines(d); n > 0 {
+		b.ReportMetric(float64(storeBytes(d))/float64(n), "B/line")
+	}
+}

@@ -2,6 +2,7 @@ package pcm
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -87,35 +88,60 @@ type bankStats struct {
 	_ [64 - (8*7)%64]byte
 }
 
-// chunkLines is the number of lines in one lazily materialized storage
-// chunk. 16 lines (1 KB of cell data) balances dense-access locality
-// against the zeroing cost of materializing a chunk for workloads that
-// touch rows sparsely; profiles of sim.Run showed 64-line chunks spending
-// more on memclr than the indexed access path saved.
+// chunkLines is the number of lines one chunk-table entry covers. Physically
+// adjacent rows (the bit-line WD victims) are LinesPerPage bank-local lines
+// apart, so 16-line chunks keep a write's victims within one or two chunk
+// headers; storage itself is allocated per resident line, not per chunk.
 const (
 	chunkLines = 16
 	chunkShift = 4
 	chunkMask  = chunkLines - 1
 )
 
-// lineChunk is one dense block of bank-local line storage. Lines are filled
-// with their background pattern on first touch, tracked per line in the
-// resident bitmap — materializing a chunk is a single zeroed allocation, so
-// sparse access patterns never pay for background content they don't read.
-type lineChunk struct {
-	// resident bit i set: lines[i] holds device content. Clear: the line is
-	// still untouched and reads as its background pattern.
-	resident uint64
-	lines    [chunkLines]Line
+// bankStore is one bank's resident lines, packed by line rather than by
+// touched chunk: most chunks of a sparse workload hold a single line.
+//
+// Index 0 of hdrs and of lines is a reserved all-zero sentinel, so a lookup
+// is three indexed loads and one branch: an untouched chunk maps to header 0,
+// whose slots are all 0, and slot 0 means "not resident". Every table is
+// pointer-free, so the GC never scans the store.
+type bankStore struct {
+	chunks []uint32             // bank-local chunk index → header; 0 = untouched
+	hdrs   [][chunkLines]uint32 // per touched chunk: line slot → arena index; 0 = not resident
+	lines  []Line               // dense arena of resident lines, in install order
+}
+
+// slot returns the arena index of a bank-local line, or 0 when the line is
+// not resident.
+func (st *bankStore) slot(local int) uint32 {
+	return st.hdrs[st.chunks[local>>chunkShift]][local&chunkMask]
+}
+
+// install makes a non-resident bank-local line resident with content l and
+// returns its stored image. The arena may move when it grows, so the pointer
+// is valid only until the next install.
+func (st *bankStore) install(local int, l Line) *Line {
+	ci := local >> chunkShift
+	h := st.chunks[ci]
+	if h == 0 {
+		h = uint32(len(st.hdrs))
+		st.hdrs = append(st.hdrs, [chunkLines]uint32{})
+		st.chunks[ci] = h
+	}
+	s := uint32(len(st.lines))
+	st.lines = append(st.lines, l)
+	st.hdrs[h][local&chunkMask] = s
+	return &st.lines[s]
 }
 
 // Device is one PCM DIMM's worth of data cell arrays. Storage is a per-bank
-// two-level dense store: each bank owns a table of fixed-size line chunks,
-// materialized (and filled with the deterministic background pattern) on
-// first write or disturbance. Untouched chunks stay nil — Peek computes the
+// dense store: a line is materialized (filled with the deterministic
+// background pattern) on its first write or effective disturbance, and
+// takes one arena slot plus, for the first line of its chunk, one 64-byte
+// chunk header. Untouched lines have no storage — Peek computes their
 // background lazily — so disturbance vulnerability of untouched neighbours
 // is modelled without materialising the full capacity, while every access to
-// touched storage is plain array indexing with zero allocation.
+// resident storage is plain array indexing with zero allocation.
 //
 // Bank-local layout: line a lives in bank Locate(a).Bank at local index
 // row*LinesPerPage+slot, so physically adjacent rows (the bit-line WD
@@ -135,12 +161,10 @@ type Device struct {
 	// Stats() folds the shards.
 	stats []bankStats
 
-	banks        [][]*lineChunk
-	slabs        [][]lineChunk // per-bank bulk-zeroed arenas chunks are handed out from
-	linesPerBank int
-	numLines     int // cached Lines(): the bound checkRange tests per access
-	fillSeed     uint64
-	zeroFill     bool
+	store    []bankStore
+	numLines int // cached Lines(): the bound checkRange tests per access
+	fillSeed uint64
+	zeroFill bool
 }
 
 // Config parameterises a Device.
@@ -182,21 +206,28 @@ func NewDevice(cfg Config) (*Device, error) {
 	if t.ParallelBits <= 0 {
 		return nil, fmt.Errorf("pcm: ParallelBits must be positive, got %d", t.ParallelBits)
 	}
+	// Arena indices are uint32 and slot 0 is the sentinel.
+	if rows := cfg.Pages / nbanks; rows > math.MaxUint32/LinesPerPage-1 {
+		return nil, fmt.Errorf("pcm: %d rows per bank exceed the store's 32-bit line index", rows)
+	}
 	d := &Device{
 		RowsPerBank: cfg.Pages / nbanks,
 		Timing:      t,
 		geo:         geo,
 		stats:       make([]bankStats, nbanks),
-		banks:       make([][]*lineChunk, nbanks),
-		slabs:       make([][]lineChunk, nbanks),
+		store:       make([]bankStore, nbanks),
 		fillSeed:    cfg.FillSeed,
 		zeroFill:    cfg.ZeroFill,
 	}
-	d.linesPerBank = d.RowsPerBank * LinesPerPage
-	d.numLines = d.linesPerBank * nbanks
-	chunksPerBank := (d.linesPerBank + chunkLines - 1) / chunkLines
-	for b := range d.banks {
-		d.banks[b] = make([]*lineChunk, chunksPerBank)
+	linesPerBank := d.RowsPerBank * LinesPerPage
+	d.numLines = linesPerBank * nbanks
+	chunksPerBank := (linesPerBank + chunkLines - 1) / chunkLines
+	for b := range d.store {
+		d.store[b] = bankStore{
+			chunks: make([]uint32, chunksPerBank),
+			hdrs:   make([][chunkLines]uint32, 1),
+			lines:  make([]Line, 1),
+		}
 	}
 	return d, nil
 }
@@ -263,40 +294,16 @@ func (d *Device) checkRange(a LineAddr) {
 	}
 }
 
-// slabChunks is how many chunks one arena slab holds. Chunks live for the
-// device's lifetime, so handing them out of a bulk-zeroed slab replaces one
-// 4 KB allocator round trip per chunk with one per slabChunks chunks.
-const slabChunks = 32
-
-// materializeChunk installs a fresh zeroed chunk for the given bank-local
-// chunk index and returns it.
-func (d *Device) materializeChunk(bank, ci int) *lineChunk {
-	if len(d.slabs[bank]) == 0 {
-		d.slabs[bank] = make([]lineChunk, slabChunks)
-	}
-	ch := &d.slabs[bank][0]
-	d.slabs[bank] = d.slabs[bank][1:]
-	d.banks[bank][ci] = ch
-	return ch
-}
-
-// line returns a pointer to the stored image of a line, materializing its
-// chunk and its background content on first touch.
+// line returns a pointer to the stored image of a line, materializing it
+// with its background content on first touch. The pointer is valid only
+// until the next install into the same bank.
 func (d *Device) line(a LineAddr) *Line {
 	bank, local := d.geo.bankLocal(a)
-	ch := d.banks[bank][local>>chunkShift]
-	if ch == nil {
-		ch = d.materializeChunk(bank, local>>chunkShift)
+	st := &d.store[bank]
+	if s := st.slot(local); s != 0 {
+		return &st.lines[s]
 	}
-	idx := local & chunkMask
-	l := &ch.lines[idx]
-	if ch.resident&(1<<idx) == 0 {
-		ch.resident |= 1 << idx
-		if !d.zeroFill {
-			*l = d.background(a)
-		}
-	}
-	return l
+	return st.install(local, d.background(a))
 }
 
 // Peek returns the current content of a line without touching statistics.
@@ -306,10 +313,9 @@ func (d *Device) line(a LineAddr) *Line {
 func (d *Device) Peek(a LineAddr) Line {
 	d.checkRange(a)
 	bank, local := d.geo.bankLocal(a)
-	if ch := d.banks[bank][local>>chunkShift]; ch != nil {
-		if idx := local & chunkMask; ch.resident&(1<<idx) != 0 {
-			return ch.lines[idx]
-		}
+	st := &d.store[bank]
+	if s := st.slot(local); s != 0 {
+		return st.lines[s]
 	}
 	return d.background(a)
 }
@@ -362,16 +368,15 @@ func (d *Device) Write(a LineAddr, new Line, kind WriteKind) WriteResult {
 // by neighbouring RESET heat). Bits of the mask that are already 1 are
 // ignored; the count of actually flipped cells is returned. Disturbance is
 // not a programmed pulse and adds no wear. The stored line is mutated in
-// place; a disturbance that flips nothing leaves untouched chunks
+// place; a disturbance that flips nothing leaves an untouched line
 // unmaterialized.
 func (d *Device) Disturb(a LineAddr, flips Mask) int {
 	d.checkRange(a)
 	bank, local := d.geo.bankLocal(a)
-	ch := d.banks[bank][local>>chunkShift]
-	idx := local & chunkMask
+	st := &d.store[bank]
 	n := 0
-	if ch != nil && ch.resident&(1<<idx) != 0 {
-		l := &ch.lines[idx]
+	if s := st.slot(local); s != 0 {
+		l := &st.lines[s]
 		for i := range flips {
 			n += bits.OnesCount64(flips[i] &^ l[i])
 		}
@@ -386,16 +391,12 @@ func (d *Device) Disturb(a LineAddr, flips Mask) int {
 			n += bits.OnesCount64(flips[i] &^ bg[i])
 		}
 		if n > 0 {
-			// Materialize directly from the background image already in hand
-			// rather than through line(), which would recompute it.
-			if ch == nil {
-				ch = d.materializeChunk(bank, local>>chunkShift)
-			}
-			ch.resident |= 1 << idx
-			l := &ch.lines[idx]
+			// Install the background image already in hand rather than
+			// going through line(), which would recompute it.
 			for i := range flips {
-				l[i] = bg[i] | flips[i]
+				bg[i] |= flips[i]
 			}
+			st.install(local, bg)
 		}
 	}
 	if n > 0 {

@@ -3,6 +3,7 @@ package pcm
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func newTestDevice(t *testing.T, pages int, zero bool) *Device {
@@ -23,6 +24,9 @@ func TestNewDeviceValidation(t *testing.T) {
 	}
 	if _, err := NewDevice(Config{Pages: 16, Timing: Timing{ReadCycles: 1, ResetCycles: 1, SetCycles: 1}}); err == nil {
 		t.Error("zero ParallelBits must be rejected")
+	}
+	if _, err := NewDevice(Config{Pages: NumBanks << 26}); err == nil {
+		t.Error("a bank past the store's 32-bit line index must be rejected")
 	}
 	d, err := NewDevice(Config{Pages: 32})
 	if err != nil {
@@ -207,10 +211,9 @@ func TestDisturbOutOfRangePanics(t *testing.T) {
 }
 
 // TestMaterializedChunkMatchesBackground pins the dense store's key
-// invariant: materializing a chunk (triggered by the first write anywhere in
-// it) reproduces exactly the background pattern a lazy Peek would have
-// computed, for every other line of the chunk. An untouched reference
-// device is the oracle.
+// invariant: touching one line of a chunk leaves every other line reading
+// exactly the background pattern a lazy Peek would have computed. An
+// untouched reference device is the oracle.
 func TestMaterializedChunkMatchesBackground(t *testing.T) {
 	const pages = 64
 	dirty, err := NewDevice(Config{Pages: pages, FillSeed: 42})
@@ -221,8 +224,7 @@ func TestMaterializedChunkMatchesBackground(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One write materializes the chunk holding line 100 and its bank
-	// neighbours.
+	// One write materializes line 100 and a header for its chunk.
 	dirty.Write(100, Line{0xabc}, NormalWrite)
 	for a := LineAddr(0); a < LineAddr(dirty.Lines()); a++ {
 		if a == 100 {
@@ -237,8 +239,15 @@ func TestMaterializedChunkMatchesBackground(t *testing.T) {
 	}
 }
 
+// resident reports whether a line holds stored content rather than reading
+// as its lazily computed background.
+func resident(d *Device, a LineAddr) bool {
+	bank, local := d.geo.bankLocal(a)
+	return d.store[bank].slot(local) != 0
+}
+
 // TestDisturbDoesNotMaterializeOnNoop: a disturbance that flips nothing must
-// leave untouched chunks unmaterialized (Peek still serves the background),
+// leave an untouched line unmaterialized (Peek still serves the background),
 // and an effective one must land in dense storage.
 func TestDisturbDoesNotMaterializeOnNoop(t *testing.T) {
 	d := newTestDevice(t, 16, false)
@@ -255,14 +264,10 @@ func TestDisturbDoesNotMaterializeOnNoop(t *testing.T) {
 	if n := d.Disturb(a, noop); n != 0 {
 		t.Fatalf("no-op disturb flipped %d cells", n)
 	}
-	if d.banks[0] == nil {
-		t.Fatal("bank table missing")
+	if resident(d, a) {
+		t.Fatal("no-op disturb materialized the line")
 	}
-	bank, local := d.geo.bankLocal(a)
-	if d.banks[bank][local>>chunkShift] != nil {
-		t.Fatal("no-op disturb materialized a chunk")
-	}
-	// Now flip an amorphous cell: the chunk materializes and holds bg|flip.
+	// Now flip an amorphous cell: the line materializes and holds bg|flip.
 	var eff Mask
 	for i := 0; i < LineBits; i++ {
 		if bg.Bit(i) == 0 {
@@ -273,13 +278,79 @@ func TestDisturbDoesNotMaterializeOnNoop(t *testing.T) {
 	if n := d.Disturb(a, eff); n != 1 {
 		t.Fatalf("effective disturb flipped %d cells, want 1", n)
 	}
-	if d.banks[bank][local>>chunkShift] == nil {
-		t.Fatal("effective disturb did not materialize the chunk")
+	if !resident(d, a) {
+		t.Fatal("effective disturb did not materialize the line")
+	}
+	want := bg
+	for i := range want {
+		want[i] |= eff[i]
+	}
+	if d.Peek(a) != want {
+		t.Fatal("materialized line is not background | flips")
+	}
+	if resident(d, a+1) {
+		t.Fatal("materializing one line made its chunk neighbour resident")
 	}
 }
 
+// storeBytes is the memory a device's store holds beyond its fixed chunk
+// tables: the capacity of every bank's header and line arenas.
+func storeBytes(d *Device) int {
+	n := 0
+	for b := range d.store {
+		st := &d.store[b]
+		n += cap(st.hdrs)*int(unsafe.Sizeof(st.hdrs[0])) + cap(st.lines)*int(unsafe.Sizeof(st.lines[0]))
+	}
+	return n
+}
+
+// residentLines counts a device's materialized lines.
+func residentLines(d *Device) int {
+	n := 0
+	for b := range d.store {
+		n += len(d.store[b].lines) - 1 // slot 0 is the sentinel
+	}
+	return n
+}
+
+// TestDeviceFootprint pins the store's cost per resident line on the access
+// pattern that dominates real runs: scattered first touches, nearly one line
+// per 16-line chunk. Storage allocated per touched chunk would cost over
+// 1 KB per line here.
+func TestDeviceFootprint(t *testing.T) {
+	d, err := NewDevice(Config{Pages: 1 << 21, FillSeed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, want := uint64(777), 0
+	for range 20000 {
+		state = state*6364136223846793005 + 1442695040888963407
+		a := LineAddr(state % uint64(d.Lines()))
+		was := resident(d, a)
+		if state&1 == 0 {
+			d.Write(a, Line{state}, NormalWrite)
+		} else {
+			var flips Mask
+			flips.SetBit(int(state>>40) % LineBits)
+			d.Disturb(a, flips) // materializes only when the cell was amorphous
+		}
+		if !was && resident(d, a) {
+			want++
+		}
+	}
+	n := residentLines(d)
+	if n != want || n < 10000 {
+		t.Fatalf("%d lines resident, want %d (of 20000 touches)", n, want)
+	}
+	per := float64(storeBytes(d)) / float64(n)
+	if per >= 256 {
+		t.Fatalf("store holds %.0f B per resident line, want < 256", per)
+	}
+	t.Logf("%d resident lines, %.0f B each", n, per)
+}
+
 // TestDeviceHotPathAllocFree pins the zero-allocation contract of the data
-// plane: once a chunk is materialized, Peek, Write and Disturb never touch
+// plane: once a line is materialized, Peek, Write and Disturb never touch
 // the heap.
 func TestDeviceHotPathAllocFree(t *testing.T) {
 	d := newTestDevice(t, 64, false)

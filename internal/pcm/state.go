@@ -1,10 +1,6 @@
 package pcm
 
-import (
-	"fmt"
-
-	"sdpcm/internal/snap"
-)
+import "sdpcm/internal/snap"
 
 // encodeStats writes one Stats value field by field; keep in lockstep with
 // decodeStats and Stats.Add.
@@ -44,30 +40,33 @@ func DecodeLine(d *snap.Decoder) Line {
 	return l
 }
 
-// EncodeState serializes the device's mutable state: per-bank counters and
-// every materialized chunk's resident lines. Geometry, timing and the
-// background fill are construction parameters and are not stored — decode
-// targets a freshly built Device of the same Config.
+// EncodeState serializes the device's mutable state: per-bank counters and,
+// for every touched chunk in ascending chunk index, its residency bitmap and
+// resident lines in bit order. Geometry, timing and the background fill are
+// construction parameters and are not stored — decode targets a freshly
+// built Device of the same Config.
 func (d *Device) EncodeState(e *snap.Encoder) {
 	e.Begin("pcm.device")
-	for b := range d.banks {
+	for b := range d.store {
+		st := &d.store[b]
 		encodeStats(e, d.stats[b].Stats)
-		n := 0
-		for _, ch := range d.banks[b] {
-			if ch != nil {
-				n++
-			}
-		}
-		e.Uvarint(uint64(n))
-		for ci, ch := range d.banks[b] {
-			if ch == nil {
+		e.Uvarint(uint64(len(st.hdrs) - 1))
+		for ci, h := range st.chunks {
+			if h == 0 {
 				continue
 			}
+			hdr := &st.hdrs[h]
+			var resident uint64
+			for i, s := range hdr {
+				if s != 0 {
+					resident |= 1 << i
+				}
+			}
 			e.Uvarint(uint64(ci))
-			e.U64(ch.resident)
-			for i := 0; i < chunkLines; i++ {
-				if ch.resident&(1<<i) != 0 {
-					EncodeLine(e, ch.lines[i])
+			e.U64(resident)
+			for _, s := range hdr {
+				if s != 0 {
+					EncodeLine(e, st.lines[s])
 				}
 			}
 		}
@@ -76,33 +75,40 @@ func (d *Device) EncodeState(e *snap.Encoder) {
 }
 
 // DecodeState restores state written by EncodeState into a device freshly
-// constructed with the same Config.
+// constructed with the same Config. Chunk indices must ascend strictly and
+// every bitmap must name at least one line, as EncodeState writes them.
 func (d *Device) DecodeState(dec *snap.Decoder) error {
 	dec.Begin("pcm.device")
-	for b := range d.banks {
+	for b := range d.store {
+		st := &d.store[b]
 		decodeStats(dec, &d.stats[b].Stats)
-		for ci := range d.banks[b] {
-			d.banks[b][ci] = nil
+		if len(st.hdrs) > 1 {
+			clear(st.chunks)
+			st.hdrs, st.lines = st.hdrs[:1], st.lines[:1]
 		}
-		d.slabs[b] = nil
 		n := dec.Count()
-		for k := 0; k < n; k++ {
+		next := uint64(0) // lowest chunk index the next entry may name
+		for k := 0; k < n && dec.Err() == nil; k++ {
 			ci := dec.Uvarint()
 			resident := dec.U64()
+			switch {
+			case dec.Err() != nil:
+			case ci >= uint64(len(st.chunks)):
+				dec.Invalid("pcm: checkpoint chunk index %d out of range (bank %d has %d)", ci, b, len(st.chunks))
+			case ci < next:
+				dec.Invalid("pcm: checkpoint chunk index %d of bank %d repeats or descends", ci, b)
+			case resident == 0:
+				dec.Invalid("pcm: checkpoint chunk %d of bank %d has an empty residency bitmap", ci, b)
+			case resident>>chunkLines != 0:
+				dec.Invalid("pcm: checkpoint residency bitmap %#x has bits beyond %d lines", resident, chunkLines)
+			}
 			if dec.Err() != nil {
-				return dec.Err()
+				break
 			}
-			if ci >= uint64(len(d.banks[b])) {
-				return fmt.Errorf("pcm: checkpoint chunk index %d out of range (bank %d has %d)", ci, b, len(d.banks[b]))
-			}
-			if resident>>chunkLines != 0 {
-				return fmt.Errorf("pcm: checkpoint residency bitmap %#x has bits beyond %d lines", resident, chunkLines)
-			}
-			ch := d.materializeChunk(b, int(ci))
-			ch.resident = resident
+			next = ci + 1
 			for i := 0; i < chunkLines; i++ {
 				if resident&(1<<i) != 0 {
-					ch.lines[i] = DecodeLine(dec)
+					st.install(int(ci)<<chunkShift|i, DecodeLine(dec))
 				}
 			}
 		}

@@ -68,6 +68,7 @@ func newBankPlane(cfg Config, dev *pcm.Device, mcCfg func() mc.Config, a *alloc.
 		if err != nil {
 			return nil, err
 		}
+		ctrl.BindBank(b)
 		if collect {
 			reg := metrics.New()
 			reg.EnableTrace(cfg.TraceEvents)

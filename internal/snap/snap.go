@@ -149,13 +149,22 @@ func (d *Decoder) fail(format string, args ...any) {
 	}
 }
 
+// InvalidError reports a checkpoint value that decoded cleanly but is out of
+// range for the receiving structure; callers tell it from a malformed or
+// truncated file with errors.As.
+type InvalidError struct {
+	Msg string
+}
+
+func (e *InvalidError) Error() string { return e.Msg }
+
 // Invalid records a value that decoded cleanly but is out of range for the
-// receiving structure (a frame beyond memory, an unknown tag, ...). It has
-// the sticky semantics of a malformed read: later reads become no-ops and
-// Err reports the first failure.
+// receiving structure (a frame beyond memory, an unknown tag, ...) as an
+// *InvalidError. It has the sticky semantics of a malformed read: later
+// reads become no-ops and Err reports the first failure.
 func (d *Decoder) Invalid(format string, args ...any) {
 	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
+		d.err = &InvalidError{Msg: fmt.Sprintf(format, args...)}
 	}
 }
 

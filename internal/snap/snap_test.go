@@ -244,7 +244,8 @@ func TestCountBoundedBySection(t *testing.T) {
 	d, _ = NewDecoder(NewEncoder(1).Finish(), 1)
 	d.Invalid("frame %d out of range", 7)
 	d.Uvarint()
-	if d.Err() == nil || d.Err().Error() != "frame 7 out of range" {
-		t.Fatalf("Err = %v, want the Invalid report to stick", d.Err())
+	var ie *InvalidError
+	if d.Err() == nil || d.Err().Error() != "frame 7 out of range" || !errors.As(d.Err(), &ie) {
+		t.Fatalf("Err = %v, want the Invalid report to stick as an *InvalidError", d.Err())
 	}
 }
