@@ -7,12 +7,19 @@ import (
 	"sdpcm/internal/pcm"
 )
 
+// mustNew returns an ECP-n table bound to a small zero-filled device of
+// 1024 lines.
 func mustNew(t *testing.T, n int) *Table {
 	t.Helper()
 	tab, err := New(n)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dev, err := pcm.NewDevice(pcm.Config{Pages: 16, ZeroFill: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab.Bind(dev)
 	return tab
 }
 

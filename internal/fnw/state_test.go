@@ -9,15 +9,22 @@ import (
 )
 
 // TestDecodeRejectsUnownedLine: coding bits must belong to a line the owning
-// controller serves.
+// controller serves and the restored device holds.
 func TestDecodeRejectsUnownedLine(t *testing.T) {
 	owns := func(a pcm.LineAddr) bool { return a < 100 }
+	dev, err := pcm.NewDevice(pcm.Config{Pages: 16, ZeroFill: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.Write(99, pcm.Line{1}, pcm.NormalWrite)
+	dev.Write(100, pcm.Line{1}, pcm.NormalWrite)
 	for _, tc := range []struct {
 		name string
 		addr uint64
 	}{
 		{"valid", 99},
 		{"line the controller does not own", 100},
+		{"line the device does not hold", 98},
 	} {
 		e := snap.NewEncoder(1)
 		e.Begin("fnw.codec")
@@ -34,6 +41,7 @@ func TestDecodeRejectsUnownedLine(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := NewCodec()
+		c.Bind(dev)
 		err = c.DecodeState(d, owns)
 		var ie *snap.InvalidError
 		if (err == nil) != (tc.name == "valid") || (err != nil && !errors.As(err, &ie)) {

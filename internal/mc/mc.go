@@ -193,12 +193,13 @@ func (s *Stats) Add(o Stats) {
 }
 
 // Encoder is the word-line codec contract: a stored-image transform with
-// per-line state. *din.Codec (including its nil identity form) and
-// *fnw.Codec implement it.
+// per-line state keyed by the slots of the device Bind names. *din.Codec
+// (including its nil identity form) and *fnw.Codec implement it.
 type Encoder interface {
 	Encode(a pcm.LineAddr, data, stored pcm.Line) pcm.Line
 	Decode(a pcm.LineAddr, stored pcm.Line) pcm.Line
 	Forget(a pcm.LineAddr)
+	Bind(dev *pcm.Device)
 }
 
 // RegionResolver is the hardware-side interpretation of the TLB tag of
@@ -261,6 +262,7 @@ func New(cfg Config, dev *pcm.Device, region RegionResolver, rnd *rng.Rand) (*Co
 		return nil, err
 	}
 	table.HardFn = cfg.HardErrorFn
+	table.Bind(dev)
 	codec := cfg.Encoder
 	if codec == nil {
 		if cfg.UseDIN {
@@ -269,6 +271,7 @@ func New(cfg Config, dev *pcm.Device, region RegionResolver, rnd *rng.Rand) (*Co
 			codec = (*din.Codec)(nil) // nil-safe identity transform
 		}
 	}
+	codec.Bind(dev)
 	if region == nil {
 		return nil, fmt.Errorf("mc: nil allocator")
 	}

@@ -4,7 +4,10 @@ import (
 	"errors"
 	"testing"
 
+	"sdpcm/internal/alloc"
+	"sdpcm/internal/din"
 	"sdpcm/internal/pcm"
+	"sdpcm/internal/rng"
 	"sdpcm/internal/snap"
 )
 
@@ -44,6 +47,7 @@ func TestDecodeRejectsForeignQueueEntry(t *testing.T) {
 // TestDecodeRejectsOtherBankState: a controller bound to one bank refuses
 // checkpointed codec state for a line of another bank, while an unbound
 // controller (serving every bank) and one bound to the line's bank accept it.
+// Each decodes over a device that holds the line, as a restored one does.
 func TestDecodeRejectsOtherBankState(t *testing.T) {
 	r := newRig(t, baselineCfg())
 	addr := pcm.LineOf(100, 0)
@@ -66,7 +70,11 @@ func TestDecodeRejectsOtherBankState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := newRig(t, baselineCfg()).c
+		// The codec state names a written line, so the restored device
+		// (the caller decodes it before the controllers) holds it.
+		rig := newRig(t, baselineCfg())
+		rig.d.Write(addr, r.d.Peek(addr), pcm.NormalWrite)
+		c := rig.c
 		if tc.bank >= 0 {
 			c.BindBank(tc.bank)
 		}
@@ -75,5 +83,50 @@ func TestDecodeRejectsOtherBankState(t *testing.T) {
 		if (err == nil) != tc.valid || (err != nil && !errors.As(err, &ie)) {
 			t.Errorf("%s: DecodeState err = %v", tc.name, err)
 		}
+	}
+}
+
+// TestControllerStateFootprint pins the cost of the controller's per-line
+// state on scattered writes over an 8 GB device: the DIN coding words and
+// the ECP entry index are slot-indexed tables beside the device's store, so
+// they cost a few bytes per resident line however sparse the lines are.
+func TestControllerStateFootprint(t *testing.T) {
+	const pages = 1 << 21
+	d, err := pcm.NewDevice(pcm.Config{Pages: pages, FillSeed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := alloc.New(pages, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := baselineCfg()
+	cfg.Correction = LazyECP()
+	cfg.ECPEntries = 6
+	c, err := New(cfg, d, a, rng.New(99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rnd := rng.New(5)
+	var clock uint64
+	for range 20000 {
+		addr := pcm.LineAddr(rnd.Intn(d.Lines()))
+		c.Write(clock, addr, pcm.Line{rnd.Uint64(), rnd.Uint64()})
+		clock += 700
+	}
+	c.Flush(clock)
+	resident := 0
+	for b := range d.Banks() {
+		d.VisitResident(b, func(pcm.LineAddr, uint32) { resident++ })
+	}
+	codec := c.codec.(*din.Codec).TableBytes()
+	index := c.ECP().IndexBytes()
+	if resident < 20000 || codec == 0 || index == 0 {
+		t.Fatalf("%d resident lines, %d B codec table, %d B ECP index: the run did not exercise both", resident, codec, index)
+	}
+	per := float64(codec+index) / float64(resident)
+	t.Logf("%d resident lines: DIN %d B + ECP index %d B = %.1f B per line", resident, codec, index, per)
+	if per > 24 {
+		t.Fatalf("DIN and ECP tables hold %.1f B per resident line, want <= 24", per)
 	}
 }

@@ -171,3 +171,9 @@ func (g Geometry) bankLocal(a LineAddr) (bank, local int) {
 	local = int(page>>g.shift)*LinesPerPage + int(uint64(a)%LinesPerPage)
 	return
 }
+
+// lineAt is the inverse of bankLocal.
+func (g Geometry) lineAt(bank, local int) LineAddr {
+	page := uint64(local/LinesPerPage)<<g.shift | uint64(bank)
+	return LineOf(PageAddr(page), local%LinesPerPage)
+}

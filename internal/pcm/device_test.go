@@ -239,13 +239,6 @@ func TestMaterializedChunkMatchesBackground(t *testing.T) {
 	}
 }
 
-// resident reports whether a line holds stored content rather than reading
-// as its lazily computed background.
-func resident(d *Device, a LineAddr) bool {
-	bank, local := d.geo.bankLocal(a)
-	return d.store[bank].slot(local) != 0
-}
-
 // TestDisturbDoesNotMaterializeOnNoop: a disturbance that flips nothing must
 // leave an untouched line unmaterialized (Peek still serves the background),
 // and an effective one must land in dense storage.
@@ -264,7 +257,7 @@ func TestDisturbDoesNotMaterializeOnNoop(t *testing.T) {
 	if n := d.Disturb(a, noop); n != 0 {
 		t.Fatalf("no-op disturb flipped %d cells", n)
 	}
-	if resident(d, a) {
+	if d.Resident(a) {
 		t.Fatal("no-op disturb materialized the line")
 	}
 	// Now flip an amorphous cell: the line materializes and holds bg|flip.
@@ -278,7 +271,7 @@ func TestDisturbDoesNotMaterializeOnNoop(t *testing.T) {
 	if n := d.Disturb(a, eff); n != 1 {
 		t.Fatalf("effective disturb flipped %d cells, want 1", n)
 	}
-	if !resident(d, a) {
+	if !d.Resident(a) {
 		t.Fatal("effective disturb did not materialize the line")
 	}
 	want := bg
@@ -288,7 +281,7 @@ func TestDisturbDoesNotMaterializeOnNoop(t *testing.T) {
 	if d.Peek(a) != want {
 		t.Fatal("materialized line is not background | flips")
 	}
-	if resident(d, a+1) {
+	if d.Resident(a + 1) {
 		t.Fatal("materializing one line made its chunk neighbour resident")
 	}
 }
@@ -326,7 +319,7 @@ func TestDeviceFootprint(t *testing.T) {
 	for range 20000 {
 		state = state*6364136223846793005 + 1442695040888963407
 		a := LineAddr(state % uint64(d.Lines()))
-		was := resident(d, a)
+		was := d.Resident(a)
 		if state&1 == 0 {
 			d.Write(a, Line{state}, NormalWrite)
 		} else {
@@ -334,7 +327,7 @@ func TestDeviceFootprint(t *testing.T) {
 			flips.SetBit(int(state>>40) % LineBits)
 			d.Disturb(a, flips) // materializes only when the cell was amorphous
 		}
-		if !was && resident(d, a) {
+		if !was && d.Resident(a) {
 			want++
 		}
 	}

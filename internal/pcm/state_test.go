@@ -83,10 +83,10 @@ func TestDecodeRejectsMalformedChunks(t *testing.T) {
 		for _, c := range tc.chunks {
 			for i := uint64(0); i < chunkLines; i++ {
 				a := LineAddr(c.ci<<chunkShift | i)
-				if got, want := resident(d, a), c.resident&(1<<i) != 0; got != want {
+				if got, want := d.Resident(a), c.resident&(1<<i) != 0; got != want {
 					t.Fatalf("line %d resident = %t, want %t", a, got, want)
 				}
-				if resident(d, a) && d.Peek(a) != (Line{uint64(a)}) {
+				if d.Resident(a) && d.Peek(a) != (Line{uint64(a)}) {
 					t.Fatalf("line %d decoded as %v", a, d.Peek(a))
 				}
 			}
@@ -126,7 +126,7 @@ func TestEncodeStateOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for a := LineAddr(0); a < LineAddr(dst.Lines()); a++ {
-		if dst.Peek(a) != src.Peek(a) || resident(dst, a) != resident(src, a) {
+		if dst.Peek(a) != src.Peek(a) || dst.Resident(a) != src.Resident(a) {
 			t.Fatalf("line %d differs after decode", a)
 		}
 	}
