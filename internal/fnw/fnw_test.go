@@ -8,8 +8,21 @@ import (
 	"sdpcm/internal/pcm"
 )
 
-func TestRoundTrip(t *testing.T) {
+// newCodec returns a codec bound to a small zero-filled device, as the
+// controller binds its codec to the device it writes.
+func newCodec(t testing.TB) *Codec {
+	t.Helper()
+	dev, err := pcm.NewDevice(pcm.Config{Pages: 16, ZeroFill: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := NewCodec()
+	c.Bind(dev)
+	return c
+}
+
+func TestRoundTrip(t *testing.T) {
+	c := newCodec(t)
 	if err := quick.Check(func(d, s [8]uint64) bool {
 		data, stored := pcm.Line(d), pcm.Line(s)
 		a := pcm.LineAddr(d[0] % 500)
@@ -21,7 +34,7 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestSequentialRoundTrip(t *testing.T) {
-	c := NewCodec()
+	c := newCodec(t)
 	var stored pcm.Line
 	for i := 0; i < 40; i++ {
 		var data pcm.Line
@@ -38,7 +51,7 @@ func TestSequentialRoundTrip(t *testing.T) {
 func TestHalvesWorstCaseProgramming(t *testing.T) {
 	// Property: the chosen codeword never programs more than half of any
 	// group — Flip-N-Write's defining guarantee.
-	c := NewCodec()
+	c := newCodec(t)
 	if err := quick.Check(func(d, s [8]uint64) bool {
 		data, stored := pcm.Line(d), pcm.Line(s)
 		img := c.Encode(2, data, stored)
@@ -60,7 +73,7 @@ func TestHalvesWorstCaseProgramming(t *testing.T) {
 func TestReducesProgrammedCells(t *testing.T) {
 	// Writing the complement of the stored image must cost ~0 programmed
 	// cells (every group flips).
-	c := NewCodec()
+	c := newCodec(t)
 	var stored pcm.Line
 	for w := range stored {
 		stored[w] = 0xdeadbeefcafebabe
@@ -95,7 +108,7 @@ func TestNilCodecIdentity(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	c := NewCodec()
+	c := newCodec(t)
 	var stored pcm.Line
 	var data pcm.Line
 	for w := range data {
@@ -111,7 +124,7 @@ func TestStats(t *testing.T) {
 }
 
 func TestForget(t *testing.T) {
-	c := NewCodec()
+	c := newCodec(t)
 	var data pcm.Line
 	for w := range data {
 		data[w] = ^uint64(0)
