@@ -9,6 +9,8 @@ func sqrt(x float64) float64 { return math.Sqrt(x) }
 
 func exp(x float64) float64 { return math.Exp(x) }
 
+func ceil(x float64) float64 { return math.Ceil(x) }
+
 // sqrtNeg2LogOverS computes sqrt(-2*ln(s)/s), the scaling factor of the
 // Marsaglia polar method.
 func sqrtNeg2LogOverS(s float64) float64 {

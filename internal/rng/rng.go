@@ -198,8 +198,6 @@ func (r *Rand) NormFloat64() float64 {
 		if s >= 1 || s == 0 {
 			continue
 		}
-		// ln(s) via math is fine; avoid importing math by series? No:
-		// use the stdlib; clarity over cleverness.
 		return u * sqrtNeg2LogOverS(s)
 	}
 }
@@ -231,7 +229,16 @@ func (r *Rand) Poisson(mean float64) int {
 }
 
 // Geometric returns the number of failures before the first success in a
-// sequence of Bernoulli(p) trials. p is clamped to (0,1].
+// sequence of Bernoulli(p) trials. It returns 0 for p >= 1 and panics for
+// p <= 0; a run of more than 2^24 failures stops at 2^24+1.
+//
+// Each trial consumes one Uint64 and is exactly Bernoulli's Float64() < p:
+// k = Uint64()>>11 is an integer below 2^53 and Float64() is k/2^53, both
+// exact, so the trial succeeds iff k < p·2^53 (itself exact, a power-of-two
+// scaling), iff k < ceil(p·2^53). The loop runs the xoshiro step on local
+// copies of the state against that integer threshold and stores the state
+// once, so the drawn values and the final State match the trial-by-trial
+// Bernoulli loop.
 func (r *Rand) Geometric(p float64) int {
 	if p >= 1 {
 		return 0
@@ -239,12 +246,29 @@ func (r *Rand) Geometric(p float64) int {
 	if p <= 0 {
 		panic("rng: Geometric with non-positive p")
 	}
+	var thr uint64 // a NaN p never succeeds, as Float64() < NaN never holds
+	if p == p {
+		thr = uint64(ceil(p * (1 << 53)))
+	}
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
 	n := 0
-	for !r.Bernoulli(p) {
+	for {
+		k := bits.RotateLeft64(s1*5, 7) * 9 >> 11
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = bits.RotateLeft64(s3, 45)
+		if k < thr {
+			break
+		}
 		n++
 		if n > 1<<24 { // defensive bound for absurdly small p
-			return n
+			break
 		}
 	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 	return n
 }

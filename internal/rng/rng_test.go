@@ -247,6 +247,75 @@ func TestGeometricMean(t *testing.T) {
 	}
 }
 
+// oracleGeometric is Geometric's definition, one Bernoulli trial at a time:
+// the reference the threshold kernel must match value for value and state
+// for state.
+func oracleGeometric(r *Rand, p float64) int {
+	if p >= 1 {
+		return 0
+	}
+	if p <= 0 {
+		panic("rng: Geometric with non-positive p")
+	}
+	n := 0
+	for !r.Bernoulli(p) {
+		n++
+		if n > 1<<24 {
+			return n
+		}
+	}
+	return n
+}
+
+// checkGeometric draws n values from seed at p with Geometric and with the
+// oracle, and fails on the first differing value or a differing final state.
+func checkGeometric(t *testing.T, seed uint64, p float64, n int) {
+	t.Helper()
+	got, want := New(seed), New(seed)
+	for i := 0; i < n; i++ {
+		if g, w := got.Geometric(p), oracleGeometric(want, p); g != w {
+			t.Fatalf("seed %d p %v draw %d: Geometric %d, oracle %d", seed, p, i, g, w)
+		}
+	}
+	if got.State() != want.State() {
+		t.Fatalf("seed %d p %v: final state %x, oracle %x", seed, p, got.State(), want.State())
+	}
+}
+
+// TestGeometricMatchesOracle pins the threshold kernel to the Bernoulli loop
+// at the workloads' gap parameters (0.0179 bwaves, 0.0448 mcf) and around
+// them, and at the 2^24 bound (a tiny and a NaN p).
+func TestGeometricMatchesOracle(t *testing.T) {
+	draws := 200_000
+	if testing.Short() {
+		draws = 20_000
+	}
+	for _, p := range []float64{0.9, 0.5, 0.1, 0.0448, 0.0179, 1e-3, 1.0 / 3} {
+		checkGeometric(t, 42, p, draws)
+	}
+	// Both stop at the 2^24 bound: 1e-12 does not succeed that soon at this
+	// seed, and a NaN p never does.
+	for _, p := range []float64{1e-12, math.NaN()} {
+		checkGeometric(t, 7, p, 1)
+	}
+}
+
+// FuzzGeometric compares Geometric with the oracle on fuzzed seeds and p.
+// A p below 1e-4 (or NaN) is skipped, as it averages ten thousand trials or
+// more a draw; the bound case is TestGeometricMatchesOracle's.
+func FuzzGeometric(f *testing.F) {
+	for _, p := range []float64{0.9, 0.5, 0.1, 0.0448, 0.0179, 1e-3, 1.0 / 3,
+		0.5 + 0x1p-53, 1e-4, 1 - 0x1p-53, 1, 2} {
+		f.Add(uint64(42), p)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, p float64) {
+		if !(p >= 1e-4) {
+			t.Skip()
+		}
+		checkGeometric(t, seed, p, 64)
+	})
+}
+
 func TestUint64nBounds(t *testing.T) {
 	r := New(16)
 	for i := 0; i < 10000; i++ {
@@ -301,5 +370,15 @@ func BenchmarkBernoulli(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Bernoulli(0.115)
+	}
+}
+
+// BenchmarkGeometric draws bwaves' instruction gaps: RPKI+WPKI = 17.92, so
+// p = 1/(1000/17.92), about 55 trials a draw.
+func BenchmarkGeometric(b *testing.B) {
+	r := New(1)
+	p := 1 / (1000 / 17.92)
+	for i := 0; i < b.N; i++ {
+		_ = r.Geometric(p)
 	}
 }

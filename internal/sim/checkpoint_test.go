@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -196,6 +197,27 @@ func TestCheckpointFixtureCompat(t *testing.T) {
 	r.ResumeFrom = fixturePath
 	if got := fullFingerprint(t, run(t, r)); got != want {
 		t.Errorf("resume from golden checkpoint diverged from the uninterrupted run: %s != %s", got, want)
+	}
+}
+
+// TestCheckpointFixtureBytes: checkpointing fixtureCfg today writes the
+// committed fixture byte for byte, so a change that claims to keep the
+// checkpoint format (or the RNG stream) is checked, not asserted.
+func TestCheckpointFixtureBytes(t *testing.T) {
+	want, err := os.ReadFile(fixturePath)
+	if err != nil {
+		t.Fatalf("golden checkpoint missing: %v", err)
+	}
+	w := fixtureCfg()
+	w.CheckpointPath = filepath.Join(t.TempDir(), "fixture.ckpt")
+	w.CheckpointEvery = fixtureInterval
+	run(t, w)
+	got, err := os.ReadFile(w.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("checkpoint of fixtureCfg (%d bytes) differs from %s (%d bytes)", len(got), fixturePath, len(want))
 	}
 }
 

@@ -63,7 +63,9 @@ func (as *AddressSpace) EncodeState(e *snap.Encoder) {
 // DecodeState restores state written by EncodeState into an address space
 // freshly constructed with the same tag and chunk size. Every frame must lie
 // inside the allocator's memory and every tag be valid, so a corrupt file
-// fails here instead of steering a later access off the device.
+// fails here instead of steering a later access off the device. Pages must
+// ascend strictly, as EncodeState writes them: a repeated page would
+// silently overwrite the earlier entry.
 func (as *AddressSpace) DecodeState(d *snap.Decoder) error {
 	d.Begin("vm.addrspace")
 	pages := uint64(as.allocator.TotalPages())
@@ -76,12 +78,19 @@ func (as *AddressSpace) DecodeState(d *snap.Decoder) error {
 
 	n := d.Count()
 	as.PT = &PageTable{entries: make(map[uint64]Translation, n)}
+	var prev uint64
 	for i := 0; i < n && d.Err() == nil; i++ {
 		v, tr := d.U64(), read()
-		if bad(tr) {
+		switch {
+		case d.Err() != nil:
+		case i > 0 && v <= prev:
+			d.Invalid("vm: checkpoint page %d follows page %d (pages must ascend strictly)", v, prev)
+		case bad(tr):
 			d.Invalid("vm: checkpoint maps page %d to frame %d under tag %v (%d pages)", v, tr.Frame, tr.Tag, pages)
+		default:
+			as.PT.entries[v] = tr
 		}
-		as.PT.entries[v] = tr
+		prev = v
 	}
 
 	t := as.TLB

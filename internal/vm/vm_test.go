@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"sdpcm/internal/alloc"
@@ -167,5 +168,39 @@ func TestTLBStats(t *testing.T) {
 	}
 	if as.TLB.Hits != 9 || as.TLB.Misses != 1 {
 		t.Fatalf("TLB stats = %d/%d, want 9/1", as.TLB.Hits, as.TLB.Misses)
+	}
+}
+
+// BenchmarkTranslateMiss measures translations of eight bwaves-sized address
+// spaces (3072 pages each, every page mapped) in an interleaved random
+// order, so almost every call misses the 64-entry TLB: the page-table walk
+// plus the TLB fill.
+func BenchmarkTranslateMiss(b *testing.B) {
+	const spaces, pages = 8, 3072
+	a, err := alloc.New(1<<16, 1024)
+	if err != nil {
+		b.Fatal(err)
+	}
+	as := make([]*AddressSpace, spaces)
+	for i := range as {
+		if as[i], err = NewAddressSpace(a, alloc.Tag11, 0); err != nil {
+			b.Fatal(err)
+		}
+		for v := uint64(0); v < pages; v++ {
+			if _, _, err := as[i].Translate(v); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	r := rand.New(rand.NewPCG(3, 4))
+	seq := make([]uint64, 1<<14)
+	for i := range seq {
+		seq[i] = r.Uint64N(pages)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := as[i%spaces].Translate(seq[i%len(seq)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
