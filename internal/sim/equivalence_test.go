@@ -55,10 +55,25 @@ func equivalencePoints() []struct {
 	return pts
 }
 
+// sweepCfg is the configuration of one Figure 11 sweep point.
+func sweepCfg(s core.Scheme, bench string) Config {
+	return Config{
+		Scheme:         s,
+		Mix:            workload.HomogeneousMix(bench, 4),
+		RefsPerCore:    4000,
+		MemPages:       1 << 16,
+		RegionPages:    1024,
+		WriteQueueCap:  8,
+		Seed:           42,
+		CollectMetrics: true,
+	}
+}
+
 // pinnedRuns extends the fixture beyond the Figure 11 sweep to the paths it
 // does not reach: the all-subsystems wear-leveled run (scored with the
-// heatmap) and two-module topology runs (scored with the per-module
-// breakdown), one of them with a 4-bank far module.
+// heatmap), two-module topology runs (scored with the per-module
+// breakdown), one of them with a 4-bank far module, and the §6.8
+// write-cancellation drain, alone and under LazyCorrection.
 func pinnedRuns() []struct {
 	name string
 	cfg  Config
@@ -75,6 +90,8 @@ func pinnedRuns() []struct {
 		{"pin|checkpointCfg", checkpointCfg(), fullFingerprint},
 		{"pin|multiCfg", multiCfg(), multiFingerprint},
 		{"pin|multiCfg-far-banks4", banks4, multiFingerprint},
+		{"pin|WC|mcf", sweepCfg(core.WC(), "mcf"), fingerprint},
+		{"pin|WC+LazyC|mcf", sweepCfg(core.WCLazyC(6), "mcf"), fingerprint},
 	}
 }
 
@@ -147,17 +164,7 @@ func TestWritePathEquivalence(t *testing.T) {
 	}
 	var out strings.Builder
 	for _, pt := range equivalencePoints() {
-		cfg := Config{
-			Scheme:         pt.scheme,
-			Mix:            workload.HomogeneousMix(pt.bench, 4),
-			RefsPerCore:    4000,
-			MemPages:       1 << 16,
-			RegionPages:    1024,
-			WriteQueueCap:  8,
-			Seed:           42,
-			CollectMetrics: true,
-		}
-		fp := fingerprint(t, run(t, cfg))
+		fp := fingerprint(t, run(t, sweepCfg(pt.scheme, pt.bench)))
 		fmt.Fprintf(&out, "%s|%s %s\n", pt.scheme.Name, pt.bench, fp)
 	}
 	for _, pt := range pinnedRuns() {
