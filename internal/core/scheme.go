@@ -70,39 +70,29 @@ func (s Scheme) NeedsVnC() bool { return s.Rates().BitLine > 0 }
 // MCConfig translates the scheme into a memory-controller configuration.
 // writeQueueCap <= 0 selects the Table 2 default (32).
 func (s Scheme) MCConfig(writeQueueCap int) mc.Config {
-	var enc mc.Encoder
+	cfg := mc.Config{
+		Rates:           s.Rates(),
+		VerifyNeighbors: s.NeedsVnC(),
+		ECPEntries:      s.ECPEntries,
+		PreRead:         s.PreRead,
+		WriteCancel:     s.WriteCancel,
+		WriteQueueCap:   writeQueueCap,
+		NoVerifyCharge:  s.NoVerifyCharge,
+		NoCorrectCharge: s.NoCorrectCharge,
+		HardErrorFn:     s.HardErrorFn,
+	}
 	switch s.Encoding {
 	case "", "din":
-		// nil Encoder + UseDIN selects the DIN codec in the controller.
+		// A nil Encoder selects the DIN codec in the controller.
 	case "fnw":
-		enc = fnw.NewCodec()
+		cfg.Encoder = fnw.NewCodec()
 	case "none":
-		enc = (*din.Codec)(nil)
+		cfg.Encoder = (*din.Codec)(nil)
 	default:
 		panic(fmt.Sprintf("core: unknown encoding %q", s.Encoding))
 	}
-	cfg := mc.Config{
-		Encoder:         enc,
-		Rates:           s.Rates(),
-		VerifyNeighbors: s.NeedsVnC(),
-		Correction:      mc.EagerCorrection(),
-		ECPEntries:      s.ECPEntries,
-		Preread:         mc.NoPreread(),
-		Drain:           mc.BurstyDrain(),
-		WriteQueueCap:   writeQueueCap,
-		UseDIN:          true,
-		ChargeVerify:    !s.NoVerifyCharge,
-		ChargeCorrect:   !s.NoCorrectCharge,
-		HardErrorFn:     s.HardErrorFn,
-	}
 	if s.LazyCorrection {
 		cfg.Correction = mc.LazyECP()
-	}
-	if s.PreRead {
-		cfg.Preread = mc.IdleSlotPreread()
-	}
-	if s.WriteCancel {
-		cfg.Drain = mc.WriteCancelDrain()
 	}
 	if s.Policy != nil {
 		s.Policy(&cfg)

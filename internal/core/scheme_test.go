@@ -61,14 +61,14 @@ func TestNeedsVnC(t *testing.T) {
 func TestMCConfigTranslation(t *testing.T) {
 	s := AllThree(6, alloc.Tag23)
 	cfg := s.MCConfig(16)
-	if !cfg.VerifyNeighbors || cfg.Correction != mc.LazyECP() || cfg.Preread != mc.IdleSlotPreread() {
+	if !cfg.VerifyNeighbors || cfg.Correction != mc.LazyECP() || !cfg.PreRead || cfg.WriteCancel {
 		t.Errorf("config = %+v", cfg)
 	}
 	if cfg.ECPEntries != 6 || cfg.WriteQueueCap != 16 {
 		t.Errorf("config = %+v", cfg)
 	}
-	if !cfg.UseDIN {
-		t.Error("all schemes keep DIN encoding on (§4.1)")
+	if cfg.Encoder != nil {
+		t.Error("all schemes keep DIN encoding on (§4.1): a nil Encoder selects it")
 	}
 	din := DIN().MCConfig(0)
 	if din.VerifyNeighbors {

@@ -84,14 +84,14 @@ func BenchmarkWritePath(b *testing.B) {
 			c := baselineCfg()
 			c.Correction = LazyECP()
 			c.ECPEntries = 6
-			c.Preread = IdleSlotPreread()
+			c.PreRead = true
 			return c
 		}()},
 		{"wc+lazyc6", func() Config {
 			c := baselineCfg()
 			c.Correction = LazyECP()
 			c.ECPEntries = 6
-			c.Drain = WriteCancelDrain()
+			c.WriteCancel = true
 			return c
 		}()},
 	}

@@ -8,8 +8,8 @@ import (
 // CorrectionPolicy decides what happens to the WD errors that post-write
 // verification detects on an adjacent line: correct them now (eager), park
 // them in ECP entries (§4.2 LazyCorrection) or buffer them elsewhere (e.g.
-// internal/imdb's in-module barrier). Unlike the schedulers, the interface
-// is open — external packages implement it to plug new schemes in without
+// internal/imdb's in-module barrier). It is the controller's one open
+// interface — external packages implement it to plug new schemes in without
 // touching the controller core.
 //
 // Absorb gets first refusal on a detected error batch: returning
@@ -125,13 +125,13 @@ func (c *Controller) verifyNeighbour(addr pcm.LineAddr, flips pcm.Mask, depth in
 	c.dev.CountRead(addr)
 	if depth == 0 {
 		c.Stats.VerifyReads++
-		if c.cfg.ChargeVerify {
+		if !c.cfg.NoVerifyCharge {
 			cycles += c.cfg.Timing.ReadCycles
 			c.Stats.VerifyCycles += uint64(c.cfg.Timing.ReadCycles)
 		}
 	} else {
 		c.Stats.CascadeReads++
-		if c.cfg.ChargeCorrect {
+		if !c.cfg.NoCorrectCharge {
 			cycles += c.cfg.Timing.ReadCycles
 			c.Stats.CorrectCycles += uint64(c.cfg.Timing.ReadCycles)
 		}
@@ -177,7 +177,7 @@ func (c *Controller) correctLine(addr pcm.LineAddr, newFlips pcm.Mask, depth int
 	if c.tr != nil {
 		c.tr.Emit(c.engine.Now, metrics.EvWDFlushed, uint64(addr), uint64(pending.PopCount()), uint64(depth))
 	}
-	if c.cfg.ChargeCorrect {
+	if !c.cfg.NoCorrectCharge {
 		cycles += res.Cycles
 		c.Stats.CorrectCycles += uint64(res.Cycles)
 	}
@@ -186,7 +186,7 @@ func (c *Controller) correctLine(addr pcm.LineAddr, newFlips pcm.Mask, depth int
 	// verification read, so no fresh pre-reads are needed here — cascading
 	// verification is post-reads only (§6.8).
 	out := c.engine.OnWrite(c.dev, addr, raw, corrected, res.Reset, res.Set)
-	if out.RewritePulses > 0 && c.cfg.ChargeCorrect {
+	if out.RewritePulses > 0 && !c.cfg.NoCorrectCharge {
 		d := c.cfg.Timing.WriteCycles(out.RewritePulses, 0)
 		cycles += d
 		c.Stats.CorrectCycles += uint64(d)

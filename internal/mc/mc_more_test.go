@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sdpcm/internal/alloc"
+	"sdpcm/internal/din"
 	"sdpcm/internal/fnw"
 	"sdpcm/internal/pcm"
 	"sdpcm/internal/rng"
@@ -75,7 +76,7 @@ func TestReadReturnsECPCorrectedData(t *testing.T) {
 	cfg.WriteQueueCap = 1
 	// Identity codec: the DIN encoder would (correctly!) invert the group
 	// and avoid the RESET pulses this test needs.
-	cfg.UseDIN = false
+	cfg.Encoder = (*din.Codec)(nil)
 	d, err := pcm.NewDevice(pcm.Config{Pages: testPages, ZeroFill: true})
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +117,7 @@ func TestReadReturnsECPCorrectedData(t *testing.T) {
 
 func TestFlushCompletesLazyDrain(t *testing.T) {
 	cfg := baselineCfg()
-	cfg.Drain = WriteCancelDrain()
+	cfg.WriteCancel = true
 	cfg.WriteQueueCap = 4
 	cfg.LowWatermark = 1
 	r := newRig(t, cfg)
@@ -142,7 +143,7 @@ func TestFlushCompletesLazyDrain(t *testing.T) {
 
 func TestCoalescingPreservesPrereadState(t *testing.T) {
 	cfg := baselineCfg()
-	cfg.Preread = IdleSlotPreread()
+	cfg.PreRead = true
 	cfg.WriteQueueCap = 8
 	r := newRig(t, cfg)
 	addr := pcm.LineOf(100, 0)
@@ -195,7 +196,7 @@ func TestDeviceReadAccounting(t *testing.T) {
 	// Every architectural read the controller performs must be visible in
 	// the device counters: demand + verification + cascade + prereads.
 	cfg := baselineCfg()
-	cfg.Preread = IdleSlotPreread()
+	cfg.PreRead = true
 	cfg.WriteQueueCap = 4
 	r := newRig(t, cfg)
 	rnd := rng.New(8)

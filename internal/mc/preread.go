@@ -5,41 +5,12 @@ import (
 	"sdpcm/internal/pcm"
 )
 
-// PrereadScheduler manages the §4.3 pre-write reads: when queued write
-// entries get their two neighbour buffers filled, and what happens to
-// in-flight prereads when a demand read claims the bank. NoPreread and
-// IdleSlotPreread are the built-in implementations. The interface is sealed
-// (unexported methods): scheduling manipulates bank and queue-entry state
-// directly.
-type PrereadScheduler interface {
-	// retire drops prereads completed by time t (called before queued work
-	// catches up).
-	retire(c *Controller, b *bank, t uint64)
-	// issue uses bank idle time at now to perform pending pre-write reads
-	// for queued entries.
-	issue(c *Controller, b *bank, now uint64)
-	// cancel aborts in-flight prereads at time t: demand reads have
-	// priority (§4.3).
-	cancel(c *Controller, b *bank, t uint64)
-}
-
-// NoPreread returns the disabled scheduler: pre-write reads happen inside
-// the write op itself.
-func NoPreread() PrereadScheduler { return noPreread{} }
-
-type noPreread struct{}
-
-func (noPreread) retire(*Controller, *bank, uint64) {}
-func (noPreread) issue(*Controller, *bank, uint64)  {}
-func (noPreread) cancel(*Controller, *bank, uint64) {}
-
-// IdleSlotPreread returns the §4.3 scheduler: pending pre-write reads issue
-// during bank idle slots, neighbours present in the write queue are
-// forwarded from their entry buffers at no bank cost, and demand reads
-// cancel in-flight prereads.
-func IdleSlotPreread() PrereadScheduler { return idleSlotPreread{} }
-
-type idleSlotPreread struct{}
+// This file is the §4.3 PreRead machinery, active under Config.PreRead:
+// pending pre-write reads issue during bank idle slots, neighbours present
+// in the write queue are forwarded from their entry buffers at no bank
+// cost, and demand reads cancel in-flight prereads. Without PreRead a bank
+// holds no prereads, so retire and cancel have nothing to act on and the
+// write op itself performs the pre-write reads.
 
 // prOp is an in-flight PreRead occupying bank time; cancellable by a demand
 // read until its end time passes.
@@ -49,8 +20,9 @@ type prOp struct {
 	top        bool
 }
 
-// retire drops completed prereads.
-func (idleSlotPreread) retire(c *Controller, b *bank, t uint64) {
+// retire drops prereads completed by time t (called before queued work
+// catches up).
+func (c *Controller) retire(b *bank, t uint64) {
 	keep := b.prereads[:0]
 	for _, p := range b.prereads {
 		if p.end > t {
@@ -62,14 +34,17 @@ func (idleSlotPreread) retire(c *Controller, b *bank, t uint64) {
 
 // issue uses bank idle time at `now` to perform pending pre-write reads for
 // queued entries (§4.3).
-func (s idleSlotPreread) issue(c *Controller, b *bank, now uint64) {
+func (c *Controller) issue(b *bank, now uint64) {
+	if !c.cfg.PreRead {
+		return
+	}
 	idle := b.freeAt <= now && !b.draining
 	for _, e := range b.wq {
 		if e.verifyTop && !e.prTop {
-			idle = s.issueOne(c, b, e, true, now, idle)
+			idle = c.issueOne(b, e, true, now, idle)
 		}
 		if e.verifyBelow && !e.prBelow {
-			idle = s.issueOne(c, b, e, false, now, idle)
+			idle = c.issueOne(b, e, false, now, idle)
 		}
 	}
 }
@@ -78,7 +53,7 @@ func (s idleSlotPreread) issue(c *Controller, b *bank, now uint64) {
 // write to the neighbour costs no bank time and happens regardless of bank
 // state; a device read requires the idle grant. Returns whether further
 // device reads may still be issued in this batch.
-func (idleSlotPreread) issueOne(c *Controller, b *bank, e *writeEntry, top bool, now uint64, idle bool) bool {
+func (c *Controller) issueOne(b *bank, e *writeEntry, top bool, now uint64, idle bool) bool {
 	neighbour := e.top
 	if !top {
 		neighbour = e.below
@@ -121,7 +96,7 @@ func (idleSlotPreread) issueOne(c *Controller, b *bank, e *writeEntry, top bool,
 // cancel aborts in-flight prereads (end > t): demand reads have priority
 // (§4.3). Bank time is rolled back to the first canceled start — prereads
 // are always the newest work on the bank.
-func (idleSlotPreread) cancel(c *Controller, b *bank, t uint64) {
+func (c *Controller) cancel(b *bank, t uint64) {
 	if len(b.prereads) == 0 {
 		return
 	}

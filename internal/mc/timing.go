@@ -6,8 +6,7 @@ import (
 )
 
 // This file is the controller core's externally-timed operations: demand
-// read servicing and the complete VnC write op. Like queue.go, it reaches
-// the pluggable policies only through their interfaces.
+// read servicing and the complete VnC write op.
 
 // Read services a demand read arriving at `now`. It returns the cycle the
 // data is available and the (ECP-corrected, decoded) line content.
@@ -18,14 +17,21 @@ func (c *Controller) Read(now uint64, addr pcm.LineAddr) (uint64, pcm.Line) {
 	// Write-queue forwarding: the freshest value lives in the queue.
 	if e := b.findEntry(addr); e != nil {
 		c.Stats.ForwardedReads++
-		done := now + uint64(c.cfg.ForwardCycles)
-		c.Stats.ReadLatencySum += uint64(c.cfg.ForwardCycles)
-		c.readLat.Observe(uint64(c.cfg.ForwardCycles))
-		return done, e.data
+		c.Stats.ReadLatencySum += forwardCycles
+		c.readLat.Observe(forwardCycles)
+		return now + forwardCycles, e.data
 	}
 	c.catchUp(b, now)
-	c.cfg.Drain.onRead(c, b, now, addr)
-	c.cfg.Preread.cancel(c, b, now)
+	// A read reaching a bank mid-drain (only WriteCancel drains lazily)
+	// preempts it: it waits only for the in-flight op, and the remaining
+	// drain work resumes after the read.
+	if b.draining && b.freeAt > now {
+		c.Stats.ReadPreemptions++
+		if c.tr != nil {
+			c.tr.Emit(now, metrics.EvWriteCancel, uint64(addr), uint64(len(b.wq)), 0)
+		}
+	}
+	c.cancel(b, now)
 	start := max(now, b.freeAt)
 	data := c.PeekData(addr)
 	c.dev.CountRead(addr) // demand array read
@@ -79,7 +85,7 @@ func (c *Controller) executeWrite(b *bank, e *writeEntry) int {
 			}
 		}
 		c.Stats.VerifyReads += uint64(missing)
-		if c.cfg.ChargeVerify {
+		if !c.cfg.NoVerifyCharge {
 			d := missing * c.cfg.Timing.ReadCycles
 			cycles += d
 			c.Stats.VerifyCycles += uint64(d)

@@ -45,10 +45,11 @@ type bankPlane struct {
 }
 
 // newBankPlane builds the per-bank controllers over the device's bank
-// geometry. mcCfg produces a fresh controller configuration per bank (policy
-// values are stateful and must not be shared); bankRngs must hold one labeled
-// stream per bank (module root "mc" → "bank-<b>"); a is the module's live
-// allocator, every controller's RegionResolver.
+// geometry. mcCfg produces a fresh controller configuration per bank
+// (correction policies may be stateful and must not be shared); bankRngs must
+// hold one labeled stream per bank (module root "mc" → "bank-<b>"); a is the
+// module's live allocator, which every controller reads (n:m) region tags
+// from.
 func newBankPlane(cfg Config, dev *pcm.Device, mcCfg func() mc.Config, a *alloc.Allocator, bankRngs []*rng.Rand) (*bankPlane, error) {
 	p := &bankPlane{
 		dev:   dev,

@@ -1,17 +1,15 @@
-// Command archcheck asserts the package import DAG and the mutual
-// independence of the controller's policy files. The pluggable write-path
-// architecture only stays pluggable if the dependency arrows keep pointing
-// one way: the controller core (internal/mc) must not know about the
-// layers above it, the scheme layer (internal/core) must not know about
-// the harness, and the policy implementations must not reach into each
-// other. `make lint` (and the CI lint job) runs this on every build.
+// Command archcheck asserts the package import DAG. The layered write-path
+// architecture only stays open to new schemes if the dependency arrows keep
+// pointing one way: the controller core (internal/mc) must not know about
+// the layers above it, the scheme layer (internal/core) must not know about
+// the harness, and plugins (internal/imdb) sit beside core, never under it.
+// `make lint` (and the CI lint job) runs this on every build.
 //
 // Usage: go run ./scripts/archcheck.go [repo-root]
 package main
 
 import (
 	"fmt"
-	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
@@ -94,20 +92,12 @@ var forbiddenImports = map[string][]string{
 	},
 }
 
-// policyFiles are internal/mc's policy implementations. Each must build
-// against the controller core only: referencing a top-level name declared
-// in a sibling policy file couples two policies that are supposed to be
-// independently replaceable.
-var policyFiles = []string{"correction.go", "preread.go", "cancel.go"}
-
 func main() {
 	root := "."
 	if len(os.Args) > 1 {
 		root = os.Args[1]
 	}
-	var violations []string
-	violations = append(violations, checkImports(root)...)
-	violations = append(violations, checkPolicyIndependence(root)...)
+	violations := checkImports(root)
 	if len(violations) > 0 {
 		for _, v := range violations {
 			fmt.Fprintln(os.Stderr, "archcheck: "+v)
@@ -147,96 +137,6 @@ func checkImports(root string) []string {
 			}
 		}
 	}
-	return out
-}
-
-// checkPolicyIndependence parses internal/mc's policy files and reports any
-// use in one of a top-level identifier declared in another.
-func checkPolicyIndependence(root string) []string {
-	fset := token.NewFileSet()
-	parsed := map[string]*ast.File{}
-	declared := map[string]map[string]bool{} // file → top-level names
-	for _, name := range policyFiles {
-		path := filepath.Join(root, "internal/mc", name)
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return []string{err.Error()}
-		}
-		parsed[name] = f
-		declared[name] = topLevelNames(f)
-	}
-	var out []string
-	for _, user := range policyFiles {
-		// The union of names declared by the sibling policy files.
-		foreign := map[string]string{} // name → declaring file
-		for _, other := range policyFiles {
-			if other == user {
-				continue
-			}
-			for n := range declared[other] {
-				foreign[n] = other
-			}
-		}
-		for _, ref := range identUses(parsed[user]) {
-			if owner, hit := foreign[ref.Name]; hit && !declared[user][ref.Name] {
-				out = append(out, fmt.Sprintf("internal/mc/%s references %q declared in %s (policy files must be independent)",
-					user, ref.Name, owner))
-			}
-		}
-	}
-	return out
-}
-
-// topLevelNames collects a file's package-scope declarations: plain
-// functions (not methods), types, vars and consts.
-func topLevelNames(f *ast.File) map[string]bool {
-	names := map[string]bool{}
-	for _, d := range f.Decls {
-		switch d := d.(type) {
-		case *ast.FuncDecl:
-			if d.Recv == nil {
-				names[d.Name.Name] = true
-			}
-		case *ast.GenDecl:
-			for _, spec := range d.Specs {
-				switch s := spec.(type) {
-				case *ast.TypeSpec:
-					names[s.Name.Name] = true
-				case *ast.ValueSpec:
-					for _, n := range s.Names {
-						names[n.Name] = true
-					}
-				}
-			}
-		}
-	}
-	delete(names, "_") // the blank identifier is never a reference target
-	return names
-}
-
-// identUses walks a file and returns the identifiers used as plain
-// references: selector fields/methods and composite-literal keys are
-// skipped (they resolve against a type, not the package scope).
-func identUses(f *ast.File) []*ast.Ident {
-	skip := map[*ast.Ident]bool{}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			skip[n.Sel] = true
-		case *ast.KeyValueExpr:
-			if k, ok := n.Key.(*ast.Ident); ok {
-				skip[k] = true
-			}
-		}
-		return true
-	})
-	var out []*ast.Ident
-	ast.Inspect(f, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && !skip[id] {
-			out = append(out, id)
-		}
-		return true
-	})
 	return out
 }
 
