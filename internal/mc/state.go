@@ -178,8 +178,9 @@ func (c *Controller) validEntry(i int, w *writeEntry) bool {
 
 // DecodeState restores state written by EncodeState into a controller
 // freshly constructed with the same Config. A queued write must target a
-// line of this device in its own bank's queue, and ECP and codec state must
-// name lines the controller owns.
+// line of this device in its own bank's queue, ECP and codec state must
+// name lines the controller owns, and only a controller with PreRead
+// (WriteCancel) accepts in-flight prereads (a bank mid-drain).
 func (c *Controller) DecodeState(d *snap.Decoder) error {
 	d.Begin("mc.controller")
 	decodeMCStats(d, &c.Stats)
@@ -188,6 +189,9 @@ func (c *Controller) DecodeState(d *snap.Decoder) error {
 		b := &c.banks[i]
 		b.freeAt = d.U64()
 		b.draining = d.Bool()
+		if b.draining && !c.cfg.WriteCancel {
+			d.Invalid("mc: checkpoint has bank %d mid-drain in a controller without WriteCancel", i)
+		}
 		n := d.Count()
 		if d.Err() != nil {
 			return d.Err()
@@ -215,6 +219,9 @@ func (c *Controller) DecodeState(d *snap.Decoder) error {
 			b.wq = append(b.wq, w)
 		}
 		m := d.Count()
+		if m > 0 && !c.cfg.PreRead {
+			d.Invalid("mc: checkpoint has %d in-flight prereads on bank %d in a controller without PreRead", m, i)
+		}
 		if d.Err() != nil {
 			return d.Err()
 		}
