@@ -61,9 +61,10 @@ serve-smoke:
 resume-smoke:
 	./scripts/resume_smoke.sh
 
-# Fuzz each outside-input decoder, the DIN encoder against its scalar oracle
-# and the geometric sampler against its Bernoulli-loop oracle, for ~20 s from
-# its seed corpus (the CI fuzz job). go test accepts one -fuzz target per
+# Fuzz each outside-input decoder (FuzzTraceReader checks the trace reader
+# and stream reader against each other), the DIN encoder against its scalar
+# oracle and the geometric sampler against its Bernoulli-loop oracle, for
+# ~20 s from its seed corpus (the CI fuzz job). go test accepts one -fuzz target per
 # invocation. FuzzResume's inputs are whole checkpoints (~46 KB), so
 # minimizing each new corpus entry is capped at 2 s to leave the budget for
 # fuzzing.
@@ -73,6 +74,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzResume$$' -fuzztime 20s -fuzzminimizetime 2s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzDINEncode$$' -fuzztime 20s ./internal/din
 	$(GO) test -run '^$$' -fuzz '^FuzzGeometric$$' -fuzztime 20s ./internal/rng
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceReader$$' -fuzztime 20s ./internal/trace
 
 # Emit one point of the performance trajectory (BENCH_ci.json).
 bench-record:

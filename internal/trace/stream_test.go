@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"slices"
 	"testing"
 	"testing/iotest"
 )
@@ -23,7 +24,7 @@ func bigTrace(n int) []Record {
 	return recs
 }
 
-func encode(t *testing.T, recs []Record) []byte {
+func encode(t testing.TB, recs []Record) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := WriteAll(&buf, recs); err != nil {
@@ -127,14 +128,16 @@ func TestStreamReaderZeroLength(t *testing.T) {
 	}
 }
 
-// TestStreamReaderBadMagic: garbage input latches ErrBadMagic.
+// TestStreamReaderBadMagic: garbage and empty input latch ErrBadMagic.
 func TestStreamReaderBadMagic(t *testing.T) {
-	s := NewStreamReader(bytes.NewReader([]byte("NOPE then some bytes")))
-	if _, ok := s.Next(); ok {
-		t.Fatal("bad magic yielded a record")
-	}
-	if !errors.Is(s.Err(), ErrBadMagic) {
-		t.Fatalf("err = %v, want ErrBadMagic", s.Err())
+	for _, in := range []string{"NOPE then some bytes", ""} {
+		s := NewStreamReader(bytes.NewReader([]byte(in)))
+		if _, ok := s.Next(); ok {
+			t.Fatalf("%q yielded a record", in)
+		}
+		if !errors.Is(s.Err(), ErrBadMagic) {
+			t.Fatalf("%q: err = %v, want ErrBadMagic", in, s.Err())
+		}
 	}
 }
 
@@ -173,4 +176,46 @@ func TestSliceStreamSkip(t *testing.T) {
 	if _, ok := s.Next(); ok {
 		t.Fatal("exhausted slice stream yielded a record")
 	}
+}
+
+// FuzzTraceReader checks the two decoders against each other on arbitrary
+// input: ReadAll and a small-buffer StreamReader yield the same records in
+// the same order and fail, or succeed, together without panicking; a trace
+// ReadAll accepts survives a WriteAll round trip unchanged.
+func FuzzTraceReader(f *testing.F) {
+	one := encode(f, []Record{{Kind: Write, Line: 1 << 50, Gap: 99}})
+	f.Add([]byte{})
+	f.Add([]byte("SD"))
+	f.Add(encode(f, nil))
+	f.Add(one)
+	f.Add(one[:len(one)-1])
+	f.Add(encode(f, bigTrace(20)))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		all, err := ReadAll(bytes.NewReader(in))
+		s := NewStreamReaderSize(bytes.NewReader(in), 16)
+		var streamed []Record
+		for {
+			rec, ok := s.Next()
+			if !ok {
+				break
+			}
+			streamed = append(streamed, rec)
+		}
+		if (err == nil) != (s.Err() == nil) {
+			t.Fatalf("ReadAll err = %v, StreamReader err = %v", err, s.Err())
+		}
+		if err != nil {
+			if err.Error() != s.Err().Error() {
+				t.Fatalf("ReadAll err = %v, StreamReader err = %v", err, s.Err())
+			}
+			return
+		}
+		if !slices.Equal(all, streamed) {
+			t.Fatalf("ReadAll gave %d records, StreamReader %d, or they differ", len(all), len(streamed))
+		}
+		again, err := ReadAll(bytes.NewReader(encode(t, all)))
+		if err != nil || !slices.Equal(again, all) {
+			t.Fatalf("round trip of %d records: %d back, err %v", len(all), len(again), err)
+		}
+	})
 }

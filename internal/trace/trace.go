@@ -126,7 +126,9 @@ func (t *Reader) Next() (Record, error) {
 	if !t.header {
 		var m [4]byte
 		if _, err := io.ReadFull(t.r, m[:]); err != nil {
-			if err == io.ErrUnexpectedEOF {
+			// A writer always emits the header, so input too short to
+			// hold one — empty included — is not a trace.
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
 				return Record{}, ErrBadMagic
 			}
 			return Record{}, err

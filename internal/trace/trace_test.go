@@ -92,6 +92,11 @@ func TestBadMagic(t *testing.T) {
 	if err != ErrBadMagic {
 		t.Fatalf("short stream err = %v, want ErrBadMagic", err)
 	}
+	// So is an empty one: a writer always emits the header.
+	_, err = ReadAll(bytes.NewReader(nil))
+	if err != ErrBadMagic {
+		t.Fatalf("empty stream err = %v, want ErrBadMagic", err)
+	}
 }
 
 func TestTruncatedStream(t *testing.T) {
