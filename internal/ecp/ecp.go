@@ -47,8 +47,8 @@ type Stats struct {
 	ECPBitWrites     uint64 // cells programmed in the ECP chip (wear proxy)
 }
 
-// Add accumulates another Stats value; all fields are additive, so per-bank
-// table shards merge commutatively.
+// Add accumulates another Stats value; all fields are additive, so the
+// per-bank controllers' tables merge commutatively.
 func (s *Stats) Add(o Stats) {
 	s.WDRecorded += o.WDRecorded
 	s.WDDuplicates += o.WDDuplicates

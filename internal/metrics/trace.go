@@ -197,20 +197,18 @@ func (t *Trace) Dropped() uint64 {
 	return t.next - uint64(len(t.buf))
 }
 
-// MergeEventTails combines per-shard event-ring tails into one bounded tail
+// MergeEventTails combines per-bank event-ring tails into one bounded tail
 // of at most capacity events, as if a single ring of that capacity had
-// observed the union. tails[i] is shard i's buffered events (oldest first)
-// and droppedBefore[i] how many that shard's ring already overwrote. The
-// merge is canonical — events sort by (Time, shard index, per-shard Seq) and
-// the result keeps the latest `capacity` with globally renumbered Seq — so
-// any shard partition of the same per-bank event streams produces the same
-// tail. Kept-event ordering is by simulated time, not global emission order
-// (which per-bank rings cannot reconstruct); within one shard relative order
-// is preserved.
+// observed the union. tails[i] is ring i's buffered events (oldest first)
+// and droppedBefore[i] how many that ring already overwrote. The merge is
+// canonical — events sort by (Time, ring index, per-ring Seq) and the
+// result keeps the latest `capacity` with globally renumbered Seq. Kept-event
+// ordering is by simulated time, not global emission order (which per-bank
+// rings cannot reconstruct); within one ring relative order is preserved.
 func MergeEventTails(capacity int, tails [][]Event, droppedBefore []uint64) ([]Event, uint64) {
 	type tagged struct {
-		e     Event
-		shard int
+		e    Event
+		ring int
 	}
 	var all []tagged
 	total := uint64(0)
@@ -228,8 +226,8 @@ func MergeEventTails(capacity int, tails [][]Event, droppedBefore []uint64) ([]E
 		if x.e.Time != y.e.Time {
 			return x.e.Time < y.e.Time
 		}
-		if x.shard != y.shard {
-			return x.shard < y.shard
+		if x.ring != y.ring {
+			return x.ring < y.ring
 		}
 		return x.e.Seq < y.e.Seq
 	})

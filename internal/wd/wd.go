@@ -58,7 +58,8 @@ type Stats struct {
 }
 
 // Add accumulates another Stats value: counters sum, worst-case fields take
-// the max. Order-independent, so per-bank engine shards merge commutatively.
+// the max. Order-independent, so the per-bank controllers' engines merge
+// commutatively.
 func (s *Stats) Add(o Stats) {
 	s.WritesObserved += o.WritesObserved
 	s.InLineErrors += o.InLineErrors

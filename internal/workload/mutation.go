@@ -9,9 +9,9 @@ import (
 // Mutation is one pre-drawn write-back payload: which 16-bit chunks of the
 // line are rewritten and with what content. Separating the stochastic draw
 // (DrawMutation, consuming the workload RNG) from its application to line
-// content (Apply, pure) lets the sharded simulator draw mutations on the
-// orchestrator goroutine — preserving the per-core RNG consumption order —
-// while the owning bank shard applies them to the latest stored data later.
+// content (Apply, pure) lets the simulator draw a mutation in the core's
+// RNG order while the owning bank's controller supplies the latest stored
+// data it applies to.
 type Mutation struct {
 	Mask  uint32     // bit i set: chunk i (word i/4, 16-bit lane i%4) is rewritten
 	Fresh [32]uint16 // replacement content for chunks whose Mask bit is set
