@@ -89,8 +89,8 @@ func TestPublicExperimentTables(t *testing.T) {
 		t.Fatal("Table1 must have two rows")
 	}
 	o := sdpcm.ExperimentOptions{
-		RefsPerCore: 800, Cores: 2, MemPages: 1 << 15, RegionPages: 512,
-		Benchmarks: []string{"lbm"}, Seed: 1,
+		Base:       sdpcm.SweepBase{RefsPerCore: 800, Cores: 2, MemPages: 1 << 15, RegionPages: 512, Seed: 1},
+		Benchmarks: []string{"lbm"},
 	}
 	fig, err := sdpcm.Fig12(o)
 	if err != nil {
@@ -107,12 +107,12 @@ func TestPublicExperimentTables(t *testing.T) {
 // sees every point.
 func TestPublicSweepRunner(t *testing.T) {
 	o := sdpcm.ExperimentOptions{
-		RefsPerCore: 800, Cores: 2, MemPages: 1 << 15, RegionPages: 512,
-		Benchmarks: []string{"lbm"}, Seed: 1,
+		Base:       sdpcm.SweepBase{RefsPerCore: 800, Cores: 2, MemPages: 1 << 15, RegionPages: 512, Seed: 1},
+		Benchmarks: []string{"lbm"},
 	}
 	events := 0
 	o.Observer = sdpcm.SweepObserverFunc(func(sdpcm.SweepEvent) { events++ })
-	o.Exec = sdpcm.NewSweepRunner(o)
+	o.Exec = &sdpcm.SweepRunner{}
 	// Fig12 and Fig13 declare the same ECP grid: the second figure must be
 	// served entirely from the shared cache.
 	t12, err := sdpcm.Fig12(o)
@@ -133,10 +133,8 @@ func TestPublicSweepRunner(t *testing.T) {
 	}
 	// A sequential uncached executor reproduces both tables byte-for-byte.
 	seq := o
-	seq.Parallel = 1
-	seq.NoCache = true
 	seq.Observer = nil
-	seq.Exec = nil
+	seq.Exec = &sdpcm.SweepRunner{Workers: 1, NoCache: true}
 	s12, err := sdpcm.Fig12(seq)
 	if err != nil {
 		t.Fatal(err)
@@ -156,9 +154,9 @@ func TestPublicSweepRunner(t *testing.T) {
 // metrics snapshot it was first simulated with.
 func TestPublicMetricsSurviveMemoCache(t *testing.T) {
 	o := sdpcm.ExperimentOptions{
-		RefsPerCore: 800, Cores: 2, MemPages: 1 << 15, RegionPages: 512,
-		Benchmarks: []string{"lbm"}, Seed: 1,
-		CollectMetrics: true,
+		Base: sdpcm.SweepBase{RefsPerCore: 800, Cores: 2, MemPages: 1 << 15, RegionPages: 512, Seed: 1,
+			CollectMetrics: true},
+		Benchmarks: []string{"lbm"},
 	}
 	key := func(ev sdpcm.SweepEvent) string {
 		return fmt.Sprintf("%s/%s/ecp%d", ev.Spec.Scheme.Name, ev.Spec.Bench, ev.Spec.Scheme.ECPEntries)
@@ -181,7 +179,7 @@ func TestPublicMetricsSurviveMemoCache(t *testing.T) {
 		})
 	}
 	o.Observer = collect(first, false)
-	o.Exec = sdpcm.NewSweepRunner(o)
+	o.Exec = &sdpcm.SweepRunner{}
 	if _, err := sdpcm.Fig12(o); err != nil {
 		t.Fatal(err)
 	}
@@ -189,9 +187,8 @@ func TestPublicMetricsSurviveMemoCache(t *testing.T) {
 		t.Fatal("no points observed")
 	}
 	second := map[string]*sdpcm.MetricsSnapshot{}
-	// Options.Observer is per figure call and wins over the shared
-	// executor's own observer — several jobs can share one Exec and still
-	// keep separate event streams.
+	// Options.Observer is per figure call — several jobs can share one
+	// Exec and still keep separate event streams.
 	o.Observer = collect(second, true)
 	if _, err := sdpcm.Fig12(o); err != nil {
 		t.Fatal(err)

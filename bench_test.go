@@ -25,12 +25,14 @@ import (
 // benchOpts keeps individual benchmarks to a few hundred milliseconds.
 func benchOpts() sdpcm.ExperimentOptions {
 	return sdpcm.ExperimentOptions{
-		RefsPerCore: 2500,
-		Cores:       4,
-		MemPages:    1 << 16,
-		RegionPages: 1024,
-		Benchmarks:  []string{"gemsFDTD", "lbm", "mcf"},
-		Seed:        42,
+		Base: sdpcm.SweepBase{
+			RefsPerCore: 2500,
+			Cores:       4,
+			MemPages:    1 << 16,
+			RegionPages: 1024,
+			Seed:        42,
+		},
+		Benchmarks: []string{"gemsFDTD", "lbm", "mcf"},
 	}
 }
 
@@ -184,7 +186,7 @@ func BenchmarkAllFiguresSharedCache(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		o := benchOpts()
-		o.Exec = sdpcm.NewSweepRunner(o)
+		o.Exec = &sdpcm.SweepRunner{}
 		for _, f := range figs {
 			if _, err := f(o); err != nil {
 				b.Fatal(err)

@@ -147,18 +147,29 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "sdpcm-bench: unknown -metrics format %q (usage: -metrics json|table)\n", *metricf)
 		return 2
 	}
-	opts := sdpcm.ExperimentOptions{
-		RefsPerCore:     *refs,
-		Cores:           *cores,
-		Seed:            *seed,
-		MemPages:        *memMB * 256, // 4KB pages
-		RegionPages:     *region,
-		Parallel:        *parallel,
+	if (*ckptDir != "") != (*ckptEvery > 0) {
+		fmt.Fprintln(os.Stderr, "sdpcm-bench: -checkpoint-dir and -checkpoint-every require each other (usage: -checkpoint-dir DIR -checkpoint-every N)")
+		return 2
+	}
+	// One executor for the whole invocation: its memo cache spans
+	// experiments, so points shared between figures simulate once.
+	exec := &sdpcm.SweepRunner{
+		Workers:         *parallel,
 		NoCache:         *noCache,
-		CollectMetrics:  *metricf != "" || *benchOut != "" || *listen != "",
-		TraceEvents:     *trEv,
 		CheckpointDir:   *ckptDir,
 		CheckpointEvery: *ckptEvery,
+	}
+	opts := sdpcm.ExperimentOptions{
+		Base: sdpcm.SweepBase{
+			RefsPerCore:    *refs,
+			Cores:          *cores,
+			Seed:           *seed,
+			MemPages:       *memMB * 256, // 4KB pages
+			RegionPages:    *region,
+			CollectMetrics: *metricf != "" || *benchOut != "" || *listen != "",
+			TraceEvents:    *trEv,
+		},
+		Exec: exec,
 	}
 	if *heatTab || *heatOut != "" {
 		opts.HeatmapRegions = *heatReg
@@ -176,7 +187,7 @@ func run() int {
 		} else if n > 0 {
 			logger.Info("result store pruned", "entries", n, "bytes_freed", freed)
 		}
-		opts.Store = store
+		exec.Store = store
 	} else if *storeMaxB > 0 || *storeAge > 0 {
 		fmt.Fprintf(os.Stderr, "sdpcm-bench: -store-max-bytes/-store-max-age require -result-store (usage: -result-store DIR -store-max-bytes N)\n")
 		return 2
@@ -236,9 +247,6 @@ func run() int {
 		observers = append(observers, tracker)
 	}
 	opts.Observer = sdpcm.SweepMulti(observers...)
-	// One executor for the whole invocation: its memo cache spans
-	// experiments, so points shared between figures simulate once.
-	opts.Exec = sdpcm.NewSweepRunner(opts)
 
 	want := map[string]bool{}
 	runAll := *exp == "all"
@@ -292,7 +300,7 @@ func run() int {
 			"wall", time.Since(expStart).Round(time.Millisecond),
 			"points", c.points, "cache_hits", c.cached)
 	}
-	st := opts.Exec.Stats()
+	st := exec.Stats()
 	if st.Points > 0 {
 		fmt.Fprintf(os.Stderr, "total: %d points, %d simulated, %d cache hits, %v wall (parallel=%d), %s\n",
 			st.Points, st.SimRuns, st.CacheHits,

@@ -144,7 +144,11 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "sdpcm-sim: -resume requires -checkpoint to name the file")
 		return 2
 	}
-	if *ckptPath != "" && *ckptEvery > 0 {
+	if (*ckptPath != "") != (*ckptEvery > 0) {
+		fmt.Fprintln(os.Stderr, "sdpcm-sim: -checkpoint and -checkpoint-every require each other (usage: -checkpoint FILE -checkpoint-every N)")
+		return 2
+	}
+	if *ckptPath != "" {
 		cfg.CheckpointPath = *ckptPath
 		cfg.CheckpointEvery = *ckptEvery
 	}

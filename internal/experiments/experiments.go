@@ -33,18 +33,14 @@ import (
 	"sdpcm/internal/workload"
 )
 
-// Options scales the experiment harness.
+// Options names one sweep: the sweep-wide simulation parameters (the
+// embedded runner.Base), the benchmark and scheme axes, and the per-call
+// executor, observer and context. Zero Base fields take the harness
+// defaults: 6000 refs per core (fast and shape-preserving; the paper used
+// 10M), 8 cores as in Table 2, 2^17 pages = 512 MB with 4 MB (1024-page)
+// marking regions, and seed 42.
 type Options struct {
-	// RefsPerCore per simulation (default 6000 — fast, shape-preserving;
-	// the paper used 10M).
-	RefsPerCore int
-	// Cores in the CMP (default 8 as in Table 2).
-	Cores int
-	// MemPages / RegionPages size the DIMM (defaults 2^17 pages = 512 MB
-	// with 4 MB marking regions; the paper's 8 GB / 64 MB sizing works too,
-	// just slower to allocate).
-	MemPages    int
-	RegionPages int
+	runner.Base
 	// Benchmarks to sweep (default: all of Table 3).
 	Benchmarks []string
 	// Schemes overrides the scheme roster of the figures that take one
@@ -52,56 +48,20 @@ type Options struct {
 	// DefaultECPEntries. The baseline is prepended when absent — every
 	// figure normalises to it. Empty keeps each figure's published roster.
 	Schemes []string
-	// Seed for reproducibility.
-	Seed uint64
-	// CollectMetrics enables the observability layer on every simulation
-	// point: each result carries a deterministic metrics snapshot
-	// (sim.Result.Metrics), visible to Observers via PointEvent.Result.
-	CollectMetrics bool
-	// TraceEvents additionally keeps the last N typed events per point.
-	TraceEvents int
-	// HeatmapRegions enables the WD spatial heatmap on every point: each
-	// result carries a per bank × line-region accumulation of injected
-	// flips, parked errors and cascade activity (sim.Result.Heatmap).
-	HeatmapRegions int
-	// Topology, when non-default, runs every simulation point on the memory
-	// topology described by the spec (see sim.Config.Topology). Nil keeps
-	// the default single-DIMM topology and its cache keys.
-	Topology *topo.Spec
-	// Parallel bounds concurrent simulations (0 = GOMAXPROCS, 1 =
-	// sequential). Results are identical either way.
-	Parallel int
-	// NoCache disables point memoization.
-	NoCache bool
-	// CheckpointDir, with CheckpointEvery, makes long sweeps resumable:
-	// each cacheable point periodically writes a sim-state checkpoint into
-	// the directory, and a killed sweep restarted with the same options
-	// resumes every in-flight point from its last checkpoint with an
-	// identical result (see runner.Runner.CheckpointDir).
-	CheckpointDir string
-	// CheckpointEvery is the per-point checkpoint interval in processed
-	// references (0 disables checkpointing).
-	CheckpointEvery int
-	// Store is the durable tier under the executor's in-memory memo cache:
-	// points whose canonical key is present are answered from it without
-	// simulating, and cold points persist their result back — the cache
-	// spans processes and users (see runner.MemoStore).
-	Store runner.MemoStore
-	// Observer receives per-point completion events. It is passed per
-	// figure call, so several jobs sharing one Exec each keep their own
-	// event stream.
+	// Exec executes every point; nil means a fresh default runner.Runner
+	// per figure call. Sharing one executor across several figure calls
+	// spans its memo cache (and durable store) across them, so points
+	// common to multiple figures simulate once (the sdpcm-bench -exp all
+	// path, and the sweep service's shared simulation farm).
+	Exec *runner.Runner
+	// Observer receives this figure call's per-point completion events, so
+	// several jobs sharing one Exec each keep their own event stream.
 	Observer runner.Observer
 	// Ctx cancels an in-flight figure at sweep-point granularity: once
 	// done, points not yet simulating fail fast with Ctx.Err() while
 	// in-flight simulations complete (and still land in the cache). Nil
 	// means never canceled.
 	Ctx context.Context
-	// Exec, when set, executes every point and wins over
-	// Parallel/NoCache/Store. Sharing one executor across several figure
-	// calls spans the memo cache across them, so points common to multiple
-	// figures simulate once (the sdpcm-bench -exp all path, and the sweep
-	// service's shared simulation farm).
-	Exec *runner.Runner
 }
 
 func (o Options) normalized() Options {
@@ -126,30 +86,6 @@ func (o Options) normalized() Options {
 	return o
 }
 
-// base extracts the sweep-wide simulation parameters.
-func (o Options) base() runner.Base {
-	return runner.Base{
-		RefsPerCore:    o.RefsPerCore,
-		Cores:          o.Cores,
-		MemPages:       o.MemPages,
-		RegionPages:    o.RegionPages,
-		Seed:           o.Seed,
-		CollectMetrics: o.CollectMetrics,
-		TraceEvents:    o.TraceEvents,
-		HeatmapRegions: o.HeatmapRegions,
-		Topology:       o.Topology,
-	}
-}
-
-// exec returns the executor for one figure: the shared one when set, else a
-// fresh per-figure executor built from the options.
-func (o Options) exec() *runner.Runner {
-	if o.Exec != nil {
-		return o.Exec
-	}
-	return NewRunner(o)
-}
-
 // run executes one figure's specs through the executor, threading the
 // options' context and per-call observer.
 func (o Options) run(specs []runner.Spec) ([]sim.Result, error) {
@@ -157,21 +93,11 @@ func (o Options) run(specs []runner.Spec) ([]sim.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return o.exec().RunContext(ctx, o.base(), specs, o.Observer)
-}
-
-// NewRunner builds a sweep executor from the options. Callers running
-// several figures in one process assign it to Options.Exec so the memo
-// cache deduplicates points across figures.
-func NewRunner(o Options) *runner.Runner {
-	return &runner.Runner{
-		Workers:         o.Parallel,
-		NoCache:         o.NoCache,
-		Observer:        o.Observer,
-		Store:           o.Store,
-		CheckpointDir:   o.CheckpointDir,
-		CheckpointEvery: o.CheckpointEvery,
+	exec := o.Exec
+	if exec == nil {
+		exec = &runner.Runner{}
 	}
+	return exec.RunContext(ctx, o.Base, specs, o.Observer)
 }
 
 // roster resolves Options.Schemes through the scheme registry, keeping
@@ -312,8 +238,16 @@ func Fig5(o Options) (*stats.Table, error) {
 // Fig11 regenerates the headline scheme comparison: speedup normalised to
 // the basic-VnC baseline (bigger is better), per benchmark plus gmean.
 func Fig11(o Options) (*stats.Table, error) {
+	return rosterFigure(o, "Figure 11: system performance (normalised to baseline)",
+		core.Figure11Roster())
+}
+
+// rosterFigure is the shared body of Figures 11 and 19: each scheme of the
+// roster (def unless Options.Schemes overrides it) per benchmark, as
+// speedup over the baseline.
+func rosterFigure(o Options, title string, def []core.Scheme) (*stats.Table, error) {
 	o = o.normalized()
-	roster, err := o.roster(core.Figure11Roster())
+	roster, err := o.roster(def)
 	if err != nil {
 		return nil, err
 	}
@@ -327,7 +261,7 @@ func Fig11(o Options) (*stats.Table, error) {
 	for i, s := range roster {
 		cols[i] = s.Name
 	}
-	t := stats.NewTable("Figure 11: system performance (normalised to baseline)", cols...)
+	t := stats.NewTable(title, cols...)
 	for _, b := range o.Benchmarks {
 		base := get(b, "baseline")
 		for _, s := range roster {
@@ -570,35 +504,13 @@ func Fig18(o Options) (*stats.Table, error) {
 // Fig19 regenerates Figure 19: integrating write cancellation, normalised
 // to the VnC baseline.
 func Fig19(o Options) (*stats.Table, error) {
-	o = o.normalized()
-	roster, err := o.roster([]core.Scheme{
-		core.Baseline(),
-		core.WC(),
-		core.LazyC(core.DefaultECPEntries),
-		core.WCLazyC(core.DefaultECPEntries),
-	})
-	if err != nil {
-		return nil, err
-	}
-	specs := rosterSpecs(o.Benchmarks, roster)
-	res, err := o.run(specs)
-	if err != nil {
-		return nil, err
-	}
-	get := lookup(specs, res)
-	cols := make([]string, len(roster))
-	for i, s := range roster {
-		cols[i] = s.Name
-	}
-	t := stats.NewTable("Figure 19: write cancellation integration (normalised to baseline)", cols...)
-	for _, b := range o.Benchmarks {
-		base := get(b, "baseline")
-		for _, s := range roster {
-			t.Set(b, s.Name, stats.Speedup(base.CPI, get(b, s.Name).CPI))
-		}
-	}
-	t.AddGeoMeanRow()
-	return t, nil
+	return rosterFigure(o, "Figure 19: write cancellation integration (normalised to baseline)",
+		[]core.Scheme{
+			core.Baseline(),
+			core.WC(),
+			core.LazyC(core.DefaultECPEntries),
+			core.WCLazyC(core.DefaultECPEntries),
+		})
 }
 
 // Experiment is one named entry of the evaluation. The registry gives the

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"sdpcm/internal/runner"
 	"sdpcm/internal/workload"
 )
 
@@ -13,12 +14,14 @@ import (
 // monotonicity — which are stable at this scale.
 func fastOpts() Options {
 	return Options{
-		RefsPerCore: 3000,
-		Cores:       4,
-		MemPages:    1 << 16,
-		RegionPages: 1024,
-		Benchmarks:  []string{"gemsFDTD", "lbm", "mcf"},
-		Seed:        11,
+		Base: runner.Base{
+			RefsPerCore: 3000,
+			Cores:       4,
+			MemPages:    1 << 16,
+			RegionPages: 1024,
+			Seed:        11,
+		},
+		Benchmarks: []string{"gemsFDTD", "lbm", "mcf"},
 	}
 }
 
@@ -309,7 +312,8 @@ func TestOverheadTable(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.normalized()
-	if o.RefsPerCore != 6000 || o.Cores != 8 || len(o.Benchmarks) != len(workload.Names()) {
+	if o.RefsPerCore != 6000 || o.Cores != 8 || o.MemPages != 1<<17 || o.RegionPages != 1024 ||
+		o.Seed != 42 || len(o.Benchmarks) != len(workload.Names()) {
 		t.Fatalf("defaults = %+v", o)
 	}
 }

@@ -31,7 +31,7 @@ func TestHeatmapDeterministicAcrossParallel(t *testing.T) {
 		o := fastOpts()
 		o.Benchmarks = []string{"lbm", "mcf"}
 		o.HeatmapRegions = 8
-		o.Parallel = parallel
+		o.Exec = &runner.Runner{Workers: parallel}
 		c := &collectHeatmaps{}
 		o.Observer = c
 		if _, err := Fig12(o); err != nil {
@@ -61,7 +61,7 @@ func TestHeatmapFlowsThroughCache(t *testing.T) {
 	o := fastOpts()
 	o.Benchmarks = []string{"lbm"}
 	o.HeatmapRegions = 4
-	ex := NewRunner(o)
+	ex := &runner.Runner{}
 	o.Exec = ex
 	c := &collectHeatmaps{}
 
@@ -69,10 +69,9 @@ func TestHeatmapFlowsThroughCache(t *testing.T) {
 	if _, err := Fig12(o); err != nil {
 		t.Fatal(err)
 	}
-	// Second identical pass is served from the memo cache; attach the
-	// observer to the shared executor (the per-call Options.Observer is
-	// nil, so the executor's own observer receives the events).
-	ex.Observer = c
+	// Second identical pass is served from the memo cache; pass the
+	// observer with this figure call only.
+	o.Observer = c
 	if _, err := Fig12(o); err != nil {
 		t.Fatal(err)
 	}

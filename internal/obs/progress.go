@@ -48,10 +48,10 @@ type ProgressSnapshot struct {
 }
 
 // Progress is a live sweep tracker: it implements runner.Observer, so
-// wiring it into ExperimentOptions.Observer (or a Runner directly) feeds it
-// one event per completed point, and its Snapshot serves the /progress
-// endpoint. Safe for concurrent use — the Runner serializes observer calls,
-// but HTTP readers arrive on their own goroutines.
+// passing it as ExperimentOptions.Observer (or as RunContext's per-call
+// observer) feeds it one event per completed point, and its Snapshot serves
+// the /progress endpoint. Safe for concurrent use — the Runner serializes
+// observer calls, but HTTP readers arrive on their own goroutines.
 type Progress struct {
 	mu       sync.Mutex
 	now      func() time.Time // test hook; time.Now when nil

@@ -10,7 +10,7 @@ import (
 
 // PointEvent describes one completed sweep point.
 type PointEvent struct {
-	// Index/Total locate the point within its Run call's spec list.
+	// Index/Total locate the point within its RunContext call's spec list.
 	Index, Total int
 	Spec         Spec
 	// Wall is the point's wall time, including any wait for a concurrently

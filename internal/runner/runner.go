@@ -156,7 +156,7 @@ func (g Grid) Expand() []Spec {
 
 // Stats is a snapshot of a Runner's counters.
 type Stats struct {
-	// Points is the number of specs executed through Run.
+	// Points is the number of specs executed through RunContext.
 	Points int
 	// SimRuns is the number of actual sim.Run invocations.
 	SimRuns int
@@ -170,18 +170,15 @@ type Stats struct {
 
 // Runner executes sweep points on a bounded worker pool, memoizing results
 // by resolved config. The zero value is ready to use: GOMAXPROCS workers,
-// cache enabled, no observer. A Runner must not be copied after first use;
-// Run may be called concurrently and sequentially-reused — the cache spans
-// all calls, which is how sdpcm-bench -exp all deduplicates points shared
+// cache enabled. A Runner must not be copied after first use; RunContext
+// may be called concurrently and sequentially-reused — the cache spans all
+// calls, which is how sdpcm-bench -exp all deduplicates points shared
 // between figures.
 type Runner struct {
 	// Workers bounds concurrent sim.Run executions (<=0: GOMAXPROCS).
 	Workers int
 	// NoCache disables memoization (every point simulates).
 	NoCache bool
-	// Observer, when non-nil, receives one event per completed point.
-	// Calls are serialized by the Runner.
-	Observer Observer
 	// CheckpointDir, together with CheckpointEvery, makes long sweeps
 	// resumable: every cacheable point periodically publishes a
 	// sim-state checkpoint named by the sha256 of its cache key. A killed
@@ -391,19 +388,13 @@ func (r *Runner) point(ctx context.Context, cfg sim.Config, sp Spec) (res sim.Re
 	}
 }
 
-// Run executes every spec and returns the results in spec order. On
+// RunContext executes every spec and returns the results in spec order. On
 // failure it returns the error of the lowest-index failing spec, so error
-// reporting is as deterministic as the results themselves. It is
-// RunContext with a background context and the Runner's own Observer.
-func (r *Runner) Run(base Base, specs []Spec) ([]sim.Result, error) {
-	return r.RunContext(context.Background(), base, specs, nil)
-}
-
-// RunContext is Run with cooperative cancellation and a per-call observer —
-// the shape a multi-tenant sweep service needs, where one shared Runner
-// (one memo cache, one worker pool, one durable store) executes many
-// concurrent jobs that each want their own progress events and cancel
-// switch.
+// reporting is as deterministic as the results themselves. The context and
+// observer are per call — the shape a multi-tenant sweep service needs,
+// where one shared Runner (one memo cache, one worker pool, one durable
+// store) executes many concurrent jobs that each want their own progress
+// events and cancel switch.
 //
 // Cancellation is at sweep-point granularity: once ctx is done, points not
 // yet simulating return ctx.Err() immediately (including points waiting for
@@ -413,16 +404,13 @@ func (r *Runner) Run(base Base, specs []Spec) ([]sim.Result, error) {
 // entry is evicted so concurrent duplicates from live contexts re-claim and
 // simulate.
 //
-// obs receives this call's per-point completion events; nil falls back to
-// the Runner's Observer field. Calls to either are serialized Runner-wide.
+// obs, when non-nil, receives this call's per-point completion events;
+// calls are serialized Runner-wide.
 //
 // Only the actual simulations occupy worker slots; points waiting on a
 // concurrently executing duplicate (or served from the cache) do not, so a
 // single worker can never deadlock against its own duplicates.
 func (r *Runner) RunContext(ctx context.Context, base Base, specs []Spec, obs Observer) ([]sim.Result, error) {
-	if obs == nil {
-		obs = r.Observer
-	}
 	results := make([]sim.Result, len(specs))
 	errs := make([]error, len(specs))
 	var wg sync.WaitGroup

@@ -50,7 +50,7 @@ func TestDeterminism(t *testing.T) {
 		{Workers: 1, NoCache: true},
 		{Workers: 8, NoCache: true},
 	} {
-		res, err := r.Run(base, specs)
+		res, err := r.RunContext(context.Background(), base, specs, nil)
 		if err != nil {
 			t.Fatalf("Workers=%d NoCache=%t: %v", r.Workers, r.NoCache, err)
 		}
@@ -70,7 +70,7 @@ func TestDeterminism(t *testing.T) {
 func TestCacheDedup(t *testing.T) {
 	r := &Runner{Workers: 4}
 	specs := testSpecs()
-	res, err := r.Run(testBase(), specs)
+	res, err := r.RunContext(context.Background(), testBase(), specs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestCacheDedup(t *testing.T) {
 		t.Error("duplicate specs returned different results")
 	}
 	// A second Run of the same grid is served entirely from the cache.
-	res2, err := r.Run(testBase(), specs)
+	res2, err := r.RunContext(context.Background(), testBase(), specs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestCacheDedup(t *testing.T) {
 func TestNoCacheRunsEveryPoint(t *testing.T) {
 	r := &Runner{Workers: 2, NoCache: true}
 	specs := testSpecs()
-	if _, err := r.Run(testBase(), specs); err != nil {
+	if _, err := r.RunContext(context.Background(), testBase(), specs, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.Stats(); st.SimRuns != len(specs) || st.CacheHits != 0 {
@@ -224,18 +224,16 @@ func TestGridExpand(t *testing.T) {
 func TestObserverEvents(t *testing.T) {
 	var mu sync.Mutex
 	events := map[int]PointEvent{}
-	r := &Runner{
-		Workers: 4,
-		Observer: ObserverFunc(func(ev PointEvent) {
-			// The runner serializes observer calls; the mutex only guards
-			// against the test goroutine reading early.
-			mu.Lock()
-			events[ev.Index] = ev
-			mu.Unlock()
-		}),
-	}
+	r := &Runner{Workers: 4}
+	obs := ObserverFunc(func(ev PointEvent) {
+		// The runner serializes observer calls; the mutex only guards
+		// against the test goroutine reading early.
+		mu.Lock()
+		events[ev.Index] = ev
+		mu.Unlock()
+	})
 	specs := testSpecs()
-	if _, err := r.Run(testBase(), specs); err != nil {
+	if _, err := r.RunContext(context.Background(), testBase(), specs, obs); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -271,13 +269,13 @@ func TestRunErrorIsDeterministic(t *testing.T) {
 		{Scheme: core.Baseline(), Bench: "mcf"},
 	}
 	r := &Runner{Workers: 4}
-	_, err := r.Run(testBase(), specs)
+	_, err := r.RunContext(context.Background(), testBase(), specs, nil)
 	if err == nil {
 		t.Fatal("invalid spec must fail the run")
 	}
 	want := fmt.Sprintf("%v", err)
 	for i := 0; i < 3; i++ {
-		_, err2 := (&Runner{Workers: 4}).Run(testBase(), specs)
+		_, err2 := (&Runner{Workers: 4}).RunContext(context.Background(), testBase(), specs, nil)
 		if err2 == nil || fmt.Sprintf("%v", err2) != want {
 			t.Fatalf("error not deterministic: %v vs %v", err2, err)
 		}
@@ -294,13 +292,13 @@ const ckptInterval = 801
 func TestCheckpointSweepUnperturbed(t *testing.T) {
 	base := testBase()
 	specs := testSpecs()
-	plain, err := (&Runner{Workers: 4}).Run(base, specs)
+	plain, err := (&Runner{Workers: 4}).RunContext(context.Background(), base, specs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
 	r := &Runner{Workers: 4, CheckpointDir: dir, CheckpointEvery: ckptInterval}
-	res, err := r.Run(base, specs)
+	res, err := r.RunContext(context.Background(), base, specs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +323,7 @@ func TestCheckpointSweepUnperturbed(t *testing.T) {
 func TestCheckpointSweepResume(t *testing.T) {
 	base := testBase()
 	sp := Spec{Scheme: core.LazyC(6), Bench: "mcf"}
-	cold, err := (&Runner{Workers: 1}).Run(base, []Spec{sp})
+	cold, err := (&Runner{Workers: 1}).RunContext(context.Background(), base, []Spec{sp}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +345,7 @@ func TestCheckpointSweepResume(t *testing.T) {
 		t.Fatalf("no mid-run checkpoint written: %v", err)
 	}
 
-	res, err := r.Run(base, []Spec{sp})
+	res, err := r.RunContext(context.Background(), base, []Spec{sp}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +365,7 @@ func TestCheckpointSweepResume(t *testing.T) {
 func TestCheckpointCorruptFallsBackCold(t *testing.T) {
 	base := testBase()
 	sp := Spec{Scheme: core.Baseline(), Bench: "lbm"}
-	cold, err := (&Runner{Workers: 1}).Run(base, []Spec{sp})
+	cold, err := (&Runner{Workers: 1}).RunContext(context.Background(), base, []Spec{sp}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +378,7 @@ func TestCheckpointCorruptFallsBackCold(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not a checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.Run(base, []Spec{sp})
+	res, err := r.RunContext(context.Background(), base, []Spec{sp}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +429,7 @@ func TestMemoStoreRoundTrip(t *testing.T) {
 	specs := testSpecs()
 
 	first := &Runner{Workers: 4, Store: store}
-	want, err := first.Run(base, specs)
+	want, err := first.RunContext(context.Background(), base, specs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,8 +444,8 @@ func TestMemoStoreRoundTrip(t *testing.T) {
 	// unique point must be answered by the store.
 	second := &Runner{Workers: 4, Store: store}
 	var events []PointEvent
-	second.Observer = ObserverFunc(func(ev PointEvent) { events = append(events, ev) })
-	got, err := second.Run(base, specs)
+	obs := ObserverFunc(func(ev PointEvent) { events = append(events, ev) })
+	got, err := second.RunContext(context.Background(), base, specs, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +483,7 @@ func TestMemoStoreSkipsUncacheable(t *testing.T) {
 	r := &Runner{Workers: 1, Store: store}
 	sc := core.Baseline()
 	sc.HardErrorFn = func(pcm.LineAddr) int { return 0 } // opaque: unkeyable
-	if _, err := r.Run(testBase(), []Spec{{Scheme: sc, Bench: "lbm"}}); err != nil {
+	if _, err := r.RunContext(context.Background(), testBase(), []Spec{{Scheme: sc, Bench: "lbm"}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if store.loads != 0 || store.stores != 0 {
@@ -529,23 +527,49 @@ func TestCanceledOwnerDoesNotPoisonCache(t *testing.T) {
 	}
 }
 
-// TestRunContextPerCallObserver: the per-call observer wins over the Runner
-// field, so concurrent jobs sharing one Runner get their own event streams.
+// TestRunContextPerCallObserver: concurrent RunContext calls sharing one
+// Runner each see exactly their own call's points, even when their specs
+// overlap — and the shared point still simulates once.
 func TestRunContextPerCallObserver(t *testing.T) {
-	var viaField, viaCall int
-	r := &Runner{Workers: 2, Observer: ObserverFunc(func(PointEvent) { viaField++ })}
-	obs := ObserverFunc(func(PointEvent) { viaCall++ })
-	specs := testSpecs()[:2]
-	if _, err := r.RunContext(context.Background(), testBase(), specs, obs); err != nil {
-		t.Fatal(err)
+	r := &Runner{Workers: 2}
+	all := testSpecs()
+	calls := [][]Spec{all[:2], all[1:3]} // all[1] is in both calls
+	seen := make([][]PointEvent, len(calls))
+	var wg sync.WaitGroup
+	for c := range calls {
+		// Tags are not part of the cache key: they only mark whose call an
+		// event belongs to.
+		specs := append([]Spec(nil), calls[c]...)
+		for i := range specs {
+			specs[i].Tag = fmt.Sprintf("call-%d", c)
+		}
+		calls[c] = specs
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			obs := ObserverFunc(func(ev PointEvent) { seen[c] = append(seen[c], ev) })
+			if _, err := r.RunContext(context.Background(), testBase(), specs, obs); err != nil {
+				t.Error(err)
+			}
+		}(c)
 	}
-	if viaCall != len(specs) || viaField != 0 {
-		t.Errorf("observer calls: per-call %d (want %d), field %d (want 0)", viaCall, len(specs), viaField)
+	wg.Wait()
+	for c, specs := range calls {
+		if len(seen[c]) != len(specs) {
+			t.Fatalf("call %d observed %d events, want %d", c, len(seen[c]), len(specs))
+		}
+		got := map[int]bool{}
+		for _, ev := range seen[c] {
+			want := specs[ev.Index]
+			if got[ev.Index] || ev.Total != len(specs) || ev.Spec.Tag != want.Tag ||
+				ev.Spec.Bench != want.Bench || ev.Spec.Scheme.Name != want.Scheme.Name {
+				t.Errorf("call %d: foreign or duplicate event %d %s/%s/%s",
+					c, ev.Index, ev.Spec.Tag, ev.Spec.Scheme.Name, ev.Spec.Bench)
+			}
+			got[ev.Index] = true
+		}
 	}
-	if _, err := r.Run(testBase(), specs); err != nil {
-		t.Fatal(err)
-	}
-	if viaField != len(specs) {
-		t.Errorf("Run fell back to field observer %d times, want %d", viaField, len(specs))
+	if st := r.Stats(); st.SimRuns != 3 || st.CacheHits != 1 {
+		t.Errorf("stats = %+v, want 3 simulations and 1 cache hit for the shared point", st)
 	}
 }

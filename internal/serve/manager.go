@@ -96,17 +96,19 @@ func (s JobSpec) Validate() error {
 // options maps the spec onto the experiment harness.
 func (s JobSpec) options() experiments.Options {
 	return experiments.Options{
-		RefsPerCore:    s.RefsPerCore,
-		Cores:          s.Cores,
-		MemPages:       s.MemMB * 256, // 4KB pages
-		RegionPages:    s.RegionPages,
-		Benchmarks:     s.Benchmarks,
-		Schemes:        s.Schemes,
-		Seed:           s.Seed,
-		CollectMetrics: true,
-		TraceEvents:    s.TraceEvents,
-		HeatmapRegions: s.HeatmapRegions,
-		Topology:       s.Topology,
+		Base: runner.Base{
+			RefsPerCore:    s.RefsPerCore,
+			Cores:          s.Cores,
+			MemPages:       s.MemMB * 256, // 4KB pages
+			RegionPages:    s.RegionPages,
+			Seed:           s.Seed,
+			CollectMetrics: true,
+			TraceEvents:    s.TraceEvents,
+			HeatmapRegions: s.HeatmapRegions,
+			Topology:       s.Topology,
+		},
+		Benchmarks: s.Benchmarks,
+		Schemes:    s.Schemes,
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -43,7 +44,7 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := &runner.Runner{Store: s}
-	res, err := r.Run(smallBase(), smallSpecs())
+	res, err := r.RunContext(context.Background(), smallBase(), smallSpecs(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	r2 := &runner.Runner{Store: s2}
-	res2, err := r2.Run(smallBase(), smallSpecs())
+	res2, err := r2.RunContext(context.Background(), smallBase(), smallSpecs(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestDiskStoreCorruptEntryReSimulated(t *testing.T) {
 	}
 	specs := smallSpecs()[:1]
 	r := &runner.Runner{Store: s}
-	want, err := r.Run(smallBase(), specs)
+	want, err := r.RunContext(context.Background(), smallBase(), specs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestDiskStoreCorruptEntryReSimulated(t *testing.T) {
 				t.Fatal(err)
 			}
 			r2 := &runner.Runner{Store: s2}
-			got, err := r2.Run(smallBase(), specs)
+			got, err := r2.RunContext(context.Background(), smallBase(), specs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,6 +6,10 @@
 #   scripts/golden.sh --check    # regenerate and diff (CI; default)
 #   scripts/golden.sh --update   # refresh the pinned tables (make golden)
 #
+# --check also runs `-exp all` twice, sequential without the memo cache and
+# on four workers with it: one executor then spans every figure, and each
+# stdout must equal the pinned tables concatenated in registry order.
+#
 # The tables are deterministic: the sweep executor produces bit-identical
 # results regardless of worker count, and every stochastic element derives
 # from -seed. An intentional change to simulator behaviour is recorded by
@@ -44,8 +48,18 @@ case "$mode" in
       status=1
     fi
   done
+  for exp in "${EXPS[@]}"; do
+    cat "testdata/golden/$exp.txt"
+  done >"$tmp/all.txt"
+  for exec_flags in "-parallel 1 -no-cache" "-parallel 4"; do
+    "$tmp/sdpcm-bench" -exp all "${GOLDEN_FLAGS[@]}" $exec_flags >"$tmp/all-run.txt" 2>/dev/null
+    if ! diff -u "$tmp/all.txt" "$tmp/all-run.txt"; then
+      echo "golden mismatch: -exp all $exec_flags differs from the concatenated tables" >&2
+      status=1
+    fi
+  done
   if [ "$status" -eq 0 ]; then
-    echo "golden tables match (${#EXPS[@]} tables, byte-for-byte)"
+    echo "golden tables match (${#EXPS[@]} tables, and -exp all at -parallel 1 -no-cache and -parallel 4, byte-for-byte)"
   fi
   exit "$status"
   ;;

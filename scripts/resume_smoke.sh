@@ -17,6 +17,10 @@
 #
 # The checkpoint interval is >50% of the run so the file is written exactly
 # once and never overwritten — the resume always starts from mid-run state.
+#
+# Before the legs, each half of a checkpoint flag pair (-checkpoint or
+# -checkpoint-dir without -checkpoint-every, and -checkpoint-every alone, on
+# sdpcm-sim and sdpcm-bench) must exit 2 and leave no checkpoint behind.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,6 +40,34 @@ trap cleanup EXIT
 
 go build -o "$tmp/sdpcm-sim" ./cmd/sdpcm-sim
 go build -race -o "$tmp/sdpcm-sim-race" ./cmd/sdpcm-sim
+go build -o "$tmp/sdpcm-bench" ./cmd/sdpcm-bench
+
+# reject NAME BINARY [FLAGS...]: the run must exit 2 and, run in an empty
+# directory, leave it empty — no checkpoint file or directory appears.
+reject() {
+  local name="$1" bin="$2"
+  shift 2
+  local dir="$tmp/reject-$name" code=0
+  mkdir "$dir"
+  (cd "$dir" && "$bin" "$@" >/dev/null 2>"$tmp/reject.err") || code=$?
+  if [ "$code" -ne 2 ]; then
+    echo "$name: exit $code, want 2" >&2
+    cat "$tmp/reject.err" >&2
+    exit 1
+  fi
+  if [ -n "$(ls -A "$dir")" ]; then
+    echo "$name: rejected run left files behind: $(ls -A "$dir")" >&2
+    exit 1
+  fi
+  echo "== $name rejected: $(head -n 1 "$tmp/reject.err")"
+}
+
+SIM_SMALL=(-bench lbm -refs 2000 -cores 2 -no-baseline)
+BENCH_SMALL=(-exp fig4 -refs 2000 -cores 2 -benchmarks lbm -mem-mb 64 -region-pages 256)
+reject sim-checkpoint-only "$tmp/sdpcm-sim" "${SIM_SMALL[@]}" -checkpoint run.ckpt
+reject sim-every-only "$tmp/sdpcm-sim" "${SIM_SMALL[@]}" -checkpoint-every 1000
+reject bench-dir-only "$tmp/sdpcm-bench" "${BENCH_SMALL[@]}" -checkpoint-dir ckpt
+reject bench-every-only "$tmp/sdpcm-bench" "${BENCH_SMALL[@]}" -checkpoint-every 1000
 
 # The two-module demo topology (topo.Demo2, the fig-topo2 layout).
 cat >"$tmp/demo2.json" <<'JSON'
@@ -91,4 +123,4 @@ leg() {
 leg plain "$tmp/sdpcm-sim"
 leg race "$tmp/sdpcm-sim-race"
 leg topology "$tmp/sdpcm-sim" -topology "$tmp/demo2.json"
-echo "resume smoke OK: killed-and-resumed output byte-identical (plain, race and topology legs)"
+echo "resume smoke OK: half-set checkpoint flags rejected; killed-and-resumed output byte-identical (plain, race and topology legs)"

@@ -148,8 +148,8 @@ func Run(cfg SimConfig) (SimResult, error) { return sim.Run(cfg) }
 // Checkpoint/resume re-exports: set SimConfig.CheckpointEvery/CheckpointPath
 // to periodically snapshot a run's complete state, and SimConfig.ResumeFrom
 // to continue from such a snapshot with a Result byte-identical to the
-// uninterrupted run. Sweeps checkpoint through
-// ExperimentOptions.CheckpointDir / SweepRunner.CheckpointDir.
+// uninterrupted run. Sweeps checkpoint through SweepRunner.CheckpointDir
+// (with SweepRunner.CheckpointEvery).
 var (
 	// ErrResume marks a checkpoint that cannot be used (missing, corrupt,
 	// version-incompatible, or from a different configuration); callers fall
@@ -366,8 +366,9 @@ func CapacityComparison(capacityGB float64) (sdpcmGB, dinGB, improvement float64
 // corresponding table/figure of the paper's §6 and returns a renderable
 // result table.
 
-// ExperimentOptions scales the experiment harness (trace length, cores,
-// memory size, benchmark subset, seed).
+// ExperimentOptions names one sweep: the embedded SweepBase (trace length,
+// cores, memory size, seed, observability), the benchmark subset and scheme
+// roster, and the per-call executor (Exec), observer and context.
 type ExperimentOptions = experiments.Options
 
 // ResultTable is a named grid of experiment results; its String method
@@ -396,9 +397,11 @@ type SweepBase = runner.Base
 type SweepOverrides = runner.Overrides
 
 // SweepRunner executes sweep points in parallel, memoizing results by
-// resolved configuration. The zero value is ready to use; share one runner
-// across several figure calls (via ExperimentOptions.Exec) to deduplicate
-// points between figures.
+// resolved configuration; its fields (Workers, NoCache, Store,
+// CheckpointDir, CheckpointEvery) are the executor's only knobs. The zero
+// value is ready to use; assign one runner to ExperimentOptions.Exec across
+// several figure calls to deduplicate points between figures (the
+// sdpcm-bench -exp all path).
 type SweepRunner = runner.Runner
 
 // SweepStats is a snapshot of a runner's point/simulation/cache counters.
@@ -406,8 +409,8 @@ type SweepStats = runner.Stats
 
 // SweepMemoStore is the durable tier under a runner's in-memory memo
 // cache: assign one (e.g. the sweep service's on-disk result store) to
-// SweepRunner.Store or ExperimentOptions.Store and cacheable points hit
-// disk across processes instead of re-simulating.
+// SweepRunner.Store and cacheable points hit disk across processes instead
+// of re-simulating.
 type SweepMemoStore = runner.MemoStore
 
 // SweepObserver receives one event per completed sweep point.
@@ -426,11 +429,6 @@ func SweepProgress(w io.Writer) SweepObserver { return runner.Progress(w) }
 
 // SweepMulti fans each event out to every observer in order.
 func SweepMulti(obs ...SweepObserver) SweepObserver { return runner.Multi(obs...) }
-
-// NewSweepRunner builds a sweep executor from experiment options; assign it
-// to ExperimentOptions.Exec to share its memo cache across figures (the
-// sdpcm-bench -exp all path).
-func NewSweepRunner(o ExperimentOptions) *SweepRunner { return experiments.NewRunner(o) }
 
 // Experiment regenerators, one per published table/figure.
 var (
