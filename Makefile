@@ -57,7 +57,8 @@ serve-smoke:
 # Kill a checkpointing sdpcm-sim run with SIGKILL at ~50%, resume it, and
 # diff the output byte-for-byte against an uninterrupted run — one
 # kill-and-resume per build mode, plain and -race (the CI resume-determinism
-# job).
+# job) — then rerun an sdpcm-bench sweep against a warm -result-store and
+# require identical tables with 0 simulated.
 resume-smoke:
 	./scripts/resume_smoke.sh
 

@@ -38,57 +38,6 @@ import (
 // API never drift apart.
 var experiments = sdpcm.Experiments()
 
-// tally accumulates sweep-point events for one experiment's summary line.
-type tally struct {
-	points, cached int
-	simWall        time.Duration
-}
-
-func (t *tally) PointDone(ev sdpcm.SweepEvent) {
-	t.points++
-	if ev.Cached {
-		t.cached++
-	} else {
-		t.simWall += ev.Wall
-	}
-}
-
-// aggregator folds every completed point's metrics snapshot (and, when
-// enabled, its WD heatmap) into one cross-sweep aggregate. Merging is
-// commutative (counters and histogram buckets sum, gauges keep the max,
-// heatmap cells sum), so the aggregate is deterministic regardless of worker
-// count or completion order.
-type aggregator struct {
-	merged *sdpcm.MetricsSnapshot
-	heat   *sdpcm.HeatmapSnapshot
-	// publish, when set, receives a copy of the running aggregate after each
-	// point — the live /metrics feed. The copy is shallow: Merge builds fresh
-	// slices for the next aggregate, so a published snapshot is never written
-	// again.
-	publish func(*sdpcm.MetricsSnapshot)
-}
-
-func (a *aggregator) PointDone(ev sdpcm.SweepEvent) {
-	if ev.Err != nil || ev.Result == nil {
-		return
-	}
-	a.heat = a.heat.Merge(ev.Result.Heatmap)
-	if ev.Result.Metrics == nil {
-		return
-	}
-	a.merged = a.merged.Merge(ev.Result.Metrics)
-	if a.publish != nil && a.merged != nil {
-		cp := *a.merged
-		a.publish(&cp)
-	}
-}
-
-func (t *tally) reset() tally {
-	out := *t
-	*t = tally{}
-	return out
-}
-
 func main() { os.Exit(run()) }
 
 // run is main's body; it returns the exit code instead of calling os.Exit so
@@ -226,13 +175,10 @@ func run() int {
 			opts.Schemes = append(opts.Schemes, s)
 		}
 	}
-	counts := &tally{}
-	agg := &aggregator{}
-	observers := []sdpcm.SweepObserver{counts, agg}
-	if *progress {
-		observers = append(observers, sdpcm.SweepProgress(os.Stderr))
-	}
-	var tracker *sdpcm.ObsProgress
+	// One fold of every point event: the stderr stats lines, -metrics,
+	// -heatmap, -heatmap-json and -bench-json all read it, and under
+	// -listen it is the server's tracker, so /metrics serves its aggregate.
+	prog := obs.NewProgress()
 	if *listen != "" {
 		srv := sdpcm.NewObsServer()
 		addr, err := srv.Start(*listen)
@@ -242,11 +188,12 @@ func run() int {
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "obs: listening on http://%s\n", addr)
-		agg.publish = srv.SetSnapshot
-		tracker = srv.Progress()
-		observers = append(observers, tracker)
+		prog = srv.Progress()
 	}
-	opts.Observer = sdpcm.SweepMulti(observers...)
+	opts.Observer = prog
+	if *progress {
+		opts.Observer = sdpcm.SweepMulti(prog, sdpcm.SweepProgress(os.Stderr))
+	}
 
 	want := map[string]bool{}
 	runAll := *exp == "all"
@@ -276,9 +223,7 @@ func run() int {
 			continue
 		}
 		ranExps = append(ranExps, e.Name)
-		if tracker != nil {
-			tracker.Begin(e.Name)
-		}
+		prog.Begin(e.Name)
 		expStart := time.Now()
 		tb, err := e.Run(opts)
 		if err != nil {
@@ -287,44 +232,47 @@ func run() int {
 		}
 		fmt.Println(tb)
 		fmt.Println()
-		c := counts.reset()
-		if c.points > 0 {
-			fmt.Fprintf(os.Stderr, "(%s completed in %v: %d points, %d simulated, %d cache hits, %s)\n",
-				e.Name, time.Since(expStart).Round(time.Millisecond),
-				c.points, c.points-c.cached, c.cached, heapString())
+		wall := time.Since(expStart).Round(time.Millisecond)
+		exps := prog.Snapshot().Experiments
+		c := exps[len(exps)-1]
+		if c.Done > 0 {
+			fmt.Fprintf(os.Stderr, "(%s completed in %v: %d points, %d simulated, %d cache hits, %d store hits, %s)\n",
+				e.Name, wall, c.Done, c.Simulated(), c.Cached, c.Stored, heapString())
 		} else {
-			fmt.Fprintf(os.Stderr, "(%s completed in %v, %s)\n",
-				e.Name, time.Since(expStart).Round(time.Millisecond), heapString())
+			fmt.Fprintf(os.Stderr, "(%s completed in %v, %s)\n", e.Name, wall, heapString())
 		}
-		logger.Info("experiment done", "exp", e.Name,
-			"wall", time.Since(expStart).Round(time.Millisecond),
-			"points", c.points, "cache_hits", c.cached)
+		logger.Info("experiment done", "exp", e.Name, "wall", wall,
+			"points", c.Done, "sim_runs", c.Simulated(),
+			"cache_hits", c.Cached, "store_hits", c.Stored)
 	}
-	st := exec.Stats()
-	if st.Points > 0 {
-		fmt.Fprintf(os.Stderr, "total: %d points, %d simulated, %d cache hits, %v wall (parallel=%d), %s\n",
-			st.Points, st.SimRuns, st.CacheHits,
-			time.Since(start).Round(time.Millisecond), *parallel, heapString())
+	wall := time.Since(start)
+	st := prog.Snapshot()
+	if st.PointsDone > 0 {
+		fmt.Fprintf(os.Stderr, "total: %d points, %d simulated, %d cache hits, %d store hits, %v wall (parallel=%d), %s\n",
+			st.PointsDone, st.PointsSimulated(), st.PointsCached, st.PointsStored,
+			wall.Round(time.Millisecond), *parallel, heapString())
 		logger.Info("sweep done", "experiments", len(ranExps),
-			"points", st.Points, "sim_runs", st.SimRuns,
-			"cache_hits", st.CacheHits, "store_hits", st.StoreHits,
-			"wall", time.Since(start).Round(time.Millisecond))
+			"points", st.PointsDone, "sim_runs", st.PointsSimulated(),
+			"cache_hits", st.PointsCached, "store_hits", st.PointsStored,
+			"wall", wall.Round(time.Millisecond))
 	}
+	merged := prog.Metrics()
 	if *metricf != "" {
 		var err error
 		if *metricf == "json" {
-			err = agg.merged.WriteJSON(os.Stdout)
+			err = merged.WriteJSON(os.Stdout)
 		} else {
-			err = agg.merged.WriteTable(os.Stdout)
+			err = merged.WriteTable(os.Stdout)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
 	}
+	heat := prog.Heatmap()
 	if *heatTab {
 		fmt.Println()
-		if err := sdpcm.WriteHeatmapTable(os.Stdout, agg.heat); err != nil {
+		if err := sdpcm.WriteHeatmapTable(os.Stdout, heat); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
@@ -332,7 +280,7 @@ func run() int {
 	if *heatOut != "" {
 		f, err := os.Create(*heatOut)
 		if err == nil {
-			err = sdpcm.WriteHeatmapJSON(f, agg.heat)
+			err = sdpcm.WriteHeatmapJSON(f, heat)
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}
@@ -343,7 +291,7 @@ func run() int {
 		}
 	}
 	if *benchOut != "" {
-		if err := writeBenchRecord(*benchOut, ranExps, st, time.Since(start), agg.merged); err != nil {
+		if err := writeBenchRecord(*benchOut, ranExps, st, wall, merged); err != nil {
 			fmt.Fprintf(os.Stderr, "sdpcm-bench: %v\n", err)
 			return 1
 		}
@@ -373,7 +321,7 @@ type benchRecord struct {
 	Metrics     *sdpcm.MetricsSnapshot `json:"metrics,omitempty"`
 }
 
-func writeBenchRecord(path string, exps []string, st sdpcm.SweepStats, wall time.Duration, m *sdpcm.MetricsSnapshot) error {
+func writeBenchRecord(path string, exps []string, st sdpcm.ObsProgressSnapshot, wall time.Duration, m *sdpcm.MetricsSnapshot) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -382,9 +330,9 @@ func writeBenchRecord(path string, exps []string, st sdpcm.SweepStats, wall time
 	enc.SetIndent("", "  ")
 	err = enc.Encode(benchRecord{
 		Experiments: exps,
-		Points:      st.Points,
-		SimRuns:     st.SimRuns,
-		CacheHits:   st.CacheHits,
+		Points:      st.PointsDone,
+		SimRuns:     st.PointsSimulated(),
+		CacheHits:   st.PointsCached,
 		WallSeconds: wall.Seconds(),
 		Metrics:     m,
 	})

@@ -4,26 +4,14 @@ import (
 	"reflect"
 	"testing"
 
+	"sdpcm/internal/obs"
 	"sdpcm/internal/runner"
 	"sdpcm/internal/wd"
 )
 
-// collectHeatmaps merges every point's heatmap the way sdpcm-bench's
-// aggregator does.
-type collectHeatmaps struct {
-	merged *wd.HeatmapSnapshot
-	points int
-}
-
-func (c *collectHeatmaps) PointDone(ev runner.PointEvent) {
-	c.points++
-	if ev.Err == nil && ev.Result != nil {
-		c.merged = c.merged.Merge(ev.Result.Heatmap)
-	}
-}
-
 // TestHeatmapDeterministicAcrossParallel is the acceptance check for the
-// sweep-level heatmap: the merged aggregate must be bit-identical whether
+// sweep-level heatmap, folded through obs.Progress as sdpcm-bench and the
+// sweep service fold it: the merged aggregate must be bit-identical whether
 // the points run sequentially or on four workers (merge commutativity plus
 // per-point determinism).
 func TestHeatmapDeterministicAcrossParallel(t *testing.T) {
@@ -32,18 +20,19 @@ func TestHeatmapDeterministicAcrossParallel(t *testing.T) {
 		o.Benchmarks = []string{"lbm", "mcf"}
 		o.HeatmapRegions = 8
 		o.Exec = &runner.Runner{Workers: parallel}
-		c := &collectHeatmaps{}
-		o.Observer = c
+		p := obs.NewProgress()
+		o.Observer = p
 		if _, err := Fig12(o); err != nil {
 			t.Fatal(err)
 		}
-		if c.points == 0 {
+		if p.Snapshot().PointsDone == 0 {
 			t.Fatal("observer saw no points")
 		}
-		if c.merged == nil {
+		merged := p.Heatmap()
+		if merged == nil {
 			t.Fatal("no heatmaps collected despite HeatmapRegions")
 		}
-		return c.merged
+		return merged
 	}
 	seq := run(1)
 	par := run(4)
@@ -63,7 +52,7 @@ func TestHeatmapFlowsThroughCache(t *testing.T) {
 	o.HeatmapRegions = 4
 	ex := &runner.Runner{}
 	o.Exec = ex
-	c := &collectHeatmaps{}
+	p := obs.NewProgress()
 
 	// First pass simulates; run it without the observer.
 	if _, err := Fig12(o); err != nil {
@@ -71,12 +60,12 @@ func TestHeatmapFlowsThroughCache(t *testing.T) {
 	}
 	// Second identical pass is served from the memo cache; pass the
 	// observer with this figure call only.
-	o.Observer = c
+	o.Observer = p
 	if _, err := Fig12(o); err != nil {
 		t.Fatal(err)
 	}
-	if c.points == 0 || c.merged == nil {
-		t.Fatalf("cached pass delivered %d points, merged=%v", c.points, c.merged)
+	if n, merged := p.Snapshot().PointsDone, p.Heatmap(); n == 0 || merged == nil {
+		t.Fatalf("cached pass delivered %d points, merged=%v", n, merged)
 	}
 	st := ex.Stats()
 	if st.CacheHits == 0 {

@@ -5,10 +5,16 @@
 // exporters — Perfetto/Chrome trace-event timelines from the typed event
 // ring, and ASCII/JSON renderings of the WD spatial heatmap.
 //
+// Progress is the one fold of a sweep's point events: outcome counts, rate
+// and ETA, and the merged metrics and heatmap aggregate. sdpcm-bench and
+// the sweep service's jobs both read their sweeps through it. Lifecycle is
+// the start/graceful-stop code shared by this package's Server and the
+// sweep service's.
+//
 // Everything here is pull-based and zero-cost when unused: producers hand
-// the server immutable snapshots (sim.Config.OnSnapshot, or a sweep
-// observer), and HTTP handlers render whatever snapshot is current. Nothing
-// in this package touches the simulator's hot path.
+// the server immutable snapshots (sim.Config.OnSnapshot) or feed its
+// Progress as a sweep observer, and HTTP handlers render whatever is
+// current. Nothing in this package touches the simulator's hot path.
 package obs
 
 import (
@@ -25,28 +31,66 @@ import (
 	"sdpcm/internal/metrics"
 )
 
+// shutdownTimeout bounds how long Lifecycle.Close waits for in-flight
+// requests before the hard stop; a variable only so tests can shorten it.
+var shutdownTimeout = 5 * time.Second
+
+// Lifecycle runs an HTTP handler in the background and stops it
+// gracefully. Server and the sweep service's server embed it; the zero
+// value is ready to use.
+type Lifecycle struct {
+	srv *http.Server
+}
+
+// Start binds addr (":0" picks a free port) and serves h in a background
+// goroutine, returning the bound address.
+func (l *Lifecycle) Start(addr string, h http.Handler) (string, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", err
+	}
+	l.srv = &http.Server{Handler: h}
+	go l.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
+	return ln.Addr().String(), nil
+}
+
+// Close stops a started server gracefully; a no-op otherwise. It drains:
+// the listener closes immediately (no new connections), but requests
+// already in flight — a Prometheus scrape mid-render, say — get up to 5s
+// to complete before the hard stop drops whatever is left.
+func (l *Lifecycle) Close() error {
+	if l.srv == nil {
+		return nil
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+	defer cancel()
+	if err := l.srv.Shutdown(ctx); err != nil {
+		// Timed out (or the context machinery failed): fall back to the
+		// hard stop so Close never hangs on a stuck connection.
+		return l.srv.Close()
+	}
+	return nil
+}
+
 // Server serves the live observability endpoints:
 //
 //	/metrics       Prometheus text exposition of the current snapshot
-//	/progress      sweep progress JSON (points done/cached/errored, rate, ETA)
+//	/progress      sweep progress JSON (points done/cached/stored/errored, rate, ETA)
 //	/events        most recent event-ring records as JSON (?n= limits)
 //	/debug/pprof/  the standard Go profiling endpoints
 //
-// Producers publish with SetSnapshot (which sim.Config.OnSnapshot can point
-// at directly) and by feeding the Progress tracker; handlers read under a
-// lock, so publication and serving never race. The zero value is not usable;
-// construct with NewServer.
+// The current snapshot is the one last published with SetSnapshot (which
+// sim.Config.OnSnapshot can point at directly); until then it is the
+// Progress tracker's merged sweep aggregate, so a sweep needs only to feed
+// Progress as its observer. Handlers read under a lock, so publication and
+// serving never race. The zero value is not usable; construct with
+// NewServer.
 type Server struct {
-	// ShutdownTimeout bounds how long Close waits for in-flight requests
-	// before falling back to a hard stop (0 picks a 5s default). Set it
-	// before Start.
-	ShutdownTimeout time.Duration
+	Lifecycle
 
 	mu   sync.RWMutex
 	snap *metrics.Snapshot
 	prog *Progress
-	srv  *http.Server
-	ln   net.Listener
 
 	// metricsGate, when non-nil, runs at the top of the /metrics handler —
 	// a test hook for holding a request in flight across a Close call.
@@ -68,12 +112,17 @@ func (s *Server) SetSnapshot(sn *metrics.Snapshot) {
 	s.mu.Unlock()
 }
 
-// Snapshot returns the most recently published snapshot (nil before the
-// first publication).
+// Snapshot returns the most recently published snapshot, or before the
+// first publication a copy of the Progress tracker's merged aggregate (nil
+// while that is empty too).
 func (s *Server) Snapshot() *metrics.Snapshot {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.snap
+	sn := s.snap
+	s.mu.RUnlock()
+	if sn == nil {
+		return s.prog.Metrics()
+	}
+	return sn
 }
 
 // Progress returns the server's sweep tracker, for wiring into a runner
@@ -96,39 +145,11 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Start binds addr (":0" picks a free port) and serves in a background
-// goroutine, returning the bound address. Close shuts the listener down.
+// Start binds addr (":0" picks a free port) and serves the observability
+// mux in a background goroutine, returning the bound address. Close shuts
+// it down.
 func (s *Server) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	s.ln = ln
-	s.srv = &http.Server{Handler: s.Handler()}
-	go s.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
-	return ln.Addr().String(), nil
-}
-
-// Close stops a started server gracefully; a no-op otherwise. It drains:
-// the listener closes immediately (no new connections), but requests
-// already in flight — a Prometheus scrape mid-render, say — get up to
-// ShutdownTimeout to complete before the hard stop drops whatever is left.
-func (s *Server) Close() error {
-	if s.srv == nil {
-		return nil
-	}
-	timeout := s.ShutdownTimeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	if err := s.srv.Shutdown(ctx); err != nil {
-		// Timed out (or the context machinery failed): fall back to the
-		// hard stop so Close never hangs on a stuck connection.
-		return s.srv.Close()
-	}
-	return nil
+	return s.Lifecycle.Start(addr, s.Handler())
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {

@@ -11,6 +11,7 @@ import (
 
 	"sdpcm/internal/metrics"
 	"sdpcm/internal/runner"
+	"sdpcm/internal/wd"
 )
 
 func testServer(t *testing.T) (*Server, *httptest.Server) {
@@ -131,6 +132,57 @@ func TestServerBeforeFirstSnapshot(t *testing.T) {
 	}
 }
 
+// TestServerMetricsFromProgress: until SetSnapshot publishes, /metrics
+// serves the Progress tracker's merged aggregate; a published snapshot then
+// takes precedence.
+func TestServerMetricsFromProgress(t *testing.T) {
+	s, ts := testServer(t)
+	s.Progress().PointDone(pointWith(3, 0))
+	s.Progress().PointDone(pointWith(4, 0))
+	if _, body, _ := get(t, ts.URL+"/metrics"); !strings.Contains(body, "sdpcm_mc_write_ops_total 7") {
+		t.Fatalf("/metrics before SetSnapshot lacks the merged counter:\n%s", body)
+	}
+	r := metrics.New()
+	r.Counter("mc.write_ops").Add(42)
+	s.SetSnapshot(r.Snapshot())
+	if _, body, _ := get(t, ts.URL+"/metrics"); !strings.Contains(body, "sdpcm_mc_write_ops_total 42") {
+		t.Fatalf("/metrics after SetSnapshot lacks the published counter:\n%s", body)
+	}
+}
+
+// TestMetricsScrapeDuringMerge scrapes /metrics and /events while points
+// merge into the aggregate; run under -race it checks the copies readers
+// get never share memory the merge writes.
+func TestMetricsScrapeDuringMerge(t *testing.T) {
+	s, ts := testServer(t)
+	const points = 50
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < points; i++ {
+			s.Progress().PointDone(pointWith(1, 1))
+		}
+	}()
+	for scraping := true; scraping; {
+		select {
+		case <-done:
+			scraping = false
+		default:
+		}
+		for _, path := range []string{"/metrics", "/events"} {
+			if code, _, _ := get(t, ts.URL+path); code != http.StatusOK {
+				t.Fatalf("%s -> %d mid-merge", path, code)
+			}
+		}
+		if h := s.Progress().Heatmap(); h != nil {
+			_ = h.Total(func(c wd.HeatCell) uint64 { return c.Injected })
+		}
+	}
+	if _, body, _ := get(t, ts.URL+"/metrics"); !strings.Contains(body, "sdpcm_mc_write_ops_total 50") {
+		t.Fatalf("/metrics after all merges:\n%s", body)
+	}
+}
+
 // TestRingOverflowStaysDropped: events lost to the bounded ring surface as
 // Dropped even when the client also truncates with ?n=.
 func TestRingOverflowStaysDropped(t *testing.T) {
@@ -237,11 +289,12 @@ func TestCloseDrainsInFlightRequest(t *testing.T) {
 	}
 }
 
-// TestCloseHardStopAfterTimeout: a handler stuck past ShutdownTimeout must
-// not wedge Close forever — the hard-stop fallback kicks in.
+// TestCloseHardStopAfterTimeout: a handler stuck past the shutdown timeout
+// must not wedge Close forever — the hard-stop fallback kicks in.
 func TestCloseHardStopAfterTimeout(t *testing.T) {
+	defer func(d time.Duration) { shutdownTimeout = d }(shutdownTimeout)
+	shutdownTimeout = 50 * time.Millisecond
 	s := NewServer()
-	s.ShutdownTimeout = 50 * time.Millisecond
 	release := make(chan struct{})
 	defer close(release)
 	entered := make(chan struct{})
@@ -260,6 +313,6 @@ func TestCloseHardStopAfterTimeout(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Close hung past ShutdownTimeout")
+		t.Fatal("Close hung past the shutdown timeout")
 	}
 }

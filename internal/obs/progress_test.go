@@ -5,7 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"sdpcm/internal/metrics"
 	"sdpcm/internal/runner"
+	"sdpcm/internal/sim"
+	"sdpcm/internal/wd"
 )
 
 // fakeClock returns a fixed time until tick advances it, so Snapshot reads
@@ -27,30 +30,34 @@ func newTestProgress() (*Progress, *fakeClock) {
 func TestProgressCounts(t *testing.T) {
 	p, c := newTestProgress()
 	p.Begin("fig11")
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 6; i++ {
 		c.tick(time.Second)
-		ev := runner.PointEvent{Index: i, Total: 5}
+		ev := runner.PointEvent{Index: i, Total: 6}
 		switch i {
 		case 1, 2:
 			ev.Cached = true
 		case 4:
 			ev.Err = errors.New("boom")
+		case 5:
+			// A waiter coalesced onto a failed owner: an error, not a hit.
+			ev.Cached = true
+			ev.Err = errors.New("boom")
 		}
 		p.PointDone(ev)
 	}
 	s := p.Snapshot()
-	if s.PointsDone != 5 || s.PointsCached != 2 || s.PointsErrored != 1 {
+	if s.PointsDone != 6 || s.PointsCached != 2 || s.PointsErrored != 2 || s.PointsSimulated() != 2 {
 		t.Fatalf("totals = %+v", s)
 	}
 	if len(s.Experiments) != 1 {
 		t.Fatalf("experiments = %+v", s.Experiments)
 	}
 	e := s.Experiments[0]
-	if e.Name != "fig11" || e.Total != 5 || e.Done != 5 || e.Cached != 2 || e.Errored != 1 {
+	if e.Name != "fig11" || e.Total != 6 || e.Done != 6 || e.Cached != 2 || e.Errored != 2 || e.Simulated() != 2 {
 		t.Fatalf("experiment = %+v", e)
 	}
-	if s.ElapsedSeconds != 5 {
-		t.Fatalf("elapsed = %v, want 5", s.ElapsedSeconds)
+	if s.ElapsedSeconds != 6 {
+		t.Fatalf("elapsed = %v, want 6", s.ElapsedSeconds)
 	}
 }
 
@@ -131,5 +138,37 @@ func TestProgressNewSectionResetsETA(t *testing.T) {
 	// The new, empty section has no Total yet, so nothing remains to estimate.
 	if eta := p.Snapshot().ETASeconds; eta != 0 {
 		t.Fatalf("fresh section ETA = %v, want 0", eta)
+	}
+}
+
+// pointWith builds a successful point event carrying a metrics snapshot with
+// one counter and a one-cell heatmap.
+func pointWith(writes, injected uint64) runner.PointEvent {
+	r := metrics.New()
+	r.Counter("mc.write_ops").Add(writes)
+	hm := &wd.HeatmapSnapshot{Banks: 1, Regions: 1, Cells: [][]wd.HeatCell{{{Injected: injected}}}}
+	return runner.PointEvent{Total: 2, Result: &sim.Result{Metrics: r.Snapshot(), Heatmap: hm}}
+}
+
+func TestProgressMergesAggregate(t *testing.T) {
+	p := NewProgress()
+	if p.Metrics() != nil || p.Heatmap() != nil {
+		t.Fatal("empty tracker must report no aggregate")
+	}
+	p.PointDone(pointWith(3, 5))
+	m, h := p.Metrics(), p.Heatmap()
+	// A failed point contributes nothing; the second success sums in.
+	p.PointDone(runner.PointEvent{Total: 2, Err: errors.New("boom")})
+	p.PointDone(pointWith(4, 6))
+
+	if got := p.Metrics().Counters; len(got) != 1 || got[0].Value != 7 {
+		t.Fatalf("merged counters = %+v, want mc.write_ops 7", got)
+	}
+	if got := p.Heatmap().Cells[0][0].Injected; got != 11 {
+		t.Fatalf("merged injected = %d, want 11", got)
+	}
+	// Copies taken earlier are unaffected by later merges.
+	if m.Counters[0].Value != 3 || h.Cells[0][0].Injected != 5 {
+		t.Fatalf("earlier copies changed: counters %+v, heatmap %+v", m.Counters, h.Cells)
 	}
 }

@@ -70,7 +70,8 @@ type Stats struct {
 func (s Stats) CellWrites() uint64 { return s.ResetPulses + s.SetPulses }
 
 // Add accumulates another Stats value; all fields are additive, so folding
-// per-bank shards in bank order is equivalent to a single global counter.
+// the per-bank counters in bank order is equivalent to a single global
+// counter.
 func (s *Stats) Add(o Stats) {
 	s.Reads += o.Reads
 	s.Writes += o.Writes
@@ -79,13 +80,6 @@ func (s *Stats) Add(o Stats) {
 	s.CorrectionWrites += o.CorrectionWrites
 	s.CorrectionResetPulses += o.CorrectionResetPulses
 	s.DisturbedBits += o.DisturbedBits
-}
-
-// bankStats pads one bank's counters to a full cache line so shard
-// goroutines updating different banks never contend on a shared line.
-type bankStats struct {
-	Stats
-	_ [64 - (8*7)%64]byte
 }
 
 // chunkLines is the number of lines one chunk-table entry covers. Physically
@@ -156,10 +150,9 @@ type Device struct {
 
 	geo Geometry
 
-	// stats is sharded per bank (cache-line padded) so controllers driving
-	// disjoint banks from different goroutines can count without contention;
-	// Stats() folds the shards.
-	stats []bankStats
+	// stats holds one counter set per bank (the checkpoint encodes them per
+	// bank); Stats() folds them.
+	stats []Stats
 
 	store    []bankStore
 	numLines int // cached Lines(): the bound checkRange tests per access
@@ -214,7 +207,7 @@ func NewDevice(cfg Config) (*Device, error) {
 		RowsPerBank: cfg.Pages / nbanks,
 		Timing:      t,
 		geo:         geo,
-		stats:       make([]bankStats, nbanks),
+		stats:       make([]Stats, nbanks),
 		store:       make([]bankStore, nbanks),
 		fillSeed:    cfg.FillSeed,
 		zeroFill:    cfg.ZeroFill,
@@ -238,19 +231,17 @@ func (d *Device) Banks() int { return d.geo.banks }
 // Geometry returns the device's bank layout.
 func (d *Device) Geometry() Geometry { return d.geo }
 
-// Stats folds the per-bank counter shards into one aggregate view. It is
-// only meaningful when no bank is concurrently active (e.g. after a run, or
-// between conservative-window barriers).
+// Stats folds the per-bank counters into one aggregate view.
 func (d *Device) Stats() Stats {
 	var s Stats
-	for b := range d.stats {
-		s.Add(d.stats[b].Stats)
+	for _, b := range d.stats {
+		s.Add(b)
 	}
 	return s
 }
 
-// BankStats returns one bank's counters (same quiescence caveat as Stats).
-func (d *Device) BankStats(bank int) Stats { return d.stats[bank].Stats }
+// BankStats returns one bank's counters.
+func (d *Device) BankStats(bank int) Stats { return d.stats[bank] }
 
 // CountRead attributes one array read to the line's bank without performing
 // it — the controller's read-combining paths serve data from queue state but
@@ -402,7 +393,7 @@ func (d *Device) Write(a LineAddr, new Line, kind WriteKind) WriteResult {
 		ns += bits.OnesCount64(s)
 		l[i] = new[i]
 	}
-	st := &d.stats[bank].Stats
+	st := &d.stats[bank]
 	st.Writes++
 	st.ResetPulses += uint64(nr)
 	st.SetPulses += uint64(ns)

@@ -49,7 +49,7 @@ func (d *Device) EncodeState(e *snap.Encoder) {
 	e.Begin("pcm.device")
 	for b := range d.store {
 		st := &d.store[b]
-		encodeStats(e, d.stats[b].Stats)
+		encodeStats(e, d.stats[b])
 		e.Uvarint(uint64(len(st.hdrs) - 1))
 		for ci, h := range st.chunks {
 			if h == 0 {
@@ -81,7 +81,7 @@ func (d *Device) DecodeState(dec *snap.Decoder) error {
 	dec.Begin("pcm.device")
 	for b := range d.store {
 		st := &d.store[b]
-		decodeStats(dec, &d.stats[b].Stats)
+		decodeStats(dec, &d.stats[b])
 		if len(st.hdrs) > 1 {
 			clear(st.chunks)
 			st.hdrs, st.lines = st.hdrs[:1], st.lines[:1]

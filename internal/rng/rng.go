@@ -95,8 +95,8 @@ func (r *Rand) SplitLabeled(label string) *Rand {
 
 // SplitLabeledSeq derives n children labeled "<prefix>-0" .. "<prefix>-(n-1)",
 // in index order. The parent advances exactly n times regardless of how the
-// children are later consumed, so per-shard streams (e.g. one per PCM bank)
-// stay identical across shard counts and scheduling orders.
+// children are later consumed, so each child stream (one per PCM bank, say)
+// depends only on its index, never on the order its siblings are drawn in.
 func (r *Rand) SplitLabeledSeq(prefix string, n int) []*Rand {
 	out := make([]*Rand, n)
 	for i := range out {

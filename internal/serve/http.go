@@ -1,13 +1,11 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"net/http"
 	"runtime/debug"
 	"strconv"
@@ -32,15 +30,14 @@ import (
 //	GET    /metrics                  Prometheus exposition: per-job series ({job="..."}) + self metrics
 //	GET    /healthz                  liveness (always 200 while serving)
 //	GET    /readyz                   readiness (503 once draining)
+//
+// Start and Close share obs.Server's lifecycle: Close drains in-flight
+// requests before the hard stop.
 type Server struct {
-	// ShutdownTimeout bounds how long Close waits for in-flight requests
-	// (0: 5s), mirroring obs.Server.
-	ShutdownTimeout time.Duration
+	obs.Lifecycle
 
 	mgr    *Manager
 	logger *slog.Logger
-	srv    *http.Server
-	ln     net.Listener
 }
 
 // NewServer wraps a manager; logger nil discards request-level records.
@@ -75,34 +72,10 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Start binds addr (":0" picks a free port) and serves in the background.
+// Start binds addr (":0" picks a free port) and serves the service mux in
+// the background.
 func (s *Server) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	s.ln = ln
-	s.srv = &http.Server{Handler: s.Handler()}
-	go s.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
-	return ln.Addr().String(), nil
-}
-
-// Close drains the HTTP side like obs.Server.Close: no new connections,
-// in-flight requests get up to ShutdownTimeout, then a hard stop.
-func (s *Server) Close() error {
-	if s.srv == nil {
-		return nil
-	}
-	timeout := s.ShutdownTimeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	if err := s.srv.Shutdown(ctx); err != nil {
-		return s.srv.Close()
-	}
-	return nil
+	return s.Lifecycle.Start(addr, s.Handler())
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -147,9 +147,10 @@ type JobStatus struct {
 }
 
 // Job is one submitted sweep. It implements runner.Observer: the executor
-// feeds it one event per completed point, which it folds into the job's
-// progress tracker, merged metrics aggregate, heatmap, typed-event ring
-// and SSE replay log.
+// feeds it one event per completed point. The job's obs.Progress folds the
+// event (outcome counts, rate and ETA, merged metrics and heatmap); the job
+// itself keeps only what depends on completion order — the typed-event
+// ring and the SSE replay log — plus its lifecycle.
 type Job struct {
 	ID   string
 	Spec JobSpec
@@ -167,14 +168,8 @@ type Job struct {
 	started   time.Time
 	finished  time.Time
 	table     string
-	merged    *metrics.Snapshot
-	heat      *wd.HeatmapSnapshot
 	evRing    []metrics.Event
 	evDropped uint64
-	points    int
-	simRuns   int
-	cacheHits int
-	storeHits int
 	seq       int
 	log       []PointRecord
 	subs      map[chan PointRecord]struct{}
@@ -185,22 +180,8 @@ func (j *Job) PointDone(ev runner.PointEvent) {
 	j.prog.PointDone(ev)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.points++
-	switch {
-	case ev.Err != nil:
-	case ev.Stored:
-		j.storeHits++
-	case ev.Cached:
-		j.cacheHits++
-	default:
-		j.simRuns++
-	}
-	if ev.Err == nil && ev.Result != nil {
-		j.heat = j.heat.Merge(ev.Result.Heatmap)
-		if ev.Result.Metrics != nil {
-			j.merged = j.merged.Merge(ev.Result.Metrics)
-			j.appendEvents(ev.Result.Metrics)
-		}
+	if ev.Err == nil && ev.Result != nil && ev.Result.Metrics != nil {
+		j.appendEvents(ev.Result.Metrics)
 	}
 	j.seq++
 	rec := PointRecord{
@@ -244,17 +225,18 @@ func (j *Job) appendEvents(m *metrics.Snapshot) {
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	p := j.prog.Snapshot()
 	st := JobStatus{
 		ID:        j.ID,
 		State:     j.state,
 		Spec:      j.Spec,
 		Error:     j.err,
 		Created:   j.created,
-		Progress:  j.prog.Snapshot(),
-		Points:    j.points,
-		SimRuns:   j.simRuns,
-		CacheHits: j.cacheHits,
-		StoreHits: j.storeHits,
+		Progress:  p,
+		Points:    p.PointsDone,
+		SimRuns:   p.PointsSimulated(),
+		CacheHits: p.PointsCached,
+		StoreHits: p.PointsStored,
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -275,26 +257,20 @@ func (j *Job) Table() (string, bool) {
 	return j.table, j.state == StateDone
 }
 
-// Heatmap returns the merged WD heatmap (nil when not enabled or no point
-// has finished yet).
-func (j *Job) Heatmap() *wd.HeatmapSnapshot {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.heat
-}
+// Heatmap returns a copy of the merged WD heatmap (nil when not enabled or
+// no point has finished yet).
+func (j *Job) Heatmap() *wd.HeatmapSnapshot { return j.prog.Heatmap() }
 
 // MetricsSnapshot returns the job's merged metrics aggregate plus the
 // typed-event ring, shaped for obs.WritePrometheusLabeled / obs.EventsTail.
 func (j *Job) MetricsSnapshot() *metrics.Snapshot {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.merged == nil && len(j.evRing) == 0 && j.evDropped == 0 {
+	// The ring fills only from points the aggregate already merged, so an
+	// empty aggregate means an empty ring.
+	sn := j.prog.Metrics()
+	if sn == nil {
 		return nil
-	}
-	sn := &metrics.Snapshot{}
-	if j.merged != nil {
-		cp := *j.merged
-		sn = &cp
 	}
 	sn.Events = append([]metrics.Event(nil), j.evRing...)
 	sn.EventsDropped = j.evDropped

@@ -147,8 +147,8 @@ type HeatmapSnapshot struct {
 
 // Merge folds another snapshot into an aggregate, cell by cell. Addition is
 // commutative, so a merge over a set of snapshots is deterministic
-// regardless of arrival order — the property the parallel sweep aggregator
-// relies on. Merging snapshots of different shapes keeps the receiver
+// regardless of arrival order — the property the sweep aggregate in
+// obs.Progress relies on. Merging snapshots of different shapes keeps the receiver
 // unchanged (sweeps share one device sizing, so shapes always match there).
 func (s *HeatmapSnapshot) Merge(o *HeatmapSnapshot) *HeatmapSnapshot {
 	if o == nil {

@@ -21,6 +21,11 @@
 # Before the legs, each half of a checkpoint flag pair (-checkpoint or
 # -checkpoint-dir without -checkpoint-every, and -checkpoint-every alone, on
 # sdpcm-sim and sdpcm-bench) must exit 2 and leave no checkpoint behind.
+#
+# A final store leg resumes a sweep across processes through the durable
+# result store: the same sdpcm-bench run twice against one -result-store
+# directory must print byte-identical tables, and the second run's total
+# line and every per-experiment line must report 0 simulated.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -123,4 +128,23 @@ leg() {
 leg plain "$tmp/sdpcm-sim"
 leg race "$tmp/sdpcm-sim-race"
 leg topology "$tmp/sdpcm-sim" -topology "$tmp/demo2.json"
-echo "resume smoke OK: half-set checkpoint flags rejected; killed-and-resumed output byte-identical (plain, race and topology legs)"
+
+echo "== store"
+STORE_FLAGS=(-exp fig4 -refs 500 -cores 2 -benchmarks lbm,mcf -mem-mb 64 \
+  -region-pages 256 -result-store "$tmp/store")
+"$tmp/sdpcm-bench" "${STORE_FLAGS[@]}" >"$tmp/store-cold.txt" 2>/dev/null
+"$tmp/sdpcm-bench" "${STORE_FLAGS[@]}" >"$tmp/store-warm.txt" 2>"$tmp/store-warm.err"
+if ! diff -u "$tmp/store-cold.txt" "$tmp/store-warm.txt"; then
+  echo "store-served tables diverged from the simulated ones" >&2
+  exit 1
+fi
+# Every stats line ("(EXP completed in ...: N points, ..." and "total: N
+# points, ...") of the warm run must report 0 simulated.
+stats="$(grep -E '^(\(.*: [0-9]+ points, |total: [0-9]+ points, )' "$tmp/store-warm.err" || true)"
+if ! grep -q '^total: ' <<<"$stats" || grep -v ' points, 0 simulated, ' <<<"$stats"; then
+  echo "warm store run simulated points (or printed no total line):" >&2
+  cat "$tmp/store-warm.err" >&2
+  exit 1
+fi
+
+echo "resume smoke OK: half-set checkpoint flags rejected; killed-and-resumed output byte-identical (plain, race and topology legs); warm store rerun identical with 0 simulated"

@@ -189,17 +189,20 @@ type MetricsHistogramPoint = metrics.HistogramPoint
 // spatial heatmap. The sdpcm-sim and sdpcm-bench -listen flags wire these
 // up; library users compose them directly.
 
-// ObsServer serves the live observability endpoints; publish snapshots with
-// SetSnapshot (assignable to SimConfig.OnSnapshot) and feed its Progress
-// tracker from a sweep observer chain.
+// ObsServer serves the live observability endpoints. A sweep feeds its
+// Progress tracker as an observer, and /metrics serves the tracker's merged
+// aggregate; a single run publishes snapshots with SetSnapshot (assignable
+// to SimConfig.OnSnapshot), which take precedence once published.
 type ObsServer = obs.Server
 
 // NewObsServer builds an observability server with an empty snapshot and a
 // fresh progress tracker.
 func NewObsServer() *ObsServer { return obs.NewServer() }
 
-// ObsProgress tracks sweep progress (points done/cached/errored, EWMA point
-// rate, ETA); it implements SweepObserver.
+// ObsProgress folds a sweep's point events: exclusive outcome counts
+// (errored, stored, cached, else simulated) per experiment and in total,
+// an EWMA point rate and ETA, and the merged metrics snapshot and WD
+// heatmap. It implements SweepObserver.
 type ObsProgress = obs.Progress
 
 // ObsProgressSnapshot is the /progress JSON payload.
