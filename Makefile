@@ -22,17 +22,17 @@ bench:
 # The pinned data-plane benchmark set the benchstat CI gate compares
 # against main. Parent names only: sub-benchmarks (WritePath/vnc, ...) run
 # because go test splits the -bench regex on '/'.
-BENCH_PIN = BenchmarkDevicePeek$$|BenchmarkDeviceWrite$$|BenchmarkDeviceDisturb$$|BenchmarkDeviceFirstTouch$$|BenchmarkDINEncode$$|BenchmarkECPRecordClear$$|BenchmarkWDInject$$|BenchmarkWritePath$$|BenchmarkSimulatorThroughput$$|BenchmarkGeometric$$|BenchmarkBernoulli$$
+BENCH_PIN = BenchmarkDevicePeek$$|BenchmarkDeviceWrite$$|BenchmarkDeviceDisturb$$|BenchmarkDeviceFirstTouch$$|BenchmarkDINEncode$$|BenchmarkECPRecordClear$$|BenchmarkWDInject$$|BenchmarkWritePath$$|BenchmarkSimulatorThroughput$$|BenchmarkGeometric$$|BenchmarkBernoulli$$|BenchmarkTranslateMiss$$
 
 # Where bench-json records the per-benchmark medians; the CI bench-gate sets
 # it explicitly so the Makefile and workflow can never disagree on the name.
-BENCH_OUT ?= BENCH_16.json
+BENCH_OUT ?= BENCH_21.json
 
 # Run the pinned set three times, keep the raw text (bench.txt, what
 # benchstat consumes) and record per-benchmark medians as $(BENCH_OUT).
 bench-json:
 	$(GO) test -run '^$$' -bench '$(BENCH_PIN)' -benchtime 200ms -count 3 \
-		./internal/pcm ./internal/din ./internal/ecp ./internal/wd ./internal/mc ./internal/rng . > bench.txt
+		./internal/pcm ./internal/din ./internal/ecp ./internal/wd ./internal/mc ./internal/rng ./internal/vm . > bench.txt
 	$(GO) run ./scripts/benchgate -emit bench.txt > $(BENCH_OUT)
 
 # Refresh the pinned golden tables after an intentional simulator change.
@@ -66,13 +66,17 @@ resume-smoke:
 # and stream reader against each other), the DIN encoder against its scalar
 # oracle and the geometric sampler against its Bernoulli-loop oracle, for
 # ~20 s from its seed corpus (the CI fuzz job). go test accepts one -fuzz target per
-# invocation. FuzzResume's inputs are whole checkpoints (~46 KB), so
-# minimizing each new corpus entry is capped at 2 s to leave the budget for
-# fuzzing.
+# invocation. The FuzzResume targets' inputs are whole checkpoints (~46 KB),
+# so minimizing each new corpus entry is capped at 2 s to leave the budget
+# for fuzzing. FuzzResumeTopology and FuzzResumeReplay resume a two-module
+# topology run and a trace-replay run from a checkpoint each writes at
+# start-up.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 20s ./internal/topo
 	$(GO) test -run '^$$' -fuzz '^FuzzEventKindJSON$$' -fuzztime 20s ./internal/metrics
 	$(GO) test -run '^$$' -fuzz '^FuzzResume$$' -fuzztime 20s -fuzzminimizetime 2s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzResumeTopology$$' -fuzztime 20s -fuzzminimizetime 2s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzResumeReplay$$' -fuzztime 20s -fuzzminimizetime 2s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzDINEncode$$' -fuzztime 20s ./internal/din
 	$(GO) test -run '^$$' -fuzz '^FuzzGeometric$$' -fuzztime 20s ./internal/rng
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceReader$$' -fuzztime 20s ./internal/trace

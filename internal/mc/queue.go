@@ -26,20 +26,47 @@ type writeEntry struct {
 	bufTop, bufBelow pcm.Line
 }
 
-// bank is one PCM bank's scheduling state.
+// open counts the entry's pending pre-write reads: sides that need
+// verification and hold no buffered neighbour yet.
+func (e *writeEntry) open() int {
+	n := 0
+	if e.verifyTop && !e.prTop {
+		n++
+	}
+	if e.verifyBelow && !e.prBelow {
+		n++
+	}
+	return n
+}
+
+// bank is one PCM bank's scheduling state. addrs, pending and rescan are
+// derived from wq and the prereads; the checkpoint does not store them and
+// DecodeState rebuilds them.
 type bank struct {
 	freeAt   uint64
 	wq       []*writeEntry
+	addrs    []pcm.LineAddr // wq[i].addr, so address lookups scan one contiguous slice
 	draining bool
 	prereads []prOp
+	pending  int  // open pre-write reads across wq (writeEntry.open)
+	rescan   bool // a cancel re-opened a side: the next issue pass scans the whole queue
+}
+
+// find returns the queue index of the write to addr, or -1. The controller
+// coalesces writes, so a line has at most one queued entry.
+func (b *bank) find(addr pcm.LineAddr) int {
+	for i, a := range b.addrs {
+		if a == addr {
+			return i
+		}
+	}
+	return -1
 }
 
 // findEntry locates a queued write to addr.
 func (b *bank) findEntry(addr pcm.LineAddr) *writeEntry {
-	for _, e := range b.wq {
-		if e.addr == addr {
-			return e
-		}
+	if i := b.find(addr); i >= 0 {
+		return b.wq[i]
 	}
 	return nil
 }
@@ -51,6 +78,13 @@ func (b *bank) findEntryByID(id uint64) *writeEntry {
 		}
 	}
 	return nil
+}
+
+// push appends an entry to the queue.
+func (b *bank) push(e *writeEntry) {
+	b.wq = append(b.wq, e)
+	b.addrs = append(b.addrs, e.addr)
+	b.pending += e.open()
 }
 
 // catchUp advances a bank's lazy work to time t: completed prereads are
@@ -71,7 +105,7 @@ func (c *Controller) catchUp(b *bank, t uint64) {
 	if b.draining && len(b.wq) <= c.cfg.LowWatermark {
 		b.draining = false
 	}
-	c.issue(b, t)
+	c.issue(b, t, nil)
 }
 
 // executeNext pops the oldest write entry and runs its full VnC write op,
@@ -83,10 +117,13 @@ func (c *Controller) executeNext(b *bank, burst bool) {
 	e := b.wq[0]
 	// Shift down instead of advancing the slice: the backing array keeps its
 	// capacity, so the queue never reallocates after warm-up. n <= wq cap
-	// pointer moves per op — noise next to the write op itself.
+	// moves per op — noise next to the write op itself.
 	n := copy(b.wq, b.wq[1:])
 	b.wq[n] = nil
 	b.wq = b.wq[:n]
+	copy(b.addrs, b.addrs[1:])
+	b.addrs = b.addrs[:n]
+	b.pending -= e.open()
 	b.freeAt = max(b.freeAt, e.enqueuedAt)
 	if c.tr != nil {
 		var bf uint64
@@ -114,9 +151,9 @@ func (c *Controller) Write(now uint64, addr pcm.LineAddr, data pcm.Line) {
 	loc := c.geo.Locate(addr)
 	b := &c.banks[loc.Bank]
 	c.catchUp(b, now)
-	if e := b.findEntry(addr); e != nil {
+	if i := b.find(addr); i >= 0 {
 		// Coalesce: update in place; pre-read state is unaffected.
-		e.data = data
+		b.wq[i].data = data
 		c.Stats.Coalesced++
 		return
 	}
@@ -138,12 +175,12 @@ func (c *Controller) Write(now uint64, addr pcm.LineAddr, data pcm.Line) {
 	}
 	e := c.newEntry(addr, data)
 	e.enqueuedAt = now
-	b.wq = append(b.wq, e)
+	b.push(e)
 	c.queueDepth.Observe(uint64(len(b.wq)))
 	if c.tr != nil {
 		c.tr.Emit(now, metrics.EvQueueEnqueue, uint64(addr), uint64(len(b.wq)), 0)
 	}
-	c.issue(b, now)
+	c.issue(b, now, e)
 }
 
 // newEntry builds a write-queue entry (recycling a retired one when the

@@ -176,11 +176,32 @@ func (c *Controller) validEntry(i int, w *writeEntry) bool {
 		(!w.verifyTop || topOK) && (!w.verifyBelow || belowOK)
 }
 
+// readInFlight reports whether an in-flight preread fits the queue: the
+// entry it names, while still queued, needs verification on that side and
+// holds the buffer the issue filled. An entry may have left the queue
+// already, since a full-queue drain executes entries whose prereads are
+// still in flight.
+func (b *bank) readInFlight(p prOp) bool {
+	e := b.findEntryByID(p.entryID)
+	switch {
+	case e == nil:
+		return true
+	case p.top:
+		return e.verifyTop && e.prTop
+	default:
+		return e.verifyBelow && e.prBelow
+	}
+}
+
 // DecodeState restores state written by EncodeState into a controller
 // freshly constructed with the same Config. A queued write must target a
-// line of this device in its own bank's queue, ECP and codec state must
-// name lines the controller owns, and only a controller with PreRead
-// (WriteCancel) accepts in-flight prereads (a bank mid-drain).
+// line of this device in its own bank's queue, at most once per line; ECP
+// and codec state must name lines the controller owns; an in-flight preread
+// must name an entry id already handed out and, while that entry is queued,
+// a buffered side of it; and only a controller with PreRead (WriteCancel)
+// accepts in-flight prereads (a bank mid-drain). The queue's address mirror
+// and open-side count are rebuilt, and the next issue pass scans the whole
+// queue.
 func (c *Controller) DecodeState(d *snap.Decoder) error {
 	d.Begin("mc.controller")
 	decodeMCStats(d, &c.Stats)
@@ -196,7 +217,7 @@ func (c *Controller) DecodeState(d *snap.Decoder) error {
 		if d.Err() != nil {
 			return d.Err()
 		}
-		b.wq = b.wq[:0]
+		b.wq, b.addrs, b.pending, b.rescan = b.wq[:0], b.addrs[:0], 0, true
 		for j := 0; j < n && d.Err() == nil; j++ {
 			w := &writeEntry{}
 			w.id = d.U64()
@@ -213,10 +234,14 @@ func (c *Controller) DecodeState(d *snap.Decoder) error {
 			w.prBelow = d.Bool()
 			w.bufTop = pcm.DecodeLine(d)
 			w.bufBelow = pcm.DecodeLine(d)
-			if d.Err() == nil && !c.validEntry(i, w) {
+			switch {
+			case d.Err() != nil:
+			case !c.validEntry(i, w):
 				d.Invalid("mc: checkpoint queues a write to line %d in bank %d's queue", w.addr, i)
+			case b.find(w.addr) >= 0:
+				d.Invalid("mc: checkpoint queues two writes to line %d in bank %d (writes coalesce)", w.addr, i)
 			}
-			b.wq = append(b.wq, w)
+			b.push(w)
 		}
 		m := d.Count()
 		if m > 0 && !c.cfg.PreRead {
@@ -232,6 +257,13 @@ func (c *Controller) DecodeState(d *snap.Decoder) error {
 			p.end = d.U64()
 			p.entryID = d.U64()
 			p.top = d.Bool()
+			switch {
+			case d.Err() != nil:
+			case p.entryID == 0 || p.entryID > c.nextID:
+				d.Invalid("mc: checkpoint has an in-flight preread on bank %d for entry %d, an id never handed out (next is %d)", i, p.entryID, c.nextID+1)
+			case !b.readInFlight(p):
+				d.Invalid("mc: checkpoint has an in-flight preread for a side of entry %d on bank %d that holds no preread buffer", p.entryID, i)
+			}
 			b.prereads = append(b.prereads, p)
 		}
 	}

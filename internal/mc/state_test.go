@@ -187,3 +187,76 @@ func TestControllerStateFootprint(t *testing.T) {
 		t.Fatalf("DIN and ECP tables hold %.1f B per resident line, want <= 24", per)
 	}
 }
+
+// TestDecodeRejectsImpossibleQueueState: Write coalesces, so a bank never
+// queues two writes to one line, and a preread only ever names an entry id
+// already handed out and, while that entry is queued, a side that needs
+// verification and holds the preread's buffer. A checkpoint holding
+// anything else is refused. A preread whose entry has already left the
+// queue is real state — a full-queue drain executes entries whose prereads
+// are still in flight — so it round-trips.
+func TestDecodeRejectsImpossibleQueueState(t *testing.T) {
+	cfg := baselineCfg()
+	cfg.PreRead = true
+	cfg.WriteQueueCap = 4
+	// Same bank (pages 16 apart), interior rows: both sides need verification.
+	line := func(row int) pcm.LineAddr { return pcm.LineOf(pcm.PageAddr(4+16*row), 3) }
+	build := func() *testRig {
+		r := newRig(t, cfg)
+		r.c.Write(0, line(2), lineWith(1)) // idle bank: both prereads issue
+		for i := range 4 {
+			r.c.Write(uint64(1+i), line(10+2*i), lineWith(2)) // the fifth write drains
+		}
+		return r
+	}
+	bankOf := func(r *testRig) *bank { return &r.c.banks[r.c.geo.Locate(line(2)).Bank] }
+	for _, tc := range []struct {
+		name   string
+		mutate func(c *Controller, b *bank)
+		valid  bool
+	}{
+		{"as run", func(*Controller, *bank) {}, true},
+		{"two writes to one line", func(c *Controller, b *bank) {
+			dup := *b.wq[0]
+			c.nextID++
+			dup.id = c.nextID
+			b.wq = append(b.wq, &dup)
+		}, false},
+		{"preread for an id never handed out", func(c *Controller, b *bank) {
+			b.prereads = append(b.prereads, prOp{start: 1, end: 2, entryID: 12345, top: true})
+		}, false},
+		{"preread for an unbuffered side", func(c *Controller, b *bank) {
+			e := b.wq[len(b.wq)-1]
+			e.prTop = false
+			b.prereads = append(b.prereads, prOp{start: 1, end: 2, entryID: e.id, top: true})
+		}, false},
+		{"preread for a side without verification", func(c *Controller, b *bank) {
+			e := b.wq[len(b.wq)-1]
+			e.verifyBelow, e.prBelow = false, true
+			b.prereads = append(b.prereads, prOp{start: 1, end: 2, entryID: e.id, top: false})
+		}, false},
+	} {
+		r := build()
+		b := bankOf(r)
+		if len(b.prereads) == 0 || b.findEntryByID(b.prereads[0].entryID) != nil {
+			t.Fatalf("%s: the drain did not leave a preread for an executed entry", tc.name)
+		}
+		tc.mutate(r.c, b)
+		e := snap.NewEncoder(1)
+		r.d.EncodeState(e)
+		r.c.EncodeState(e)
+		d, err := snap.NewDecoder(e.Finish(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rig := newRig(t, cfg)
+		if err := rig.d.DecodeState(d); err != nil {
+			t.Fatal(err)
+		}
+		err = rig.c.DecodeState(d)
+		var ie *snap.InvalidError
+		if tc.valid && err != nil || !tc.valid && !errors.As(err, &ie) {
+			t.Errorf("%s: DecodeState err = %v", tc.name, err)
+		}
+	}
+}

@@ -92,17 +92,55 @@ const (
 	chunkMask  = chunkLines - 1
 )
 
+// The line arena's block size: 1<<arenaShift lines (16 KB) per block.
+const (
+	arenaShift = 8
+	arenaBlock = 1 << arenaShift
+	arenaMask  = arenaBlock - 1
+)
+
+// lineArena is an append-only line store in fixed blocks: slot s lives at
+// blocks[s>>arenaShift][s&arenaMask], so growth allocates one new block and
+// never copies, and a pointer to a line stays valid until a reset. Slot 0
+// means "not resident" in the chunk headers and is never handed out; the
+// first block arrives with the first add.
+type lineArena struct {
+	blocks []*[arenaBlock]Line
+	n      uint32 // next slot to hand out; 0 until the first add
+}
+
+// at returns slot s, which add must have handed out.
+func (a *lineArena) at(s uint32) *Line { return &a.blocks[s>>arenaShift][s&arenaMask] }
+
+// add stores l in a fresh slot and returns its index, never 0.
+func (a *lineArena) add(l Line) uint32 {
+	if a.n == 0 {
+		a.n = 1
+	}
+	if int(a.n>>arenaShift) == len(a.blocks) {
+		a.blocks = append(a.blocks, new([arenaBlock]Line))
+	}
+	s := a.n
+	a.n++
+	*a.at(s) = l
+	return s
+}
+
+// reset drops every line and keeps the blocks for reuse.
+func (a *lineArena) reset() { a.n = 0 }
+
 // bankStore is one bank's resident lines, packed by line rather than by
 // touched chunk: most chunks of a sparse workload hold a single line.
 //
-// Index 0 of hdrs and of lines is a reserved all-zero sentinel, so a lookup
-// is three indexed loads and one branch: an untouched chunk maps to header 0,
-// whose slots are all 0, and slot 0 means "not resident". Every table is
-// pointer-free, so the GC never scans the store.
+// Index 0 of hdrs is a reserved all-zero sentinel, so finding a line's slot
+// is three indexed loads and no branch: an untouched chunk maps to header 0,
+// whose slots are all 0, and slot 0 means "not resident". Lines live in a
+// block arena that never moves them. Apart from the arena's list of block
+// pointers every table is pointer-free, so the GC scans almost nothing.
 type bankStore struct {
 	chunks []uint32             // bank-local chunk index → header; 0 = untouched
 	hdrs   [][chunkLines]uint32 // per touched chunk: line slot → arena index; 0 = not resident
-	lines  []Line               // dense arena of resident lines, in install order
+	lines  lineArena            // resident lines, in install order
 }
 
 // slot returns the arena index of a bank-local line, or 0 when the line is
@@ -112,8 +150,7 @@ func (st *bankStore) slot(local int) uint32 {
 }
 
 // install makes a non-resident bank-local line resident with content l and
-// returns its arena slot. The arena may move when it grows, so a pointer
-// into it is valid only until the next install.
+// returns its arena slot. The line never moves afterwards.
 func (st *bankStore) install(local int, l Line) uint32 {
 	ci := local >> chunkShift
 	h := st.chunks[ci]
@@ -122,8 +159,7 @@ func (st *bankStore) install(local int, l Line) uint32 {
 		st.hdrs = append(st.hdrs, [chunkLines]uint32{})
 		st.chunks[ci] = h
 	}
-	s := uint32(len(st.lines))
-	st.lines = append(st.lines, l)
+	s := st.lines.add(l)
 	st.hdrs[h][local&chunkMask] = s
 	return s
 }
@@ -219,7 +255,6 @@ func NewDevice(cfg Config) (*Device, error) {
 		d.store[b] = bankStore{
 			chunks: make([]uint32, chunksPerBank),
 			hdrs:   make([][chunkLines]uint32, 1),
-			lines:  make([]Line, 1),
 		}
 	}
 	return d, nil
@@ -286,15 +321,16 @@ func (d *Device) checkRange(a LineAddr) {
 }
 
 // line returns a pointer to the stored image of a line, materializing it
-// with its background content on first touch. The pointer is valid only
-// until the next install into the same bank.
+// with its background content on first touch. Lines never move, so the
+// pointer stays valid for the device's life; only DecodeState, which
+// reassigns every slot, reuses the storage.
 func (d *Device) line(a LineAddr) *Line {
 	bank, local := d.geo.bankLocal(a)
 	st := &d.store[bank]
 	if s := st.slot(local); s != 0 {
-		return &st.lines[s]
+		return st.lines.at(s)
 	}
-	return &st.lines[st.install(local, d.background(a))]
+	return st.lines.at(st.install(local, d.background(a)))
 }
 
 // Slot returns the bank of a line and its slot in that bank's arena of
@@ -355,7 +391,7 @@ func (d *Device) Peek(a LineAddr) Line {
 	bank, local := d.geo.bankLocal(a)
 	st := &d.store[bank]
 	if s := st.slot(local); s != 0 {
-		return st.lines[s]
+		return *st.lines.at(s)
 	}
 	return d.background(a)
 }
@@ -416,7 +452,7 @@ func (d *Device) Disturb(a LineAddr, flips Mask) int {
 	st := &d.store[bank]
 	n := 0
 	if s := st.slot(local); s != 0 {
-		l := &st.lines[s]
+		l := st.lines.at(s)
 		for i := range flips {
 			n += bits.OnesCount64(flips[i] &^ l[i])
 		}

@@ -287,12 +287,12 @@ func TestDisturbDoesNotMaterializeOnNoop(t *testing.T) {
 }
 
 // storeBytes is the memory a device's store holds beyond its fixed chunk
-// tables: the capacity of every bank's header and line arenas.
+// tables: the capacity of every bank's header table and line blocks.
 func storeBytes(d *Device) int {
 	n := 0
 	for b := range d.store {
 		st := &d.store[b]
-		n += cap(st.hdrs)*int(unsafe.Sizeof(st.hdrs[0])) + cap(st.lines)*int(unsafe.Sizeof(st.lines[0]))
+		n += cap(st.hdrs)*int(unsafe.Sizeof(st.hdrs[0])) + len(st.lines.blocks)*int(unsafe.Sizeof(*st.lines.blocks[0]))
 	}
 	return n
 }
@@ -301,7 +301,7 @@ func storeBytes(d *Device) int {
 func residentLines(d *Device) int {
 	n := 0
 	for b := range d.store {
-		n += len(d.store[b].lines) - 1 // slot 0 is the sentinel
+		n += max(int(d.store[b].lines.n)-1, 0) // slot 0 is never handed out
 	}
 	return n
 }

@@ -66,7 +66,7 @@ func (d *Device) EncodeState(e *snap.Encoder) {
 			e.U64(resident)
 			for _, s := range hdr {
 				if s != 0 {
-					EncodeLine(e, st.lines[s])
+					EncodeLine(e, *st.lines.at(s))
 				}
 			}
 		}
@@ -84,7 +84,8 @@ func (d *Device) DecodeState(dec *snap.Decoder) error {
 		decodeStats(dec, &d.stats[b])
 		if len(st.hdrs) > 1 {
 			clear(st.chunks)
-			st.hdrs, st.lines = st.hdrs[:1], st.lines[:1]
+			st.hdrs = st.hdrs[:1]
+			st.lines.reset()
 		}
 		n := dec.Count()
 		next := uint64(0) // lowest chunk index the next entry may name

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"os"
@@ -210,7 +209,7 @@ func (s *runState) decode(data []byte) error {
 	}
 	// (time, id) totally orders cores, so the rebuilt heap dispatches in
 	// exactly the order the checkpointing run would have.
-	heap.Init(s.h)
+	s.h.init()
 
 	if n := d.Uvarint(); d.Err() == nil && n != uint64(len(s.mods)) {
 		return fmt.Errorf("checkpoint has %d modules, this run has %d", n, len(s.mods))

@@ -5,6 +5,11 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"sdpcm/internal/core"
+	"sdpcm/internal/topo"
+	"sdpcm/internal/trace"
+	"sdpcm/internal/workload"
 )
 
 // FuzzResume feeds arbitrary bytes to Run as a resume checkpoint of
@@ -22,17 +27,81 @@ func FuzzResume(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v3)
 	f.Add(v1)
-	for _, n := range []int{0, 4, 8, 64, len(v3) / 2, len(v3) - 1} {
-		f.Add(v3[:n])
+	fuzzResume(f, fixtureCfg, v3)
+}
+
+// FuzzResumeTopology is FuzzResume on the two-module demo topology, whose
+// checkpoint holds one device, controller set and allocator per module.
+func FuzzResumeTopology(f *testing.F) {
+	mk := func() Config {
+		cfg := fixtureCfg()
+		cfg.Scheme = core.Baseline()
+		cfg.Topology = topo.Demo2()
+		cfg.WearLevelPsi = 0
+		return cfg
+	}
+	fuzzResume(f, mk, checkpointOf(f, mk))
+}
+
+// FuzzResumeReplay is FuzzResume on a trace-replay run, whose checkpoint
+// holds write-back mutators in place of generators and resumes by
+// fast-forwarding the streams.
+func FuzzResumeReplay(f *testing.F) {
+	spec, err := workload.ByName("mcf")
+	if err != nil {
+		f.Fatal(err)
+	}
+	g, err := workload.NewGenerator(spec, 11)
+	if err != nil {
+		f.Fatal(err)
+	}
+	recs := workload.Capture(g, 100)
+	mk := func() Config {
+		cfg := fixtureCfg()
+		cfg.Streams = []trace.Stream{trace.NewSliceStream(recs)}
+		cfg.RefsPerCore = len(recs)
+		return cfg
+	}
+	fuzzResume(f, mk, checkpointOf(f, mk))
+}
+
+// checkpointOf runs the configuration once with a mid-run checkpoint and
+// returns the checkpoint's bytes, the seed a resume fuzzer mutates, after
+// checking that a resume from them succeeds.
+func checkpointOf(f *testing.F, mk func() Config) []byte {
+	cfg := mk()
+	cfg.CheckpointPath = filepath.Join(f.TempDir(), "seed.ckpt")
+	cfg.CheckpointEvery = fixtureInterval
+	if _, err := Run(cfg); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(cfg.CheckpointPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	r := mk()
+	r.ResumeFrom = cfg.CheckpointPath
+	if _, err := Run(r); err != nil {
+		f.Fatalf("resuming the seed checkpoint: %v", err)
+	}
+	return data
+}
+
+// fuzzResume seeds the corpus with a real checkpoint of the configuration
+// and its truncations, then requires every resume from fuzzed bytes to
+// finish or fail with an error wrapping ErrResume.
+func fuzzResume(f *testing.F, mk func() Config, ckpt []byte) {
+	f.Add(ckpt)
+	for _, n := range []int{0, 4, 8, 64, len(ckpt) / 2, len(ckpt) - 1} {
+		f.Add(ckpt[:n])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.ckpt")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		cfg := fixtureCfg()
+		cfg := mk()
 		cfg.ResumeFrom = path
 		if _, err := Run(cfg); err != nil && !errors.Is(err, ErrResume) {
 			t.Fatalf("error does not wrap ErrResume: %v", err)

@@ -13,7 +13,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"sdpcm/internal/alloc"
@@ -255,21 +254,48 @@ type corePending struct {
 	instrs uint64
 }
 
-// coreHeap orders cores by next event time.
+// coreHeap is a binary min-heap of cores by next event time, ties broken by
+// core id. (time, id) totally orders the cores, so the dispatch order is the
+// same whatever the heap's layout.
 type coreHeap []*corePending
 
-func (h coreHeap) Len() int { return len(h) }
-func (h coreHeap) Less(i, j int) bool {
+func (h coreHeap) less(i, j int) bool {
 	return h[i].time < h[j].time || (h[i].time == h[j].time && h[i].id < h[j].id)
 }
-func (h coreHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *coreHeap) Push(x any)   { *h = append(*h, x.(*corePending)) }
-func (h *coreHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+// down sifts h[i] down to its place; the loop calls it on the root after
+// the root's time grows.
+func (h coreHeap) down(i int) {
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if r := j + 1; r < len(h) && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
+
+// init orders an arbitrary slice into a heap.
+func (h coreHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// pop removes the root.
+func (h *coreHeap) pop() {
+	n := len(*h) - 1
+	(*h)[0] = (*h)[n]
+	(*h)[n] = nil
+	*h = (*h)[:n]
+	h.down(0)
 }
 
 // Run executes one simulation over the resolved topology: one moduleRun per
@@ -351,7 +377,7 @@ func Run(cfg Config) (Result, error) {
 		cores[i] = &corePending{id: i, mod: mod, stream: src.stream, mut: src.mut, as: as}
 		h = append(h, cores[i])
 	}
-	heap.Init(&h)
+	h.init()
 
 	// counters gathers the orchestrator-side snapshot contribution.
 	counters := func(now uint64) simCounters {
@@ -384,11 +410,11 @@ func Run(cfg Config) (Result, error) {
 		}
 	}
 
-	for h.Len() > 0 {
+	for len(h) > 0 {
 		c := h[0]
 		rec, ok := c.stream.Next()
 		if !ok {
-			heap.Pop(&h) // replayed trace exhausted
+			h.pop() // replayed trace exhausted
 			continue
 		}
 		// Non-memory instructions: 1 cycle each on the in-order core.
@@ -411,9 +437,9 @@ func Run(cfg Config) (Result, error) {
 		}
 		c.refs++
 		if c.refs >= cfg.RefsPerCore {
-			heap.Pop(&h)
+			h.pop()
 		} else {
-			heap.Fix(&h, 0)
+			h.down(0)
 		}
 		if snapshotting && c.time >= ckpt.nextSnap {
 			cfg.OnSnapshot(assembleSnapshot(mods, cfg.TraceEvents, counters(c.time)))

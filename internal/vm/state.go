@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"slices"
 
 	"sdpcm/internal/alloc"
 	"sdpcm/internal/pcm"
@@ -16,14 +15,10 @@ import (
 func (as *AddressSpace) EncodeState(e *snap.Encoder) {
 	e.Begin("vm.addrspace")
 
-	vpages := make([]uint64, 0, len(as.PT.entries))
-	for v := range as.PT.entries {
-		vpages = append(vpages, v)
-	}
-	slices.Sort(vpages)
+	vpages := as.PT.pages()
 	e.Uvarint(uint64(len(vpages)))
 	for _, v := range vpages {
-		tr := as.PT.entries[v]
+		tr, _ := as.PT.Lookup(v)
 		e.U64(v)
 		e.U64(uint64(tr.Frame))
 		e.Int(tr.Tag.N)
@@ -77,7 +72,7 @@ func (as *AddressSpace) DecodeState(d *snap.Decoder) error {
 	}
 
 	n := d.Count()
-	as.PT = &PageTable{entries: make(map[uint64]Translation, n)}
+	as.PT = NewPageTable()
 	var prev uint64
 	for i := 0; i < n && d.Err() == nil; i++ {
 		v, tr := d.U64(), read()
@@ -88,7 +83,7 @@ func (as *AddressSpace) DecodeState(d *snap.Decoder) error {
 		case bad(tr):
 			d.Invalid("vm: checkpoint maps page %d to frame %d under tag %v (%d pages)", v, tr.Frame, tr.Tag, pages)
 		default:
-			as.PT.entries[v] = tr
+			as.PT.Map(v, tr)
 		}
 		prev = v
 	}

@@ -8,6 +8,9 @@ package vm
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 
 	"sdpcm/internal/alloc"
 	"sdpcm/internal/pcm"
@@ -19,35 +22,126 @@ type Translation struct {
 	Tag   alloc.Tag
 }
 
-// PageTable maps a process's virtual pages to physical frames.
+// PageTable maps a process's virtual pages to physical frames. It is an
+// open-addressed, linear-probing table of power-of-two size whose slots hold
+// the key beside its translation, so a walk usually touches one cache line.
+// It stays at most 7/8 full, which keeps it no larger per mapped page than
+// a Go map of the same pages (TestPageTableFootprint).
 type PageTable struct {
-	entries map[uint64]Translation
+	slots []ptSlot // empty, or a power-of-two count
+	shift uint     // 64 - log2(len(slots)): hash bits select the home slot
+	n     int      // occupied slots
+	// top holds the translation of vpage math.MaxUint64, the one page the
+	// slot key encoding cannot store.
+	top    Translation
+	hasTop bool
 }
 
-// NewPageTable returns an empty table.
-func NewPageTable() *PageTable {
-	return &PageTable{entries: make(map[uint64]Translation)}
+// ptSlot is one page-table slot; key is vpage+1, and 0 marks it empty.
+type ptSlot struct {
+	key uint64
+	tr  Translation
 }
+
+// ptMinSlots is the size of a table's first allocation.
+const ptMinSlots = 16
+
+// NewPageTable returns an empty table.
+func NewPageTable() *PageTable { return &PageTable{} }
+
+// home returns the first slot a key probes: Fibonacci hashing spreads runs
+// of consecutive pages over the table.
+func (pt *PageTable) home(key uint64) uint64 { return key * 0x9e3779b97f4a7c15 >> pt.shift }
 
 // Lookup returns the translation of a virtual page.
 func (pt *PageTable) Lookup(vpage uint64) (Translation, bool) {
-	t, ok := pt.entries[vpage]
-	return t, ok
+	key := vpage + 1
+	if key == 0 {
+		return pt.top, pt.hasTop
+	}
+	if len(pt.slots) == 0 {
+		return Translation{}, false
+	}
+	s := pt.slot(key)
+	return s.tr, s.key != 0
 }
 
 // Map installs a translation.
 func (pt *PageTable) Map(vpage uint64, tr Translation) {
-	pt.entries[vpage] = tr
+	key := vpage + 1
+	if key == 0 {
+		pt.top, pt.hasTop = tr, true
+		return
+	}
+	if (pt.n+1)*8 > len(pt.slots)*7 {
+		pt.grow(max(2*len(pt.slots), ptMinSlots))
+	}
+	if pt.put(key, tr) {
+		pt.n++
+	}
+}
+
+// slot returns the slot holding key, or the empty slot where key belongs;
+// an empty slot holds the zero Translation. The table must have a free slot.
+func (pt *PageTable) slot(key uint64) *ptSlot {
+	mask := uint64(len(pt.slots) - 1)
+	for i := pt.home(key); ; i = (i + 1) & mask {
+		if s := &pt.slots[i]; s.key == key || s.key == 0 {
+			return s
+		}
+	}
+}
+
+// put stores a translation under key and reports whether it took a new
+// slot.
+func (pt *PageTable) put(key uint64, tr Translation) bool {
+	s := pt.slot(key)
+	added := s.key == 0
+	*s = ptSlot{key: key, tr: tr}
+	return added
+}
+
+// grow rehashes the table into size slots, a power of two.
+func (pt *PageTable) grow(size int) {
+	old := pt.slots
+	pt.slots = make([]ptSlot, size)
+	pt.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for _, s := range old {
+		if s.key != 0 {
+			pt.put(s.key, s.tr)
+		}
+	}
 }
 
 // Len returns the number of mapped pages.
-func (pt *PageTable) Len() int { return len(pt.entries) }
+func (pt *PageTable) Len() int {
+	if pt.hasTop {
+		return pt.n + 1
+	}
+	return pt.n
+}
+
+// pages returns every mapped virtual page in ascending order.
+func (pt *PageTable) pages() []uint64 {
+	vp := make([]uint64, 0, pt.Len())
+	for _, s := range pt.slots {
+		if s.key != 0 {
+			vp = append(vp, s.key-1)
+		}
+	}
+	slices.Sort(vp)
+	if pt.hasTop {
+		vp = append(vp, math.MaxUint64)
+	}
+	return vp
+}
 
 // TLB is a small set-associative translation cache. Each entry carries the
 // (n:m) allocator tag so the memory controller receives it with every
 // request (Fig. 9).
 type TLB struct {
 	sets  int
+	mask  uint64 // sets-1: the set index is vpage&mask
 	assoc int
 
 	vpage []uint64
@@ -71,6 +165,7 @@ func NewTLB(entries, assoc int) (*TLB, error) {
 	}
 	return &TLB{
 		sets:  sets,
+		mask:  uint64(sets - 1),
 		assoc: assoc,
 		vpage: make([]uint64, entries),
 		data:  make([]Translation, entries),
@@ -82,7 +177,7 @@ func NewTLB(entries, assoc int) (*TLB, error) {
 // Lookup probes the TLB.
 func (t *TLB) Lookup(vpage uint64) (Translation, bool) {
 	t.clock++
-	base := int(vpage%uint64(t.sets)) * t.assoc
+	base := int(vpage&t.mask) * t.assoc
 	for w := 0; w < t.assoc; w++ {
 		i := base + w
 		if t.valid[i] && t.vpage[i] == vpage {
@@ -98,7 +193,7 @@ func (t *TLB) Lookup(vpage uint64) (Translation, bool) {
 // Insert fills the TLB after a page-table walk, evicting LRU.
 func (t *TLB) Insert(vpage uint64, tr Translation) {
 	t.clock++
-	base := int(vpage%uint64(t.sets)) * t.assoc
+	base := int(vpage&t.mask) * t.assoc
 	victim := base
 	for w := 0; w < t.assoc; w++ {
 		i := base + w
