@@ -66,11 +66,12 @@ resume-smoke:
 # and stream reader against each other), the DIN encoder against its scalar
 # oracle and the geometric sampler against its Bernoulli-loop oracle, for
 # ~20 s from its seed corpus (the CI fuzz job). go test accepts one -fuzz target per
-# invocation. The FuzzResume targets' inputs are whole checkpoints (~46 KB),
-# so minimizing each new corpus entry is capped at 2 s to leave the budget
-# for fuzzing. FuzzResumeTopology and FuzzResumeReplay resume a two-module
-# topology run and a trace-replay run from a checkpoint each writes at
-# start-up.
+# invocation. The FuzzResume targets' inputs are whole checkpoints (~26 KB)
+# and FuzzDiskStoreLoad's are whole result-store entries, so minimizing each
+# new corpus entry is capped at 2 s to leave the budget for fuzzing.
+# FuzzResumeTopology and FuzzResumeReplay resume a two-module topology run
+# and a trace-replay run from a checkpoint each writes at start-up.
+# FuzzJobSpec drives the sdpcm-serve job-submit decoder and Validate.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 20s ./internal/topo
 	$(GO) test -run '^$$' -fuzz '^FuzzEventKindJSON$$' -fuzztime 20s ./internal/metrics
@@ -80,6 +81,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDINEncode$$' -fuzztime 20s ./internal/din
 	$(GO) test -run '^$$' -fuzz '^FuzzGeometric$$' -fuzztime 20s ./internal/rng
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceReader$$' -fuzztime 20s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 20s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzDiskStoreLoad$$' -fuzztime 20s -fuzzminimizetime 2s ./internal/serve
 
 # Emit one point of the performance trajectory (BENCH_ci.json).
 bench-record:

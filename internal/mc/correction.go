@@ -122,7 +122,7 @@ func (c *Controller) scratchBits(depth int, flips pcm.Mask) []int {
 func (c *Controller) verifyNeighbour(addr pcm.LineAddr, flips pcm.Mask, depth int) int {
 	cycles := 0
 	// Post-write read.
-	c.dev.CountRead(addr)
+	c.dev.CountRead()
 	if depth == 0 {
 		c.Stats.VerifyReads++
 		if !c.cfg.NoVerifyCharge {

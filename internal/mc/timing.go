@@ -34,7 +34,7 @@ func (c *Controller) Read(now uint64, addr pcm.LineAddr) (uint64, pcm.Line) {
 	c.cancel(b, now)
 	start := max(now, b.freeAt)
 	data := c.PeekData(addr)
-	c.dev.CountRead(addr) // demand array read
+	c.dev.CountRead() // demand array read
 	done := start + uint64(c.cfg.Timing.ReadCycles)
 	b.freeAt = done
 	c.Stats.ReadCycles += uint64(c.cfg.Timing.ReadCycles)

@@ -226,43 +226,41 @@ func TestWriteTable(t *testing.T) {
 	}
 }
 
+// TestMergeEventTails: two emitters holding the same Registry.Trace() — as
+// a run's bank controllers do — fill one ring in emission order. The tail is
+// the last cap events whatever their Time, Seq is contiguous, and Dropped is
+// emitted − cap. (The name predates the shared ring; per-emitter tails used
+// to be merged after the run.)
 func TestMergeEventTails(t *testing.T) {
-	ev := func(seq, time uint64) Event { return Event{Seq: seq, Time: time, Kind: EvWDInjected} }
-	tails := [][]Event{
-		{ev(0, 10), ev(1, 30), ev(2, 30)},
-		{ev(5, 20), ev(6, 30)},
+	const capacity = 4
+	r := New()
+	r.EnableTrace(capacity)
+	a, b := r.Trace(), r.Trace()
+	if a != b {
+		t.Fatal("Trace() handed out two rings")
 	}
-	merged, dropped := MergeEventTails(4, tails, []uint64{2, 0})
-	// total = 3+2+2 dropped = 7; keep last 4; base seq = 3.
-	if dropped != 3 || len(merged) != 4 {
-		t.Fatalf("dropped=%d len=%d, want 3,4", dropped, len(merged))
+	// Bank a's operations are timed ahead of bank b's, so Time falls and
+	// rises along the emission order.
+	type emit struct {
+		tr   *Trace
+		time uint64
+		addr uint64
 	}
-	// Sorted by (Time, shard, Seq): t10s0, t20s1, t30s0#1, t30s0#2, t30s1 →
-	// tail of 4 drops t10.
-	wantTimes := []uint64{20, 30, 30, 30}
-	for i, e := range merged {
-		if e.Time != wantTimes[i] {
-			t.Fatalf("merged[%d].Time = %d, want %d (%+v)", i, e.Time, wantTimes[i], merged)
+	order := []emit{{a, 100, 0}, {b, 10, 1}, {a, 200, 2}, {b, 20, 3}, {b, 30, 4}, {a, 300, 5}, {b, 40, 6}}
+	for _, e := range order {
+		e.tr.Emit(e.time, EvQueueEnqueue, e.addr, 0, 0)
+	}
+	s := r.Snapshot()
+	if want := uint64(len(order) - capacity); s.EventsDropped != want {
+		t.Fatalf("EventsDropped = %d, want %d", s.EventsDropped, want)
+	}
+	if len(s.Events) != capacity {
+		t.Fatalf("kept %d events, want %d", len(s.Events), capacity)
+	}
+	for i, e := range s.Events {
+		k := len(order) - capacity + i
+		if e.Seq != uint64(k) || e.Addr != order[k].addr || e.Time != order[k].time {
+			t.Fatalf("Events[%d] = %+v, want emission %d (%+v)", i, e, k, order[k])
 		}
-		if e.Seq != 3+uint64(i) {
-			t.Fatalf("merged[%d].Seq = %d, want %d", i, e.Seq, 3+i)
-		}
-	}
-	// Within t=30, shard 0's two events precede shard 1's, in Seq order.
-	if merged[1].Seq != 4 { // renumbered; check source order via Time ties already
-		t.Fatalf("tie-break renumbering wrong: %+v", merged)
-	}
-
-	// A single shard with capacity ≥ total is the identity modulo Seq rebase.
-	one, d := MergeEventTails(8, [][]Event{{ev(3, 1), ev(4, 2)}}, []uint64{3})
-	if d != 3 || len(one) != 2 || one[0].Time != 1 || one[1].Time != 2 {
-		t.Fatalf("single-shard merge wrong: %+v dropped=%d", one, d)
-	}
-
-	// Zero capacity disables bounding only when non-positive... capacity<=0
-	// keeps everything.
-	all, d0 := MergeEventTails(0, tails, nil)
-	if d0 != 0 || len(all) != 5 {
-		t.Fatalf("unbounded merge: len=%d dropped=%d", len(all), d0)
 	}
 }

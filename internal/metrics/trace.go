@@ -3,7 +3,6 @@ package metrics
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 )
 
 // EventKind labels one event-trace record type. The set mirrors the
@@ -111,6 +110,9 @@ func (e *UnknownKindError) Error() string {
 // Event is one trace record. Seq is the global emission index (0-based,
 // monotonic even after the ring wraps); Time is the simulated cycle of the
 // emitting operation; Addr and A/B are kind-specific (see EventKind docs).
+// A tail lists events in emission order, not time order: one run's banks
+// share one ring, and a bank's operation may be timed before an event
+// another bank already emitted, so Time is not monotonic within a tail.
 type Event struct {
 	Seq  uint64    `json:"seq"`
 	Time uint64    `json:"t"`
@@ -195,52 +197,6 @@ func (t *Trace) Dropped() uint64 {
 		return 0
 	}
 	return t.next - uint64(len(t.buf))
-}
-
-// MergeEventTails combines per-bank event-ring tails into one bounded tail
-// of at most capacity events, as if a single ring of that capacity had
-// observed the union. tails[i] is ring i's buffered events (oldest first)
-// and droppedBefore[i] how many that ring already overwrote. The merge is
-// canonical — events sort by (Time, ring index, per-ring Seq) and the
-// result keeps the latest `capacity` with globally renumbered Seq. Kept-event
-// ordering is by simulated time, not global emission order (which per-bank
-// rings cannot reconstruct); within one ring relative order is preserved.
-func MergeEventTails(capacity int, tails [][]Event, droppedBefore []uint64) ([]Event, uint64) {
-	type tagged struct {
-		e    Event
-		ring int
-	}
-	var all []tagged
-	total := uint64(0)
-	for i, tl := range tails {
-		total += uint64(len(tl))
-		if i < len(droppedBefore) {
-			total += droppedBefore[i]
-		}
-		for _, e := range tl {
-			all = append(all, tagged{e, i})
-		}
-	}
-	sort.Slice(all, func(a, b int) bool {
-		x, y := all[a], all[b]
-		if x.e.Time != y.e.Time {
-			return x.e.Time < y.e.Time
-		}
-		if x.ring != y.ring {
-			return x.ring < y.ring
-		}
-		return x.e.Seq < y.e.Seq
-	})
-	if capacity > 0 && len(all) > capacity {
-		all = all[len(all)-capacity:]
-	}
-	out := make([]Event, len(all))
-	base := total - uint64(len(all))
-	for i, t := range all {
-		out[i] = t.e
-		out[i].Seq = base + uint64(i)
-	}
-	return out, base
 }
 
 // Events returns the buffered events in emission order (oldest first).

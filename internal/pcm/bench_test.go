@@ -104,8 +104,9 @@ func BenchmarkDeviceDisturb(b *testing.B) {
 // BenchmarkDeviceFirstTouch measures materializing lines on first write at
 // scattered addresses of a 1 GB device, nearly one line per chunk, the
 // pattern of a sparse workload's first pass. It reports the store's bytes
-// per resident line beside ns/op; the device is rebuilt (untimed) every
-// firstTouchBatch lines so memory stays bounded at any b.N.
+// per resident line beside ns/op, over every device the loop built; the
+// device is rebuilt (untimed) every firstTouchBatch lines so memory stays
+// bounded at any b.N.
 func BenchmarkDeviceFirstTouch(b *testing.B) {
 	const firstTouchBatch = 1 << 14
 	newDev := func() *Device {
@@ -117,18 +118,23 @@ func BenchmarkDeviceFirstTouch(b *testing.B) {
 	}
 	d := newDev()
 	addrs := benchAddrs(d, firstTouchBatch)
+	var bytes, lines int // totals over the devices already replaced
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i > 0 && i%firstTouchBatch == 0 {
 			b.StopTimer()
+			bytes += storeBytes(d)
+			lines += residentLines(d)
 			d = newDev()
 			b.StartTimer()
 		}
 		d.Write(addrs[i%firstTouchBatch], Line{uint64(i)}, NormalWrite)
 	}
 	b.StopTimer()
-	if n := residentLines(d); n > 0 {
-		b.ReportMetric(float64(storeBytes(d))/float64(n), "B/line")
+	bytes += storeBytes(d)
+	lines += residentLines(d)
+	if lines > 0 {
+		b.ReportMetric(float64(bytes)/float64(lines), "B/line")
 	}
 }

@@ -70,7 +70,7 @@ type Stats struct {
 func (s Stats) CellWrites() uint64 { return s.ResetPulses + s.SetPulses }
 
 // Add accumulates another Stats value; all fields are additive, so folding
-// the per-bank counters in bank order is equivalent to a single global
+// per-module counters in module order is equivalent to a single global
 // counter.
 func (s *Stats) Add(o Stats) {
 	s.Reads += o.Reads
@@ -186,9 +186,7 @@ type Device struct {
 
 	geo Geometry
 
-	// stats holds one counter set per bank (the checkpoint encodes them per
-	// bank); Stats() folds them.
-	stats []Stats
+	stats Stats
 
 	store    []bankStore
 	numLines int // cached Lines(): the bound checkRange tests per access
@@ -243,7 +241,6 @@ func NewDevice(cfg Config) (*Device, error) {
 		RowsPerBank: cfg.Pages / nbanks,
 		Timing:      t,
 		geo:         geo,
-		stats:       make([]Stats, nbanks),
 		store:       make([]bankStore, nbanks),
 		fillSeed:    cfg.FillSeed,
 		zeroFill:    cfg.ZeroFill,
@@ -266,25 +263,13 @@ func (d *Device) Banks() int { return d.geo.banks }
 // Geometry returns the device's bank layout.
 func (d *Device) Geometry() Geometry { return d.geo }
 
-// Stats folds the per-bank counters into one aggregate view.
-func (d *Device) Stats() Stats {
-	var s Stats
-	for _, b := range d.stats {
-		s.Add(b)
-	}
-	return s
-}
+// Stats returns the device's counters.
+func (d *Device) Stats() Stats { return d.stats }
 
-// BankStats returns one bank's counters.
-func (d *Device) BankStats(bank int) Stats { return d.stats[bank] }
-
-// CountRead attributes one array read to the line's bank without performing
-// it — the controller's read-combining paths serve data from queue state but
-// still occupy the array (verification, cascade and pre-reads).
-func (d *Device) CountRead(a LineAddr) {
-	bank, _ := d.geo.bankLocal(a)
-	d.stats[bank].Reads++
-}
+// CountRead counts one array read without performing it — the controller's
+// read-combining paths serve data from queue state but still occupy the
+// array (verification, cascade and pre-reads).
+func (d *Device) CountRead() { d.stats.Reads++ }
 
 // Pages returns the number of pages the device exposes.
 func (d *Device) Pages() int { return d.RowsPerBank * d.geo.banks }
@@ -399,7 +384,7 @@ func (d *Device) Peek(a LineAddr) Line {
 // Read returns a line's content and counts one array read. Timing is the
 // caller's concern (Timing.ReadCycles).
 func (d *Device) Read(a LineAddr) Line {
-	d.CountRead(a)
+	d.CountRead()
 	return d.Peek(a)
 }
 
@@ -414,7 +399,6 @@ type WriteResult struct {
 // the pulse maps and bank occupancy. kind attributes the wear.
 func (d *Device) Write(a LineAddr, new Line, kind WriteKind) WriteResult {
 	d.checkRange(a)
-	bank, _ := d.geo.bankLocal(a)
 	l := d.line(a)
 	// Fused differential write: one pass computes both pulse maps, their
 	// popcounts and the stored update (DiffMasks + 2×PopCount + copy would
@@ -429,7 +413,7 @@ func (d *Device) Write(a LineAddr, new Line, kind WriteKind) WriteResult {
 		ns += bits.OnesCount64(s)
 		l[i] = new[i]
 	}
-	st := &d.stats[bank]
+	st := &d.stats
 	st.Writes++
 	st.ResetPulses += uint64(nr)
 	st.SetPulses += uint64(ns)
@@ -476,7 +460,7 @@ func (d *Device) Disturb(a LineAddr, flips Mask) int {
 		}
 	}
 	if n > 0 {
-		d.stats[bank].DisturbedBits += uint64(n)
+		d.stats.DisturbedBits += uint64(n)
 	}
 	return n
 }

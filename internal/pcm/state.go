@@ -40,16 +40,16 @@ func DecodeLine(d *snap.Decoder) Line {
 	return l
 }
 
-// EncodeState serializes the device's mutable state: per-bank counters and,
-// for every touched chunk in ascending chunk index, its residency bitmap and
-// resident lines in bit order. Geometry, timing and the background fill are
-// construction parameters and are not stored — decode targets a freshly
-// built Device of the same Config.
+// EncodeState serializes the device's mutable state: its counters and then,
+// per bank, for every touched chunk in ascending chunk index, its residency
+// bitmap and resident lines in bit order. Geometry, timing and the
+// background fill are construction parameters and are not stored — decode
+// targets a freshly built Device of the same Config.
 func (d *Device) EncodeState(e *snap.Encoder) {
 	e.Begin("pcm.device")
+	encodeStats(e, d.stats)
 	for b := range d.store {
 		st := &d.store[b]
-		encodeStats(e, d.stats[b])
 		e.Uvarint(uint64(len(st.hdrs) - 1))
 		for ci, h := range st.chunks {
 			if h == 0 {
@@ -79,9 +79,9 @@ func (d *Device) EncodeState(e *snap.Encoder) {
 // every bitmap must name at least one line, as EncodeState writes them.
 func (d *Device) DecodeState(dec *snap.Decoder) error {
 	dec.Begin("pcm.device")
+	decodeStats(dec, &d.stats)
 	for b := range d.store {
 		st := &d.store[b]
-		decodeStats(dec, &d.stats[b])
 		if len(st.hdrs) > 1 {
 			clear(st.chunks)
 			st.hdrs = st.hdrs[:1]

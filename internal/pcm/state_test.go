@@ -15,18 +15,14 @@ type chunkEntry struct {
 }
 
 // encodeBank0 hand-encodes a pcm.device section for a 16-page device (four
-// chunks per bank) whose bank 0 has counters st and holds the given chunks,
+// chunks per bank) with counters st whose bank 0 holds the given chunks,
 // each resident line storing its own bank-local index, and whose other
 // banks are untouched.
 func encodeBank0(st Stats, chunks []chunkEntry) []byte {
 	e := snap.NewEncoder(1)
 	e.Begin("pcm.device")
+	encodeStats(e, st)
 	for b := 0; b < NumBanks; b++ {
-		if b == 0 {
-			encodeStats(e, st)
-		} else {
-			encodeStats(e, Stats{})
-		}
 		if b != 0 {
 			e.Uvarint(0)
 			continue
@@ -111,7 +107,7 @@ func TestEncodeStateOrder(t *testing.T) {
 	e := snap.NewEncoder(1)
 	src.EncodeState(e)
 	data := e.Finish()
-	want := encodeBank0(src.BankStats(0), []chunkEntry{{0, 1<<2 | 1<<3}, {1, 1 << 1}, {2, 1 << 8}, {3, 1 << 15}})
+	want := encodeBank0(src.Stats(), []chunkEntry{{0, 1<<2 | 1<<3}, {1, 1 << 1}, {2, 1 << 8}, {3, 1 << 15}})
 	if !bytes.Equal(data, want) {
 		t.Fatal("pcm.device section is not in ascending chunk and bit order")
 	}

@@ -24,8 +24,9 @@ import (
 
 // storeVersion is bumped whenever the envelope layout or the semantics of
 // persisted results change incompatibly; entries with another version are
-// treated as misses and re-simulated.
-const storeVersion = 1
+// treated as misses and re-simulated. Version 2 results keep their event
+// tails in emission order (version 1 tails were time-sorted).
+const storeVersion = 2
 
 // envelope is the on-disk entry format: the full canonical runner key (the
 // filename only carries its hash), an integrity checksum over the result
@@ -104,9 +105,9 @@ func (s *DiskStore) Load(key string) (sim.Result, bool) {
 		return sim.Result{}, false
 	}
 	if env.Version != storeVersion || env.Key != key {
-		// A hash collision between distinct keys lands here too: the stored
-		// full key disagrees, so the entry is simply not ours.
-		s.miss(env.Version != storeVersion)
+		// The file is named by the key's SHA-256, so an entry holding
+		// another key is damaged, not a collision.
+		s.miss(true)
 		return sim.Result{}, false
 	}
 	sum := sha256.Sum256(env.Result)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 
+	"sdpcm/internal/metrics"
 	"sdpcm/internal/snap"
 	"sdpcm/internal/topo"
 	"sdpcm/internal/trace"
@@ -14,9 +15,10 @@ import (
 // checkpointVersion is the on-disk format version. Bump it whenever any
 // module's EncodeState layout changes; old files then fail with a
 // snap.VersionError instead of decoding garbage. Version 1 was the original
-// single-DIMM container and version 2 the separate multi-module one; 3 is
-// the one container every run writes.
-const checkpointVersion = 3
+// single-DIMM container, version 2 the separate multi-module one and 3 the
+// one container with a registry per bank; 4 holds one registry per run and
+// one device counter set per module.
+const checkpointVersion = 4
 
 var (
 	// ErrResume marks a failure to load or validate a resume checkpoint.
@@ -53,6 +55,7 @@ func (c Config) checkpointIdentity(cores int) string {
 type runState struct {
 	cfg   Config
 	spec  *topo.Spec
+	reg   *metrics.Registry // nil when collection is off
 	mods  []*moduleRun
 	cores []*corePending
 	h     *coreHeap
@@ -72,7 +75,8 @@ func (s *runState) identity() string {
 
 // encodeCheckpoint serializes the complete simulator state: the core states
 // first, then each module's device, controllers, heatmap, allocator,
-// wear-leveling layer, registries and integrity shadow in module order.
+// wear-leveling layer and integrity shadow in module order, then the run's
+// metrics registry.
 func (s *runState) encodeCheckpoint() []byte {
 	e := snap.NewEncoder(checkpointVersion)
 	e.Begin("sim.run")
@@ -113,11 +117,9 @@ func (s *runState) encodeCheckpoint() []byte {
 		if m.wl != nil {
 			m.wl.EncodeState(e)
 		}
-		for _, reg := range m.p.regs {
-			reg.EncodeState(e) // nil-safe: disabled registries encode as absent
-		}
 		m.p.encodeShadow(e)
 	}
+	s.reg.EncodeState(e) // nil-safe: a disabled registry encodes as absent
 	e.End()
 	return e.Finish()
 }
@@ -237,14 +239,12 @@ func (s *runState) decode(data []byte) error {
 				return err
 			}
 		}
-		for _, reg := range m.p.regs {
-			if err := reg.DecodeState(d); err != nil {
-				return err
-			}
-		}
 		if err := m.p.decodeShadow(d); err != nil {
 			return err
 		}
+	}
+	if err := s.reg.DecodeState(d); err != nil {
+		return err
 	}
 	d.End()
 	return d.Close()

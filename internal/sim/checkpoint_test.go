@@ -20,11 +20,11 @@ import (
 )
 
 var updateCheckpointFixture = flag.Bool("update-checkpoint", false,
-	"regenerate testdata/checkpoint_v3.bin (run after bumping checkpointVersion)")
+	"regenerate "+fixturePath+" (run after bumping checkpointVersion)")
 
 // checkpointCfg exercises every checkpointed subsystem: ECP parking, the WD
-// engine and heatmap, the DIN codec, wear leveling, metrics registries with
-// event rings, and the integrity shadow.
+// engine and heatmap, the DIN codec, wear leveling, the run's metrics
+// registry with its event ring, and the integrity shadow.
 func checkpointCfg() Config {
 	cfg := quickCfg(core.AllThree(6, alloc.Tag23), "mcf")
 	cfg.RefsPerCore = 2000
@@ -142,10 +142,10 @@ func TestResumeMissingFile(t *testing.T) {
 // fixtureCfg is the golden checkpoint's configuration and FuzzResume's run:
 // small enough to simulate per fuzz input, yet touching every serialized
 // subsystem (ECP parking, the WD engine and heatmap, the DIN codec, wear
-// leveling, metrics registries with event rings) except the integrity
-// shadow — under fuzzing a changed byte of stored line data would rightly
-// fail that check, which is a corrupted run, not a decoder fault. The
-// resume tests on checkpointCfg and multiCfg cover the shadow. Changing
+// leveling, the run's metrics registry with its event ring) except the
+// integrity shadow — under fuzzing a changed byte of stored line data would
+// rightly fail that check, which is a corrupted run, not a decoder fault.
+// The resume tests on checkpointCfg and multiCfg cover the shadow. Changing
 // this configuration requires regenerating the fixture.
 func fixtureCfg() Config {
 	return Config{
@@ -163,11 +163,15 @@ func fixtureCfg() Config {
 	}
 }
 
-const fixturePath = "testdata/checkpoint_v3.bin"
+const fixturePath = "testdata/checkpoint_v4.bin"
 
-// v1FixturePath is a checkpoint of fixtureCfg in the original version-1
-// single-DIMM container, kept to pin that pre-v3 files are refused.
-const v1FixturePath = "testdata/checkpoint_v1.bin"
+// v1FixturePath and v3FixturePath are checkpoints of fixtureCfg in the
+// original version-1 single-DIMM container and in the version-3 container
+// with a registry per bank, kept to pin that older files are refused.
+const (
+	v1FixturePath = "testdata/checkpoint_v1.bin"
+	v3FixturePath = "testdata/checkpoint_v3.bin"
+)
 
 // fixtureInterval fires once at 51 of the 100 total references.
 const fixtureInterval = 51
@@ -240,9 +244,10 @@ func withVersion(t *testing.T, v byte) string {
 }
 
 // TestCheckpointVersionError: a file of any other format version — the
-// committed v1 file, a v2 (the retired multi-module container) or a future
-// version — fails with a typed, versioned error under both a default and a
-// topology configuration: never a panic and never silently decoded garbage.
+// committed v1 and v3 files, a v2 (the retired multi-module container) or a
+// future version — fails with a typed, versioned error under both a default
+// and a topology configuration: never a panic and never silently decoded
+// garbage.
 func TestCheckpointVersionError(t *testing.T) {
 	files := []struct {
 		name string
@@ -251,6 +256,7 @@ func TestCheckpointVersionError(t *testing.T) {
 	}{
 		{"v1", v1FixturePath, 1},
 		{"v2", withVersion(t, 2), 2},
+		{"v3", v3FixturePath, 3},
 		{"v99", withVersion(t, 99), 99},
 	}
 	cfgs := []struct {

@@ -86,20 +86,31 @@ func TestMetricsDeterministic(t *testing.T) {
 	}
 }
 
+// TestTraceEventsBounded: a run keeps one ring of TraceEvents events, the
+// run's last ones in emission order — every bank of every module (multiCfg
+// has two) emits into it — so the tail's Seq runs contiguously from
+// EventsDropped.
 func TestTraceEventsBounded(t *testing.T) {
-	cfg := metricsCfg(core.LazyCPreRead(6), "mcf", 32)
-	r := run(t, cfg)
-	if n := len(r.Metrics.Events); n > 32 {
-		t.Fatalf("trace kept %d events, cap 32", n)
-	}
-	if r.Metrics.EventsDropped == 0 {
-		t.Fatal("expected drops with a 32-event ring on a full run")
-	}
-	// Seq strictly increases within the kept tail.
-	evs := r.Metrics.Events
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Seq <= evs[i-1].Seq {
-			t.Fatalf("event order broken at %d: %+v -> %+v", i, evs[i-1], evs[i])
-		}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"one-module", metricsCfg(core.LazyCPreRead(6), "mcf", 32)},
+		{"two-module", multiCfg()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := run(t, tc.cfg).Metrics
+			if n := len(m.Events); n != tc.cfg.TraceEvents {
+				t.Fatalf("trace kept %d events, cap %d", n, tc.cfg.TraceEvents)
+			}
+			if m.EventsDropped == 0 {
+				t.Fatalf("expected drops with a %d-event ring on a full run", tc.cfg.TraceEvents)
+			}
+			for i, e := range m.Events {
+				if want := m.EventsDropped + uint64(i); e.Seq != want {
+					t.Fatalf("Events[%d].Seq = %d, want %d", i, e.Seq, want)
+				}
+			}
+		})
 	}
 }

@@ -87,7 +87,7 @@ func schemeKnown(name string) bool {
 // the per-bank streams. A multi-module run gives module i the subtree
 // root → "module-<i>"; the default one-module spec uses root itself, so its
 // draws are those of the original single-DIMM simulator.
-func newModuleRun(cfg Config, pl topo.Placement, sub *rng.Rand) (*moduleRun, error) {
+func newModuleRun(cfg Config, pl topo.Placement, sub *rng.Rand, reg *metrics.Registry) (*moduleRun, error) {
 	scheme := cfg.Scheme
 	if pl.Scheme != "" {
 		s, err := core.ByName(pl.Scheme, pl.ECPEntries)
@@ -127,7 +127,7 @@ func newModuleRun(cfg Config, pl topo.Placement, sub *rng.Rand) (*moduleRun, err
 		}
 		return c
 	}
-	m.p, err = newBankPlane(cfg, dev, mcCfg, allocator, bankRngs)
+	m.p, err = newBankPlane(cfg, dev, mcCfg, allocator, bankRngs, reg)
 	if err != nil {
 		return nil, fmt.Errorf("sim: module %s: %w", pl.Name, err)
 	}
@@ -204,11 +204,10 @@ type simCounters struct {
 }
 
 // assembleSnapshot builds a metrics snapshot from the quiesced modules:
-// module stats are summed and rendered into a scratch registry, merged with
-// every bank registry's histograms in module-major, bank-minor order, and
-// the per-bank event-ring tails combine into one canonical bounded tail.
-// The result is a pure function of per-bank state.
-func assembleSnapshot(mods []*moduleRun, traceCap int, sc simCounters) *metrics.Snapshot {
+// module stats are summed and rendered into a scratch registry and merged
+// with the run registry's histograms; the run registry's event tail is the
+// snapshot's. The result is a pure function of the run's state.
+func assembleSnapshot(reg *metrics.Registry, mods []*moduleRun, sc simCounters) *metrics.Snapshot {
 	tmp := metrics.New()
 	mcS, devS, ecpS, wdS := mergedStats(mods)
 	mcS.Publish(tmp)
@@ -220,24 +219,9 @@ func assembleSnapshot(mods []*moduleRun, traceCap int, sc simCounters) *metrics.
 	tmp.Counter("sim.page_faults").Add(sc.pageFaults)
 	tmp.Counter("sim.wear_moves").Add(sc.wearMoves)
 	tmp.Gauge("sim.cycles").Set(sc.cycles)
-	s := tmp.Snapshot()
-	var tails [][]metrics.Event
-	var dropped []uint64
-	for _, m := range mods {
-		for _, reg := range m.p.regs {
-			bs := reg.Snapshot()
-			if traceCap > 0 {
-				tails = append(tails, bs.Events)
-				dropped = append(dropped, bs.EventsDropped)
-			}
-			s = s.Merge(bs)
-		}
-	}
-	if traceCap > 0 {
-		s.Events, s.EventsDropped = metrics.MergeEventTails(traceCap, tails, dropped)
-	} else {
-		s.Events, s.EventsDropped = nil, 0
-	}
+	rs := reg.Snapshot()
+	s := tmp.Snapshot().Merge(rs)
+	s.Events, s.EventsDropped = rs.Events, rs.EventsDropped
 	return s
 }
 

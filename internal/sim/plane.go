@@ -17,11 +17,9 @@ import (
 
 // bankPlane is the per-bank decomposition of a run's memory-system state:
 // one mc.Controller per PCM bank, each with its own ECP table, policy
-// instances, disturbance engine (on a labeled per-bank RNG stream) and — when
-// collection is on — its own metrics registry and event ring. The device and
-// heatmap are shared, but their mutable state is split per bank internally
-// (per-bank stat counters and storage arenas; bank-major heatmap cells), so
-// controllers driving disjoint banks never write the same memory.
+// instances and disturbance engine on a labeled per-bank RNG stream. The
+// device, the heatmap and — when collection is on — the run's one metrics
+// registry and event ring are shared by every bank.
 //
 // The decomposition is exact, not approximate: banks are serially-busy
 // independent resources and write disturbance only couples physically
@@ -36,8 +34,7 @@ type bankPlane struct {
 	dev   *pcm.Device
 	geo   pcm.Geometry
 	ctrls []*mc.Controller
-	regs  []*metrics.Registry // nil entries when collection is off
-	hm    *wd.Heatmap         // nil when disabled; shared, bank-disjoint cells
+	hm    *wd.Heatmap // nil when disabled; shared, bank-disjoint cells
 	// shadow is the integrity shadow (Config.CheckIntegrity): the last data
 	// written to each line, keyed by logical (pre-wear-leveling) address.
 	// Nil when integrity checking is off.
@@ -49,13 +46,12 @@ type bankPlane struct {
 // (correction policies may be stateful and must not be shared); bankRngs must
 // hold one labeled stream per bank (module root "mc" → "bank-<b>"); a is the
 // module's live allocator, which every controller reads (n:m) region tags
-// from.
-func newBankPlane(cfg Config, dev *pcm.Device, mcCfg func() mc.Config, a *alloc.Allocator, bankRngs []*rng.Rand) (*bankPlane, error) {
+// from; reg is the run's registry (nil when collection is off).
+func newBankPlane(cfg Config, dev *pcm.Device, mcCfg func() mc.Config, a *alloc.Allocator, bankRngs []*rng.Rand, reg *metrics.Registry) (*bankPlane, error) {
 	p := &bankPlane{
 		dev:   dev,
 		geo:   dev.Geometry(),
 		ctrls: make([]*mc.Controller, dev.Banks()),
-		regs:  make([]*metrics.Registry, dev.Banks()),
 	}
 	if cfg.HeatmapRegions > 0 {
 		p.hm = wd.NewHeatmapGeo(cfg.HeatmapRegions, dev.RowsPerBank, dev.Geometry())
@@ -63,19 +59,13 @@ func newBankPlane(cfg Config, dev *pcm.Device, mcCfg func() mc.Config, a *alloc.
 	if cfg.CheckIntegrity {
 		p.shadow = make(map[pcm.LineAddr]pcm.Line)
 	}
-	collect := cfg.CollectMetrics || cfg.TraceEvents > 0 || cfg.SnapshotInterval > 0
 	for b := range p.ctrls {
 		ctrl, err := mc.New(mcCfg(), dev, a, bankRngs[b])
 		if err != nil {
 			return nil, err
 		}
 		ctrl.BindBank(b)
-		if collect {
-			reg := metrics.New()
-			reg.EnableTrace(cfg.TraceEvents)
-			ctrl.Instrument(reg)
-			p.regs[b] = reg
-		}
+		ctrl.Instrument(reg)
 		if p.hm != nil {
 			ctrl.InstrumentHeatmap(p.hm)
 		}
@@ -156,9 +146,6 @@ func (p *bankPlane) decodeShadow(d *snap.Decoder) error {
 	}
 	return d.Err()
 }
-
-// collecting reports whether metric registries are attached.
-func (p *bankPlane) collecting() bool { return p.regs[0] != nil }
 
 // mergedStats folds the per-bank module counters in bank order.
 func (p *bankPlane) mergedStats() (mcS mc.Stats, devS pcm.Stats, ecpS ecp.Stats, wdS wd.Stats) {

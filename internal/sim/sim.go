@@ -85,7 +85,10 @@ type Config struct {
 	// TraceEvents, when positive, additionally keeps the last N typed
 	// events (WD inject/detect/park/flush, VnC cascade steps, PreRead
 	// issue/forward/hit, write-cancel preemptions, queue enqueue/stall/
-	// drain) in Result.Metrics.Events. Implies metrics collection.
+	// drain) in Result.Metrics.Events. Every bank of every module emits
+	// into one ring, so the tail is the run's last N events in emission
+	// order (Seq is the run-wide emission index; Time is not monotonic
+	// across banks). Implies metrics collection.
 	TraceEvents int
 	// HeatmapRegions, when positive, accumulates the WD spatial heatmap:
 	// injected bit-line flips, LazyCorrection parks and correction writes
@@ -321,6 +324,12 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("sim: %w", err)
 	}
 
+	// One registry and event ring serve every bank of every module.
+	var reg *metrics.Registry
+	if cfg.CollectMetrics || cfg.TraceEvents > 0 || cfg.SnapshotInterval > 0 {
+		reg = metrics.New()
+		reg.EnableTrace(cfg.TraceEvents)
+	}
 	root := rng.New(cfg.Seed)
 	mods := make([]*moduleRun, len(placements))
 	for i, pl := range placements {
@@ -331,7 +340,7 @@ func Run(cfg Config) (Result, error) {
 		if !spec.IsDefault() {
 			sub = root.SplitLabeled(fmt.Sprintf("module-%d", i))
 		}
-		if mods[i], err = newModuleRun(cfg, pl, sub); err != nil {
+		if mods[i], err = newModuleRun(cfg, pl, sub, reg); err != nil {
 			return Result{}, err
 		}
 	}
@@ -393,7 +402,7 @@ func Run(cfg Config) (Result, error) {
 		return sc
 	}
 	snapshotting := cfg.SnapshotInterval > 0 && cfg.OnSnapshot != nil
-	ckpt := runState{cfg: cfg, spec: spec, mods: mods, cores: cores, h: &h, nextSnap: cfg.SnapshotInterval}
+	ckpt := runState{cfg: cfg, spec: spec, reg: reg, mods: mods, cores: cores, h: &h, nextSnap: cfg.SnapshotInterval}
 	checkpointing := cfg.CheckpointEvery > 0 && cfg.CheckpointPath != ""
 	if checkpointing || cfg.ResumeFrom != "" {
 		// All of a module's controllers share one scheme config; checking
@@ -442,7 +451,7 @@ func Run(cfg Config) (Result, error) {
 			h.down(0)
 		}
 		if snapshotting && c.time >= ckpt.nextSnap {
-			cfg.OnSnapshot(assembleSnapshot(mods, cfg.TraceEvents, counters(c.time)))
+			cfg.OnSnapshot(assembleSnapshot(reg, mods, counters(c.time)))
 			for ckpt.nextSnap <= c.time {
 				ckpt.nextSnap += cfg.SnapshotInterval
 			}
@@ -505,8 +514,8 @@ func Run(cfg Config) (Result, error) {
 			res.Modules[i] = mr
 		}
 	}
-	if mods[0].p.collecting() {
-		res.Metrics = assembleSnapshot(mods, cfg.TraceEvents, sc)
+	if reg != nil {
+		res.Metrics = assembleSnapshot(reg, mods, sc)
 		if cfg.OnSnapshot != nil {
 			cfg.OnSnapshot(res.Metrics)
 		}
