@@ -13,6 +13,7 @@ import (
 
 	"sdpcm/internal/core"
 	"sdpcm/internal/ecp"
+	"sdpcm/internal/imdb"
 	"sdpcm/internal/mc"
 	"sdpcm/internal/metrics"
 	"sdpcm/internal/pcm"
@@ -72,8 +73,9 @@ func sweepCfg(s core.Scheme, bench string) Config {
 // pinnedRuns extends the fixture beyond the Figure 11 sweep to the paths it
 // does not reach: the all-subsystems wear-leveled run (scored with the
 // heatmap), two-module topology runs (scored with the per-module
-// breakdown), one of them with a 4-bank far module, and the §6.8
-// write-cancellation drain, alone and under LazyCorrection.
+// breakdown), one of them with a 4-bank far module, the §6.8
+// write-cancellation drain, alone and under LazyCorrection, and the
+// in-module barrier on the default module and on one 32-bank module.
 func pinnedRuns() []struct {
 	name string
 	cfg  Config
@@ -82,6 +84,8 @@ func pinnedRuns() []struct {
 	banks4 := multiCfg()
 	banks4.Topology = topo.Demo2()
 	banks4.Topology.Modules[1].Banks = 4
+	imdb32 := sweepCfg(imdb.Scheme(6, 0), "mcf")
+	imdb32.Topology = &topo.Spec{Modules: []topo.Module{{Banks: 32}}}
 	return []struct {
 		name string
 		cfg  Config
@@ -92,6 +96,8 @@ func pinnedRuns() []struct {
 		{"pin|multiCfg-far-banks4", banks4, multiFingerprint},
 		{"pin|WC|mcf", sweepCfg(core.WC(), "mcf"), fingerprint},
 		{"pin|WC+LazyC|mcf", sweepCfg(core.WCLazyC(6), "mcf"), fingerprint},
+		{"pin|IMDB|mcf", sweepCfg(imdb.Scheme(6, 0), "mcf"), fingerprint},
+		{"pin|IMDB-banks32|mcf", imdb32, multiFingerprint},
 	}
 }
 
