@@ -66,7 +66,7 @@ resume-smoke:
 # and stream reader against each other), the DIN encoder against its scalar
 # oracle and the geometric sampler against its Bernoulli-loop oracle, for
 # ~20 s from its seed corpus (the CI fuzz job). go test accepts one -fuzz target per
-# invocation. The FuzzResume targets' inputs are whole checkpoints (~26 KB)
+# invocation. The FuzzResume targets' inputs are whole checkpoints (~19 KB)
 # and FuzzDiskStoreLoad's are whole result-store entries, so minimizing each
 # new corpus entry is capped at 2 s to leave the budget for fuzzing.
 # FuzzResumeTopology and FuzzResumeReplay resume a two-module topology run

@@ -48,7 +48,7 @@ type Stats struct {
 }
 
 // Add accumulates another Stats value; all fields are additive, so the
-// per-bank controllers' tables merge commutatively.
+// per-module controllers' tables merge commutatively.
 func (s *Stats) Add(o Stats) {
 	s.WDRecorded += o.WDRecorded
 	s.WDDuplicates += o.WDDuplicates
@@ -87,12 +87,11 @@ type Table struct {
 	Stats Stats
 
 	// index maps a tracked line, by the bound device's resident-line slot,
-	// to its state in lines; lines[0] is an unused sentinel, so index 0
-	// means untracked. Only a minority of resident lines ever hold entries,
-	// hence the indirection rather than a lineState per slot. lines grows
-	// by append: no *lineState is held across track.
+	// to its state in lines; index 0 means untracked. Only a minority of
+	// resident lines ever hold entries, hence the indirection rather than a
+	// lineState per slot. The arena's fixed blocks never copy on growth.
 	index pcm.LineTable
-	lines []lineState
+	lines pcm.Arena[lineState]
 
 	// scratch backs RecordWD's dedup pass; reused across calls so the
 	// steady-state record path allocates nothing. RecordWD is not reentrant.
@@ -110,7 +109,7 @@ func New(n int) (*Table, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("ecp: negative entry count %d", n)
 	}
-	return &Table{N: n, index: pcm.NewLineTable(nil), lines: make([]lineState, 1)}, nil
+	return &Table{N: n, index: pcm.NewLineTable(nil)}, nil
 }
 
 // Bind keys the table's per-line state by dev's resident-line slots,
@@ -118,24 +117,23 @@ func New(n int) (*Table, error) {
 // it protects before the first write.
 func (t *Table) Bind(dev *pcm.Device) {
 	t.index = pcm.NewLineTable(dev)
-	t.lines = make([]lineState, 1)
+	t.lines.Reset()
 }
 
 // IndexBytes returns the capacity of the table's per-slot index, in bytes
 // (the line states themselves live only for tracked lines).
 func (t *Table) IndexBytes() int { return t.index.Bytes() }
 
-// lookup returns a tracked line's state, or nil. The pointer is valid until
-// the next track.
+// lookup returns a tracked line's state, or nil.
 func (t *Table) lookup(a pcm.LineAddr) *lineState {
 	if i := t.index.Get(a); i != 0 {
-		return &t.lines[i]
+		return t.lines.At(i)
 	}
 	return nil
 }
 
 // track returns a line's state, creating it (with its hard errors) on first
-// use. The pointer is valid until the next track.
+// use.
 func (t *Table) track(a pcm.LineAddr) *lineState {
 	if s := t.lookup(a); s != nil {
 		return s
@@ -143,9 +141,9 @@ func (t *Table) track(a pcm.LineAddr) *lineState {
 	// One allocation backs both entry lists: wd never holds more than N,
 	// and seen starts with room for one full round.
 	buf := make([]uint16, 2*t.N)
-	t.index.Put(a, uint32(len(t.lines)))
-	t.lines = append(t.lines, lineState{hard: t.hardFor(a), wd: buf[:0:t.N], seen: buf[t.N:t.N]})
-	return &t.lines[len(t.lines)-1]
+	i := t.lines.Add(lineState{hard: t.hardFor(a), wd: buf[:0:t.N], seen: buf[t.N:t.N]})
+	t.index.Put(a, i)
+	return t.lines.At(i)
 }
 
 // hardFor returns the hard errors an untracked line starts with.

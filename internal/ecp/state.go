@@ -18,7 +18,7 @@ func (t *Table) EncodeState(e *snap.Encoder) {
 	e.U64(t.Stats.ECPBitWrites)
 	e.Uvarint(uint64(t.index.Len()))
 	t.index.Visit(func(a pcm.LineAddr, i uint32) {
-		s := &t.lines[i]
+		s := t.lines.At(i)
 		e.U64(uint64(a))
 		e.Int(s.hard)
 		e.Uvarint(uint64(len(s.wd)))
@@ -35,7 +35,7 @@ func (t *Table) EncodeState(e *snap.Encoder) {
 
 // DecodeState restores state written by EncodeState into a freshly
 // constructed table of the same configuration. Every line must satisfy owns
-// (the owning controller's device and bank) and be resident on the bound
+// (a line of the owning controller's device) and be resident on the bound
 // device, restored beforehand.
 func (t *Table) DecodeState(d *snap.Decoder, owns func(pcm.LineAddr) bool) error {
 	d.Begin("ecp.table")
@@ -46,7 +46,7 @@ func (t *Table) DecodeState(d *snap.Decoder, owns func(pcm.LineAddr) bool) error
 	t.Stats.ClearedByCorrect = d.U64()
 	t.Stats.ECPBitWrites = d.U64()
 	t.index.Reset()
-	t.lines = make([]lineState, 1)
+	t.lines.Reset()
 	// cells reads a list of cell indices, each inside one line.
 	cells := func() []uint16 {
 		k := d.Count()
@@ -67,7 +67,7 @@ func (t *Table) DecodeState(d *snap.Decoder, owns func(pcm.LineAddr) bool) error
 	for i := 0; i < n && d.Err() == nil; i++ {
 		a := pcm.LineAddr(d.U64())
 		if d.Err() == nil && !owns(a) {
-			d.Invalid("ecp: checkpoint holds line %d outside this controller's device or bank", a)
+			d.Invalid("ecp: checkpoint holds line %d outside this controller's device", a)
 		}
 		if d.Err() == nil && !t.index.Device().Resident(a) {
 			d.Invalid("ecp: checkpoint holds line %d, which the device does not hold", a)
@@ -80,8 +80,7 @@ func (t *Table) DecodeState(d *snap.Decoder, owns func(pcm.LineAddr) bool) error
 				a, s.hard, len(s.wd), t.N)
 		}
 		if d.Err() == nil {
-			t.index.Put(a, uint32(len(t.lines)))
-			t.lines = append(t.lines, s)
+			t.index.Put(a, t.lines.Add(s))
 		}
 	}
 	d.End()

@@ -3,7 +3,9 @@
 // disturbed-neighbour rewrites VnC would otherwise issue on the critical
 // path. Where LazyCorrection (§4.2) parks errors per line in ECP entries,
 // the barrier pools a few repair records per bank and writes them back
-// only on eviction or flush.
+// only on eviction or flush. One barrier serves the module's one
+// controller, with a buffer per bank of that controller's geometry
+// (mc.PolicyContext.Bank), whatever the module's bank count.
 //
 // The package is the worked example of the pluggable write-path policy
 // architecture: it implements mc.CorrectionPolicy (plus the optional
@@ -37,7 +39,9 @@ type entry struct {
 // a fresh Barrier per controller (the Scheme's Policy hook does) and never
 // share one across concurrent runs.
 type Barrier struct {
-	banks [pcm.NumBanks][]entry
+	// banks holds one victim buffer per controller bank, keyed by the
+	// controller's geometry (mc.PolicyContext.Bank); sized on first use.
+	banks [][]entry
 	cap   int
 	// bypass disables absorption while the barrier itself corrects
 	// (evictions and the flush drain): the cascades those rewrites trigger
@@ -69,6 +73,14 @@ func (w *Barrier) Buffered() int {
 	return n
 }
 
+// buffer returns the victim buffer of line a's bank.
+func (w *Barrier) buffer(ctx mc.PolicyContext, a pcm.LineAddr) *[]entry {
+	if w.banks == nil {
+		w.banks = make([][]entry, ctx.Banks())
+	}
+	return &w.banks[ctx.Bank(a)]
+}
+
 // Absorb claims a detected error batch into the bank's victim buffer.
 // Repairs for a line already buffered coalesce by OR-ing masks — WD flips
 // are spurious SETs and the eventual correction clears the union, so
@@ -79,7 +91,7 @@ func (w *Barrier) Absorb(ctx mc.PolicyContext, addr pcm.LineAddr, flips pcm.Mask
 	if w.bypass {
 		return 0, false
 	}
-	bk := &w.banks[pcm.Locate(addr).Bank]
+	bk := w.buffer(ctx, addr)
 	for i := range *bk {
 		if (*bk)[i].addr == addr {
 			(*bk)[i].mask = (*bk)[i].mask.Or(flips)
@@ -109,8 +121,8 @@ func (w *Barrier) correct(ctx mc.PolicyContext, e entry, depth int) int {
 // OverrideRead masks buffered (not yet applied) repairs out of read data:
 // the module knows which cells of the line are spuriously SET and clears
 // them on the way out, exactly as a pending correction would.
-func (w *Barrier) OverrideRead(a pcm.LineAddr, line pcm.Line) pcm.Line {
-	bk := w.banks[pcm.Locate(a).Bank]
+func (w *Barrier) OverrideRead(ctx mc.PolicyContext, a pcm.LineAddr, line pcm.Line) pcm.Line {
+	bk := *w.buffer(ctx, a)
 	for i := range bk {
 		if bk[i].addr == a {
 			for j := range line {
@@ -125,8 +137,8 @@ func (w *Barrier) OverrideRead(a pcm.LineAddr, line pcm.Line) pcm.Line {
 // ObserveWrite drops the buffered repair for a line about to be
 // reprogrammed: the fresh write supersedes the stale mask (the rule that
 // releases parked ECP entries for free, §4.2).
-func (w *Barrier) ObserveWrite(a pcm.LineAddr) {
-	bk := &w.banks[pcm.Locate(a).Bank]
+func (w *Barrier) ObserveWrite(ctx mc.PolicyContext, a pcm.LineAddr) {
+	bk := w.buffer(ctx, a)
 	for i := range *bk {
 		if (*bk)[i].addr == a {
 			*bk = append((*bk)[:i], (*bk)[i+1:]...)

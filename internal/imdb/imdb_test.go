@@ -3,9 +3,11 @@ package imdb
 import (
 	"testing"
 
+	"sdpcm/internal/alloc"
 	"sdpcm/internal/core"
 	"sdpcm/internal/mc"
 	"sdpcm/internal/pcm"
+	"sdpcm/internal/rng"
 	"sdpcm/internal/sim"
 	"sdpcm/internal/workload"
 )
@@ -27,15 +29,36 @@ func maskOf(bits ...int) pcm.Mask {
 	return m
 }
 
-// Absorption and coalescing never touch the controller, so a zero
-// PolicyContext suffices while the buffer has room.
+// policyContext builds a controller over a banks-bank device with w as its
+// correction policy and returns the view w acts through.
+func policyContext(t *testing.T, w *Barrier, banks int) mc.PolicyContext {
+	t.Helper()
+	const pages = 1 << 10
+	d, err := pcm.NewDevice(pcm.Config{Pages: pages, Banks: banks, FillSeed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := alloc.NewWithStrip(pages, 128, banks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Scheme(0, 0).MCConfig(0)
+	cfg.Correction = w
+	c, err := mc.New(cfg, d, a, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.PolicyContext()
+}
+
 func TestAbsorbCoalesces(t *testing.T) {
 	w := New(4)
+	ctx := policyContext(t, w, pcm.NumBanks)
 	a := pcm.LineOf(5, 3)
-	if cyc, ok := w.Absorb(mc.PolicyContext{}, a, maskOf(1, 2), []int{1, 2}, 0); !ok || cyc != 0 {
+	if cyc, ok := w.Absorb(ctx, a, maskOf(1, 2), []int{1, 2}, 0); !ok || cyc != 0 {
 		t.Fatalf("first absorb = (%d, %v)", cyc, ok)
 	}
-	if cyc, ok := w.Absorb(mc.PolicyContext{}, a, maskOf(2, 7), []int{2, 7}, 0); !ok || cyc != 0 {
+	if cyc, ok := w.Absorb(ctx, a, maskOf(2, 7), []int{2, 7}, 0); !ok || cyc != 0 {
 		t.Fatalf("coalescing absorb = (%d, %v)", cyc, ok)
 	}
 	if w.Buffered() != 1 {
@@ -48,7 +71,7 @@ func TestAbsorbCoalesces(t *testing.T) {
 	for i := range line {
 		line[i] = ^uint64(0)
 	}
-	got := w.OverrideRead(a, line)
+	got := w.OverrideRead(ctx, a, line)
 	want := maskOf(1, 2, 7)
 	for i := range got {
 		if got[i] != ^uint64(0)&^want[i] {
@@ -56,7 +79,7 @@ func TestAbsorbCoalesces(t *testing.T) {
 		}
 	}
 	// Other lines pass through untouched.
-	other := w.OverrideRead(pcm.LineOf(5, 4), line)
+	other := w.OverrideRead(ctx, pcm.LineOf(5, 4), line)
 	if other != line {
 		t.Fatal("override mutated an unbuffered line")
 	}
@@ -64,29 +87,58 @@ func TestAbsorbCoalesces(t *testing.T) {
 
 func TestObserveWriteDropsEntry(t *testing.T) {
 	w := New(4)
+	ctx := policyContext(t, w, pcm.NumBanks)
 	a := pcm.LineOf(9, 0)
-	w.Absorb(mc.PolicyContext{}, a, maskOf(3), []int{3}, 0)
-	w.ObserveWrite(a)
+	w.Absorb(ctx, a, maskOf(3), []int{3}, 0)
+	w.ObserveWrite(ctx, a)
 	if w.Buffered() != 0 {
 		t.Fatalf("buffered = %d after superseding write", w.Buffered())
 	}
 	// Dropping an un-buffered line is a no-op.
-	w.ObserveWrite(a)
+	w.ObserveWrite(ctx, a)
 }
 
 func TestBufferFillsAcrossBanks(t *testing.T) {
 	w := New(2)
+	ctx := policyContext(t, w, pcm.NumBanks)
 	// Pages i land in bank i%NumBanks: same-bank lines share one buffer.
 	for i := 0; i < 2; i++ {
-		w.Absorb(mc.PolicyContext{}, pcm.LineOf(pcm.PageAddr(i*pcm.NumBanks), 0), maskOf(i), []int{i}, 0)
+		w.Absorb(ctx, pcm.LineOf(pcm.PageAddr(i*pcm.NumBanks), 0), maskOf(i), []int{i}, 0)
 	}
 	if w.Buffered() != 2 {
 		t.Fatalf("buffered = %d", w.Buffered())
 	}
 	// A different bank has its own empty buffer.
-	w.Absorb(mc.PolicyContext{}, pcm.LineOf(1, 0), maskOf(0), []int{0}, 0)
+	w.Absorb(ctx, pcm.LineOf(1, 0), maskOf(0), []int{0}, 0)
 	if w.Buffered() != 3 {
 		t.Fatalf("buffered = %d", w.Buffered())
+	}
+}
+
+// TestBufferKeysByModuleBank: the buffers follow the controller's geometry,
+// not the default 16-bank one. On a 4-bank module pages 0, 4, 8, ... all
+// live in bank 0, so ten repairs there leave DefaultBufferPerBank records
+// after two evictions; on a 32-bank module banks b and b+16 keep separate
+// buffers.
+func TestBufferKeysByModuleBank(t *testing.T) {
+	w := New(0)
+	ctx := policyContext(t, w, 4)
+	for i := range 10 {
+		if _, ok := w.Absorb(ctx, pcm.LineOf(pcm.PageAddr(4*i), 0), maskOf(i), []int{i}, 0); !ok {
+			t.Fatalf("absorb %d refused", i)
+		}
+	}
+	if w.Buffered() != DefaultBufferPerBank || w.Evictions != 2 {
+		t.Fatalf("4-bank module: %d records after %d evictions, want %d after 2",
+			w.Buffered(), w.Evictions, DefaultBufferPerBank)
+	}
+
+	w = New(1)
+	ctx = policyContext(t, w, 32)
+	w.Absorb(ctx, pcm.LineOf(3, 0), maskOf(0), []int{0}, 0)
+	w.Absorb(ctx, pcm.LineOf(3+16, 0), maskOf(0), []int{0}, 0)
+	if w.Buffered() != 2 || w.Evictions != 0 {
+		t.Fatalf("32-bank module: banks 3 and 19 share a buffer (%d records, %d evictions)", w.Buffered(), w.Evictions)
 	}
 }
 

@@ -35,14 +35,14 @@ type CorrectionPolicy interface {
 // repairs present corrected data on reads: OverrideRead receives the
 // ECP-corrected raw line and returns what the module actually delivers.
 type ReadOverrider interface {
-	OverrideRead(a pcm.LineAddr, line pcm.Line) pcm.Line
+	OverrideRead(ctx PolicyContext, a pcm.LineAddr, line pcm.Line) pcm.Line
 }
 
 // WriteObserver is notified of every normal array write before it programs:
 // a fresh write supersedes any errors a policy has buffered for that line
 // (the same rule that releases parked ECP entries for free, §4.2).
 type WriteObserver interface {
-	ObserveWrite(a pcm.LineAddr)
+	ObserveWrite(ctx PolicyContext, a pcm.LineAddr)
 }
 
 // Drainer writes a policy's buffered repairs back at flush time (the buffer
@@ -57,6 +57,10 @@ type Drainer interface {
 type PolicyContext struct {
 	c *Controller
 }
+
+// PolicyContext returns the view of c its correction policy acts through,
+// for driving a policy directly.
+func (c *Controller) PolicyContext() PolicyContext { return PolicyContext{c} }
 
 // RecordWD tries to park an error batch in the line's free ECP entries
 // (X + Y <= N); recording happens in the WD-free low-density ECP chip and
@@ -78,6 +82,17 @@ func (p PolicyContext) Correct(a pcm.LineAddr, flips pcm.Mask, depth int) int {
 
 // MaxCascadeDepth exposes the cascade recursion bound.
 func (p PolicyContext) MaxCascadeDepth() int { return p.c.cfg.MaxCascadeDepth }
+
+// Banks returns the controller's bank count.
+func (p PolicyContext) Banks() int { return len(p.c.banks) }
+
+// Bank returns the bank holding line a under the device's geometry; per-bank
+// policy state keys by it.
+func (p PolicyContext) Bank(a pcm.LineAddr) int { return p.c.geo.Locate(a).Bank }
+
+// Owns reports whether line a lies on the controller's device; a policy's
+// state decoder refuses checkpointed lines that do not.
+func (p PolicyContext) Owns(a pcm.LineAddr) bool { return p.c.owns(a) }
 
 // EagerCorrection returns the basic-VnC policy: every detected error batch
 // is corrected immediately.
@@ -141,7 +156,7 @@ func (c *Controller) verifyNeighbour(addr pcm.LineAddr, flips pcm.Mask, depth in
 	}
 	newBits := c.scratchBits(depth, flips)
 	if c.tr != nil {
-		c.tr.Emit(c.engine.Now, metrics.EvWDDetected, uint64(addr), uint64(len(newBits)), uint64(depth))
+		c.tr.Emit(c.engineFor(addr).Now, metrics.EvWDDetected, uint64(addr), uint64(len(newBits)), uint64(depth))
 	}
 	d, absorbed := c.cfg.Correction.Absorb(PolicyContext{c}, addr, flips, newBits, depth)
 	cycles += d
@@ -149,7 +164,7 @@ func (c *Controller) verifyNeighbour(addr pcm.LineAddr, flips pcm.Mask, depth in
 		c.Stats.LazyRecords++
 		c.hm.RecordParked(addr, len(newBits))
 		if c.tr != nil {
-			c.tr.Emit(c.engine.Now, metrics.EvWDParked, uint64(addr), uint64(len(newBits)), uint64(c.ecp.Recorded(addr)))
+			c.tr.Emit(c.engineFor(addr).Now, metrics.EvWDParked, uint64(addr), uint64(len(newBits)), uint64(c.ecp.Recorded(addr)))
 		}
 		return cycles
 	}
@@ -160,9 +175,11 @@ func (c *Controller) verifyNeighbour(addr pcm.LineAddr, flips pcm.Mask, depth in
 }
 
 // correctLine rewrites a disturbed line to clear its WD errors and runs
-// cascading verification on the correction's own neighbours.
+// cascading verification on the correction's own neighbours. The rewrite
+// disturbs through, and stamps events with, the engine of the line's bank.
 func (c *Controller) correctLine(addr pcm.LineAddr, newFlips pcm.Mask, depth int) int {
 	cycles := 0
+	eng := c.engineFor(addr)
 	pending := c.ecp.CorrectionMask(addr).Or(newFlips)
 	raw := c.dev.Peek(addr)
 	var corrected pcm.Line
@@ -175,7 +192,7 @@ func (c *Controller) correctLine(addr pcm.LineAddr, newFlips pcm.Mask, depth int
 	c.cascadeDepth.Observe(uint64(depth))
 	c.hm.RecordCorrection(addr, pending.PopCount(), depth)
 	if c.tr != nil {
-		c.tr.Emit(c.engine.Now, metrics.EvWDFlushed, uint64(addr), uint64(pending.PopCount()), uint64(depth))
+		c.tr.Emit(eng.Now, metrics.EvWDFlushed, uint64(addr), uint64(pending.PopCount()), uint64(depth))
 	}
 	if !c.cfg.NoCorrectCharge {
 		cycles += res.Cycles
@@ -185,7 +202,7 @@ func (c *Controller) correctLine(addr pcm.LineAddr, newFlips pcm.Mask, depth int
 	// corrected line's content is already (conceptually) known from the
 	// verification read, so no fresh pre-reads are needed here — cascading
 	// verification is post-reads only (§6.8).
-	out := c.engine.OnWrite(c.dev, addr, raw, corrected, res.Reset, res.Set)
+	out := eng.OnWrite(c.dev, addr, raw, corrected, res.Reset, res.Set)
 	if out.RewritePulses > 0 && !c.cfg.NoCorrectCharge {
 		d := c.cfg.Timing.WriteCycles(out.RewritePulses, 0)
 		cycles += d
@@ -198,7 +215,7 @@ func (c *Controller) correctLine(addr pcm.LineAddr, newFlips pcm.Mask, depth int
 	above, below, okA, okB := c.geo.AdjacentLines(addr, c.dev.RowsPerBank)
 	vt, vb := c.verifySides(addr.Page())
 	if (okA && vt || okB && vb) && c.tr != nil {
-		c.tr.Emit(c.engine.Now, metrics.EvCascadeStep, uint64(addr), uint64(depth+1), 0)
+		c.tr.Emit(eng.Now, metrics.EvCascadeStep, uint64(addr), uint64(depth+1), 0)
 	}
 	if okA && vt {
 		cycles += c.verifyNeighbour(above, out.Above, depth+1)

@@ -73,6 +73,7 @@ func TestReadReturnsECPCorrectedData(t *testing.T) {
 	cfg.Correction = LazyECP()
 	cfg.ECPEntries = 6
 	cfg.Rates.BitLine = 1.0 // make disturbance certain
+	cfg.Rates.WordLine = 0  // no in-line rewrite adds RESETs of its own
 	cfg.WriteQueueCap = 1
 	// Identity codec: the DIN encoder would (correctly!) invert the group
 	// and avoid the RESET pulses this test needs.

@@ -190,7 +190,7 @@ func TestDINSchemeWritesAreCheap(t *testing.T) {
 	if r.c.Stats.VerifyReads != 0 || r.c.Stats.CorrectionWrites != 0 {
 		t.Fatalf("DIN scheme did VnC: %+v", r.c.Stats)
 	}
-	if r.c.Engine().Stats.BitLineFlips != 0 {
+	if r.c.WDStats().BitLineFlips != 0 {
 		t.Fatal("8F² layout must have no bit-line flips")
 	}
 }

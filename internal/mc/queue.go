@@ -3,6 +3,7 @@ package mc
 import (
 	"sdpcm/internal/metrics"
 	"sdpcm/internal/pcm"
+	"sdpcm/internal/wd"
 )
 
 // This file is the controller core's queue machinery: per-bank write queues,
@@ -39,10 +40,11 @@ func (e *writeEntry) open() int {
 	return n
 }
 
-// bank is one PCM bank's scheduling state. addrs, pending and rescan are
-// derived from wq and the prereads; the checkpoint does not store them and
-// DecodeState rebuilds them.
+// bank is one PCM bank's scheduling state and its disturbance engine.
+// addrs, pending and rescan are derived from wq and the prereads; the
+// checkpoint does not store them and DecodeState rebuilds them.
 type bank struct {
+	engine   *wd.Engine
 	freeAt   uint64
 	wq       []*writeEntry
 	addrs    []pcm.LineAddr // wq[i].addr, so address lookups scan one contiguous slice
@@ -219,20 +221,10 @@ func (c *Controller) verifySides(p pcm.PageAddr) (top, below bool) {
 // Flush drains every bank completely (end of simulation or checkpoint) and
 // returns the cycle all work finishes. A correction policy holding buffered
 // repairs (Drainer) writes them back here — its buffer is volatile module
-// SRAM and must be empty at power-down.
+// SRAM and must be empty at power-down — and its cost is conservatively
+// serialised after the last bank's queue runs dry.
 func (c *Controller) Flush(now uint64) uint64 {
-	end, drain := c.FlushParts(now)
-	return end + drain
-}
-
-// FlushParts is Flush split into its two components: the cycle this
-// controller's bank queues run dry, and the policy drain-buffer cost that is
-// conservatively serialised after all queue work. Separating them lets the
-// simulator combine its per-bank controllers exactly as one controller
-// would: global end = max over banks of the queue end, plus the sum of every
-// drain cost (the single-controller DrainFlush already sums its banks).
-func (c *Controller) FlushParts(now uint64) (end, drain uint64) {
-	end = now
+	end := now
 	for i := range c.banks {
 		b := &c.banks[i]
 		c.catchUp(b, now)
@@ -244,9 +236,9 @@ func (c *Controller) FlushParts(now uint64) (end, drain uint64) {
 		end = max(end, b.freeAt)
 	}
 	if c.drainer != nil {
-		drain = uint64(c.drainer.DrainFlush(PolicyContext{c}))
+		end += uint64(c.drainer.DrainFlush(PolicyContext{c}))
 	}
-	return end, drain
+	return end
 }
 
 // QueueOccupancy returns the total buffered writes (for tests/monitoring).

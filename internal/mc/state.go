@@ -15,7 +15,7 @@ import (
 // resume contract.
 type PolicyState interface {
 	EncodePolicyState(e *snap.Encoder)
-	DecodePolicyState(d *snap.Decoder) error
+	DecodePolicyState(ctx PolicyContext, d *snap.Decoder) error
 }
 
 // codecState is the word-line codec's optional checkpoint surface;
@@ -103,10 +103,9 @@ func decodeMCStats(d *snap.Decoder, s *Stats) {
 }
 
 // EncodeState serializes the controller's mutable state: counters, the
-// entry-ID generator, every bank's queue and preread bookkeeping, and the
-// ECP table, disturbance engine, word-line codec and (when stateful)
-// correction policy owned by this controller. The device is shared across
-// controllers and is serialized once by the caller.
+// entry-ID generator, every bank's queue, preread bookkeeping and
+// disturbance engine, and the ECP table, word-line codec and (when
+// stateful) correction policy. The device is serialized by the caller.
 func (c *Controller) EncodeState(e *snap.Encoder) {
 	e.Begin("mc.controller")
 	encodeMCStats(e, c.Stats)
@@ -139,9 +138,9 @@ func (c *Controller) EncodeState(e *snap.Encoder) {
 			e.U64(p.entryID)
 			e.Bool(p.top)
 		}
+		b.engine.EncodeState(e)
 	}
 	c.ecp.EncodeState(e)
-	c.engine.EncodeState(e)
 	if cs, ok := c.codec.(codecState); ok {
 		e.Bool(true)
 		cs.EncodeState(e)
@@ -158,10 +157,9 @@ func (c *Controller) EncodeState(e *snap.Encoder) {
 }
 
 // owns reports whether checkpointed per-line state (ECP entries, codec bits)
-// for line a can belong to this controller: a line of its device, in its
-// bank when BindBank bound it to one.
+// for line a can belong to this controller: a line of its device.
 func (c *Controller) owns(a pcm.LineAddr) bool {
-	return uint64(a) < uint64(c.dev.Lines()) && (c.bank < 0 || c.geo.Locate(a).Bank == c.bank)
+	return uint64(a) < uint64(c.dev.Lines())
 }
 
 // validEntry reports whether a decoded write-queue entry of bank i targets a
@@ -266,11 +264,11 @@ func (c *Controller) DecodeState(d *snap.Decoder) error {
 			}
 			b.prereads = append(b.prereads, p)
 		}
+		if err := b.engine.DecodeState(d); err != nil {
+			return err
+		}
 	}
 	if err := c.ecp.DecodeState(d, c.owns); err != nil {
-		return err
-	}
-	if err := c.engine.DecodeState(d); err != nil {
 		return err
 	}
 	hasCodec := d.Bool()
@@ -289,7 +287,7 @@ func (c *Controller) DecodeState(d *snap.Decoder) error {
 		return fmt.Errorf("mc: checkpoint policy-state presence %t does not match this run's policy %T", hasPolicy, c.cfg.Correction)
 	}
 	if hasPolicy && d.Err() == nil {
-		if err := ps.DecodePolicyState(d); err != nil {
+		if err := ps.DecodePolicyState(PolicyContext{c}, d); err != nil {
 			return err
 		}
 	}

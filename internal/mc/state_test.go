@@ -2,6 +2,7 @@ package mc
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"sdpcm/internal/alloc"
@@ -101,43 +102,46 @@ func TestDecodeRejectsDisabledMechanismState(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsOtherBankState: a controller bound to one bank refuses
-// checkpointed codec state for a line of another bank, while an unbound
-// controller (serving every bank) and one bound to the line's bank accept it.
-// Each decodes over a device that holds the line, as a restored one does.
-func TestDecodeRejectsOtherBankState(t *testing.T) {
-	r := newRig(t, baselineCfg())
-	addr := pcm.LineOf(100, 0)
-	r.c.Write(0, addr, lineWith(1))
-	r.c.Flush(0) // the DIN codec now holds the line's coding bits
-	e := snap.NewEncoder(1)
-	r.c.EncodeState(e)
-	data := e.Finish()
-	home := r.c.geo.Locate(addr).Bank
+// TestDecodeRejectsOffDeviceState: a controller refuses checkpointed codec
+// state for a line its device does not have, and accepts it over a device
+// that holds the line, as a restored one does.
+func TestDecodeRejectsOffDeviceState(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		bank  int // -1: unbound
+		addr  pcm.LineAddr
 		valid bool
 	}{
-		{"unbound", -1, true},
-		{"bound to the line's bank", home, true},
-		{"bound to another bank", (home + 1) % r.d.Banks(), false},
+		{"on the device", pcm.LineOf(100, 0), true},
+		{"off the device", pcm.LineOf(testPages+100, 0), false},
 	} {
-		d, err := snap.NewDecoder(data, 1)
+		// A controller over a device twice the rig's size writes the line.
+		big, err := pcm.NewDevice(pcm.Config{Pages: 2 * testPages, FillSeed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The codec state names a written line, so the restored device
-		// (the caller decodes it before the controllers) holds it.
-		rig := newRig(t, baselineCfg())
-		rig.d.Write(addr, r.d.Peek(addr), pcm.NormalWrite)
-		c := rig.c
-		if tc.bank >= 0 {
-			c.BindBank(tc.bank)
+		a, err := alloc.New(2*testPages, 128)
+		if err != nil {
+			t.Fatal(err)
 		}
-		err = c.DecodeState(d)
+		c, err := New(baselineCfg(), big, a, rng.New(99))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Write(0, tc.addr, lineWith(1))
+		c.Flush(0) // the DIN codec now holds the line's coding bits
+		e := snap.NewEncoder(1)
+		c.EncodeState(e)
+		d, err := snap.NewDecoder(e.Finish(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rig := newRig(t, baselineCfg())
+		if tc.valid {
+			rig.d.Write(tc.addr, big.Peek(tc.addr), pcm.NormalWrite)
+		}
+		err = rig.c.DecodeState(d)
 		var ie *snap.InvalidError
-		if (err == nil) != tc.valid || (err != nil && !errors.As(err, &ie)) {
+		if (err == nil) != tc.valid || (err != nil && (!errors.As(err, &ie) || !strings.Contains(err.Error(), "outside"))) {
 			t.Errorf("%s: DecodeState err = %v", tc.name, err)
 		}
 	}

@@ -62,7 +62,7 @@ func (c *Controller) executeWrite(b *bank, e *writeEntry) int {
 	c.Stats.WriteOps++
 	// The engine stamps trace events with the op's start time (writes run
 	// asynchronously to core time, so "now" is when the bank begins the op).
-	c.engine.Now = b.freeAt
+	b.engine.Now = b.freeAt
 	cycles := 0
 
 	// --- 1. Pre-write reads (charged as verification). ---
@@ -98,12 +98,12 @@ func (c *Controller) executeWrite(b *bank, e *writeEntry) int {
 	// its pending repairs the same way.
 	c.ecp.ClearWD(e.addr, false)
 	if c.writeObserver != nil {
-		c.writeObserver.ObserveWrite(e.addr)
+		c.writeObserver.ObserveWrite(PolicyContext{c}, e.addr)
 	}
 	old := c.dev.Peek(e.addr)
 	img := c.codec.Encode(e.addr, e.data, old)
 	res := c.dev.Write(e.addr, img, pcm.NormalWrite)
-	out := c.engine.OnWrite(c.dev, e.addr, old, img, res.Reset, res.Set)
+	out := b.engine.OnWrite(c.dev, e.addr, old, img, res.Reset, res.Set)
 	prog := res.Cycles
 	if out.RewritePulses > 0 {
 		// In-line rewrite rounds extend the program phase.

@@ -227,7 +227,7 @@ func TestWriteTable(t *testing.T) {
 }
 
 // TestMergeEventTails: two emitters holding the same Registry.Trace() — as
-// a run's bank controllers do — fill one ring in emission order. The tail is
+// a run's controllers and bank engines do — fill one ring in emission order. The tail is
 // the last cap events whatever their Time, Seq is contiguous, and Dropped is
 // emitted − cap. (The name predates the shared ring; per-emitter tails used
 // to be merged after the run.)

@@ -92,43 +92,6 @@ const (
 	chunkMask  = chunkLines - 1
 )
 
-// The line arena's block size: 1<<arenaShift lines (16 KB) per block.
-const (
-	arenaShift = 8
-	arenaBlock = 1 << arenaShift
-	arenaMask  = arenaBlock - 1
-)
-
-// lineArena is an append-only line store in fixed blocks: slot s lives at
-// blocks[s>>arenaShift][s&arenaMask], so growth allocates one new block and
-// never copies, and a pointer to a line stays valid until a reset. Slot 0
-// means "not resident" in the chunk headers and is never handed out; the
-// first block arrives with the first add.
-type lineArena struct {
-	blocks []*[arenaBlock]Line
-	n      uint32 // next slot to hand out; 0 until the first add
-}
-
-// at returns slot s, which add must have handed out.
-func (a *lineArena) at(s uint32) *Line { return &a.blocks[s>>arenaShift][s&arenaMask] }
-
-// add stores l in a fresh slot and returns its index, never 0.
-func (a *lineArena) add(l Line) uint32 {
-	if a.n == 0 {
-		a.n = 1
-	}
-	if int(a.n>>arenaShift) == len(a.blocks) {
-		a.blocks = append(a.blocks, new([arenaBlock]Line))
-	}
-	s := a.n
-	a.n++
-	*a.at(s) = l
-	return s
-}
-
-// reset drops every line and keeps the blocks for reuse.
-func (a *lineArena) reset() { a.n = 0 }
-
 // bankStore is one bank's resident lines, packed by line rather than by
 // touched chunk: most chunks of a sparse workload hold a single line.
 //
@@ -140,7 +103,7 @@ func (a *lineArena) reset() { a.n = 0 }
 type bankStore struct {
 	chunks []uint32             // bank-local chunk index → header; 0 = untouched
 	hdrs   [][chunkLines]uint32 // per touched chunk: line slot → arena index; 0 = not resident
-	lines  lineArena            // resident lines, in install order
+	lines  Arena[Line]          // resident lines, in install order; slot 0 means not resident
 }
 
 // slot returns the arena index of a bank-local line, or 0 when the line is
@@ -159,7 +122,7 @@ func (st *bankStore) install(local int, l Line) uint32 {
 		st.hdrs = append(st.hdrs, [chunkLines]uint32{})
 		st.chunks[ci] = h
 	}
-	s := st.lines.add(l)
+	s := st.lines.Add(l)
 	st.hdrs[h][local&chunkMask] = s
 	return s
 }
@@ -313,9 +276,9 @@ func (d *Device) line(a LineAddr) *Line {
 	bank, local := d.geo.bankLocal(a)
 	st := &d.store[bank]
 	if s := st.slot(local); s != 0 {
-		return st.lines.at(s)
+		return st.lines.At(s)
 	}
-	return st.lines.at(st.install(local, d.background(a)))
+	return st.lines.At(st.install(local, d.background(a)))
 }
 
 // Slot returns the bank of a line and its slot in that bank's arena of
@@ -376,7 +339,7 @@ func (d *Device) Peek(a LineAddr) Line {
 	bank, local := d.geo.bankLocal(a)
 	st := &d.store[bank]
 	if s := st.slot(local); s != 0 {
-		return *st.lines.at(s)
+		return *st.lines.At(s)
 	}
 	return d.background(a)
 }
@@ -436,7 +399,7 @@ func (d *Device) Disturb(a LineAddr, flips Mask) int {
 	st := &d.store[bank]
 	n := 0
 	if s := st.slot(local); s != 0 {
-		l := st.lines.at(s)
+		l := st.lines.At(s)
 		for i := range flips {
 			n += bits.OnesCount64(flips[i] &^ l[i])
 		}

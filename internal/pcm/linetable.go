@@ -172,9 +172,8 @@ func (t *LineTable) EncodeEntries(e *snap.Encoder) {
 }
 
 // DecodeEntries replaces the table's entries with what EncodeEntries wrote.
-// name prefixes the errors; a line must satisfy owns (the owning
-// controller's device and bank) and be resident on the already-restored
-// device.
+// name prefixes the errors; a line must satisfy owns (a line of the owning
+// controller's device) and be resident on the already-restored device.
 func (t *LineTable) DecodeEntries(d *snap.Decoder, name string, owns func(LineAddr) bool) {
 	t.Reset()
 	n := d.Count()
@@ -184,7 +183,7 @@ func (t *LineTable) DecodeEntries(d *snap.Decoder, name string, owns func(LineAd
 		switch {
 		case d.Err() != nil:
 		case !owns(a):
-			d.Invalid("%s: checkpoint codes line %d outside this controller's device or bank", name, a)
+			d.Invalid("%s: checkpoint codes line %d outside this controller's device", name, a)
 		case !t.dev.Resident(a):
 			d.Invalid("%s: checkpoint codes line %d, which the device does not hold", name, a)
 		default:

@@ -66,7 +66,7 @@ func (d *Device) EncodeState(e *snap.Encoder) {
 			e.U64(resident)
 			for _, s := range hdr {
 				if s != 0 {
-					EncodeLine(e, *st.lines.at(s))
+					EncodeLine(e, *st.lines.At(s))
 				}
 			}
 		}
@@ -85,7 +85,7 @@ func (d *Device) DecodeState(dec *snap.Decoder) error {
 		if len(st.hdrs) > 1 {
 			clear(st.chunks)
 			st.hdrs = st.hdrs[:1]
-			st.lines.reset()
+			st.lines.Reset()
 		}
 		n := dec.Count()
 		next := uint64(0) // lowest chunk index the next entry may name

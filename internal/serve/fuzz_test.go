@@ -39,6 +39,7 @@ func FuzzJobSpec(f *testing.F) {
 		`{"experiment":"fig4","bogus":1}`,
 		`{"experiment":"fig4","shards":4}`,
 		`{`,
+		`{"experiment":"fig4"} {"experiment":"fig99","bogus":1} garbage`,
 		`{"experiment":"fig4","topology":{"modules":[{"name":"m","scheme":"nope"}]}}`,
 		`{"experiment":"fig4","topology":{"modules":[{"name":"m"},{"name":"m"}]}}`,
 		`{"experiment":"fig4","topology":{"modules":[{"pages":4611686018427387904},{"pages":4611686018427387904},` +

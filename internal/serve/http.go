@@ -149,13 +149,17 @@ func (s *Server) handleExperiments(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// decodeJobSpec is the strict submit decoder: an unknown field is an error.
+// decodeJobSpec is the strict submit decoder: an unknown field, or anything
+// but white space after the spec, is an error.
 func decodeJobSpec(r io.Reader) (JobSpec, error) {
 	var spec JobSpec
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		return JobSpec{}, fmt.Errorf("bad job spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return JobSpec{}, errors.New("bad job spec: trailing data after spec")
 	}
 	return spec, nil
 }

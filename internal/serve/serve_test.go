@@ -170,6 +170,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		// The executor knob was removed; the strict decoder refuses it.
 		"retired shards field": `{"experiment":"fig4","shards":4}`,
 		"not json":             `{`,
+		"trailing data":        `{"experiment":"fig4"} {"experiment":"fig99","bogus":1} garbage`,
 	} {
 		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

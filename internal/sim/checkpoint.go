@@ -17,8 +17,8 @@ import (
 // snap.VersionError instead of decoding garbage. Version 1 was the original
 // single-DIMM container, version 2 the separate multi-module one and 3 the
 // one container with a registry per bank; 4 holds one registry per run and
-// one device counter set per module.
-const checkpointVersion = 4
+// one device counter set per module, and 5 one controller per module.
+const checkpointVersion = 5
 
 var (
 	// ErrResume marks a failure to load or validate a resume checkpoint.
@@ -74,7 +74,7 @@ func (s *runState) identity() string {
 }
 
 // encodeCheckpoint serializes the complete simulator state: the core states
-// first, then each module's device, controllers, heatmap, allocator,
+// first, then each module's device, controller, heatmap, allocator,
 // wear-leveling layer and integrity shadow in module order, then the run's
 // metrics registry.
 func (s *runState) encodeCheckpoint() []byte {
@@ -107,17 +107,15 @@ func (s *runState) encodeCheckpoint() []byte {
 
 	e.Uvarint(uint64(len(s.mods)))
 	for _, m := range s.mods {
-		m.p.dev.EncodeState(e)
-		for _, ctrl := range m.p.ctrls {
-			ctrl.EncodeState(e)
-		}
-		m.p.hm.EncodeState(e)
+		m.dev.EncodeState(e)
+		m.ctrl.EncodeState(e)
+		m.hm.EncodeState(e)
 		m.alloc.EncodeState(e)
 		e.Bool(m.wl != nil)
 		if m.wl != nil {
 			m.wl.EncodeState(e)
 		}
-		m.p.encodeShadow(e)
+		m.encodeShadow(e)
 	}
 	s.reg.EncodeState(e) // nil-safe: a disabled registry encodes as absent
 	e.End()
@@ -217,15 +215,13 @@ func (s *runState) decode(data []byte) error {
 		return fmt.Errorf("checkpoint has %d modules, this run has %d", n, len(s.mods))
 	}
 	for _, m := range s.mods {
-		if err := m.p.dev.DecodeState(d); err != nil {
+		if err := m.dev.DecodeState(d); err != nil {
 			return err
 		}
-		for _, ctrl := range m.p.ctrls {
-			if err := ctrl.DecodeState(d); err != nil {
-				return err
-			}
+		if err := m.ctrl.DecodeState(d); err != nil {
+			return err
 		}
-		if err := m.p.hm.DecodeState(d); err != nil {
+		if err := m.hm.DecodeState(d); err != nil {
 			return err
 		}
 		if err := m.alloc.DecodeState(d); err != nil {
@@ -239,7 +235,7 @@ func (s *runState) decode(data []byte) error {
 				return err
 			}
 		}
-		if err := m.p.decodeShadow(d); err != nil {
+		if err := m.decodeShadow(d); err != nil {
 			return err
 		}
 	}

@@ -19,7 +19,7 @@ import (
 // reach every subsystem decoder), the retired v1 fixture and truncations of
 // the current one.
 func FuzzResume(f *testing.F) {
-	v3, err := os.ReadFile(fixturePath)
+	cur, err := os.ReadFile(fixturePath)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -28,11 +28,11 @@ func FuzzResume(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(v1)
-	fuzzResume(f, fixtureCfg, v3)
+	fuzzResume(f, fixtureCfg, cur)
 }
 
 // FuzzResumeTopology is FuzzResume on the two-module demo topology, whose
-// checkpoint holds one device, controller set and allocator per module.
+// checkpoint holds one device, controller and allocator per module.
 func FuzzResumeTopology(f *testing.F) {
 	mk := func() Config {
 		cfg := fixtureCfg()

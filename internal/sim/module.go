@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"sdpcm/internal/alloc"
 	"sdpcm/internal/core"
@@ -10,6 +11,7 @@ import (
 	"sdpcm/internal/metrics"
 	"sdpcm/internal/pcm"
 	"sdpcm/internal/rng"
+	"sdpcm/internal/snap"
 	"sdpcm/internal/topo"
 	"sdpcm/internal/wd"
 	"sdpcm/internal/weargap"
@@ -41,10 +43,11 @@ func (m ModuleResult) CorrectionsPerWrite() float64 {
 	return float64(m.MC.CorrectionWrites) / float64(m.MC.WriteOps)
 }
 
-// moduleRun bundles one module's live machinery: its own buddy allocator
-// (strip width = the module's bank count), bank plane (which owns the
-// module's device) and, with Config.WearLevelPsi, its own intra-row
-// Start-Gap layer. Addresses handed to a module are module-local — the address-range router assigns each core
+// moduleRun bundles one module's live machinery: its device, its one memory
+// controller (a queue and a disturbance engine per bank), its own buddy
+// allocator (strip width = the module's bank count) and, with
+// Config.WearLevelPsi, its own intra-row Start-Gap layer. Addresses handed
+// to a module are module-local — the address-range router assigns each core
 // to one module and its address space allocates module-local frames, so no
 // global translation exists on the hot path.
 type moduleRun struct {
@@ -52,8 +55,14 @@ type moduleRun struct {
 	scheme core.Scheme
 	link   uint64
 	alloc  *alloc.Allocator
-	p      *bankPlane
+	dev    *pcm.Device
+	ctrl   *mc.Controller
+	hm     *wd.Heatmap       // nil when disabled
 	wl     *weargap.IntraRow // nil unless wear leveling is on
+	// shadow is the integrity shadow (Config.CheckIntegrity): the last data
+	// written to each line, keyed by logical (pre-wear-leveling) address.
+	// Nil when integrity checking is off.
+	shadow map[pcm.LineAddr]pcm.Line
 }
 
 // moduleTiming builds the module's device timing: the Table 2 defaults with
@@ -84,9 +93,10 @@ func schemeKnown(name string) bool {
 
 // newModuleRun constructs one module of the topology from its RNG subtree
 // sub: the "fill" child seeds the device background and the "mc" child seeds
-// the per-bank streams. A multi-module run gives module i the subtree
-// root → "module-<i>"; the default one-module spec uses root itself, so its
-// draws are those of the original single-DIMM simulator.
+// the controller's per-bank streams ("mc" → "bank-<b>"). A multi-module run
+// gives module i the subtree root → "module-<i>"; the default one-module
+// spec uses root itself, so its draws are those of the original single-DIMM
+// simulator. reg is the run's registry (nil when collection is off).
 func newModuleRun(cfg Config, pl topo.Placement, sub *rng.Rand, reg *metrics.Registry) (*moduleRun, error) {
 	scheme := cfg.Scheme
 	if pl.Scheme != "" {
@@ -113,23 +123,26 @@ func newModuleRun(cfg Config, pl topo.Placement, sub *rng.Rand, reg *metrics.Reg
 	if err != nil {
 		return nil, fmt.Errorf("sim: module %s: %w", pl.Name, err)
 	}
-	bankRngs := sub.SplitLabeled("mc").SplitLabeledSeq("bank", pl.Banks)
-
-	m := &moduleRun{pl: pl, scheme: scheme, link: uint64(pl.LinkCycles), alloc: allocator}
-	mcCfg := func() mc.Config {
-		c := scheme.MCConfig(cfg.WriteQueueCap)
-		c.Timing = timing
-		if pl.WordLineRate > 0 {
-			c.Rates.WordLine = pl.WordLineRate
-		}
-		if pl.BitLineRate > 0 {
-			c.Rates.BitLine = pl.BitLineRate
-		}
-		return c
+	mcCfg := scheme.MCConfig(cfg.WriteQueueCap)
+	mcCfg.Timing = timing
+	if pl.WordLineRate > 0 {
+		mcCfg.Rates.WordLine = pl.WordLineRate
 	}
-	m.p, err = newBankPlane(cfg, dev, mcCfg, allocator, bankRngs, reg)
+	if pl.BitLineRate > 0 {
+		mcCfg.Rates.BitLine = pl.BitLineRate
+	}
+	ctrl, err := mc.New(mcCfg, dev, allocator, sub.SplitLabeled("mc"))
 	if err != nil {
 		return nil, fmt.Errorf("sim: module %s: %w", pl.Name, err)
+	}
+	ctrl.Instrument(reg)
+	m := &moduleRun{pl: pl, scheme: scheme, link: uint64(pl.LinkCycles), alloc: allocator, dev: dev, ctrl: ctrl}
+	if cfg.HeatmapRegions > 0 {
+		m.hm = wd.NewHeatmapGeo(cfg.HeatmapRegions, dev.RowsPerBank, dev.Geometry())
+		ctrl.InstrumentHeatmap(m.hm)
+	}
+	if cfg.CheckIntegrity {
+		m.shadow = make(map[pcm.LineAddr]pcm.Line)
 	}
 	if cfg.WearLevelPsi > 0 {
 		// Start-Gap rotates slots within one page, so it holds for any
@@ -154,22 +167,33 @@ func (m *moduleRun) remap(a pcm.LineAddr) pcm.LineAddr {
 // read performs a core's blocking demand read issued at now and returns the
 // cycle the data is back at the core. The request crosses the link before
 // the module sees it and the data crosses back: both legs charge the link
-// latency.
+// latency. A read that disagrees with the integrity shadow is an integrity
+// violation.
 func (m *moduleRun) read(now uint64, logical pcm.LineAddr) (uint64, error) {
-	done, err := m.p.read(now+m.link, m.remap(logical), logical)
-	return done + m.link, err
+	done, data := m.ctrl.Read(now+m.link, m.remap(logical))
+	if m.shadow != nil {
+		if want, ok := m.shadow[logical]; ok && data != want {
+			return done + m.link, fmt.Errorf("sim: integrity violation: read of line %d returned corrupted data", logical)
+		}
+	}
+	return done + m.link, nil
 }
 
-// write posts a core's write issued at now; it reaches the module after one
-// link crossing. A due Start-Gap copy follows one cycle later, routed
+// write posts a core's write issued at now: the pre-drawn mutation applied
+// to the line's latest queued-or-stored content reaches the module after
+// one link crossing. A due Start-Gap copy follows one cycle later, routed
 // through the controller so it forwards from queued writes and undergoes
 // VnC.
 func (m *moduleRun) write(now uint64, logical pcm.LineAddr, mut workload.Mutation) {
 	addr := m.remap(logical)
-	m.p.write(now+m.link, addr, logical, mut)
+	data := pcm.Line(mut.Apply([8]uint64(m.ctrl.LatestData(addr))))
+	m.ctrl.Write(now+m.link, addr, data)
+	if m.shadow != nil {
+		m.shadow[logical] = data
+	}
 	if m.wl != nil {
 		if from, to, moved := m.wl.NoteWrite(addr); moved {
-			m.p.copyLine(now+m.link+1, from, to)
+			m.ctrl.Write(now+m.link+1, to, m.ctrl.LatestData(from))
 		}
 	}
 }
@@ -177,13 +201,57 @@ func (m *moduleRun) write(now uint64, logical pcm.LineAddr, mut workload.Mutatio
 // checkShadow verifies, after the final flush, that every line the cores
 // wrote to the module still holds its last written data.
 func (m *moduleRun) checkShadow() error {
-	for logical, want := range m.p.shadow {
-		addr := m.remap(logical)
-		if got := m.p.ctrlFor(addr).PeekData(addr); got != want {
+	for logical, want := range m.shadow {
+		if got := m.ctrl.PeekData(m.remap(logical)); got != want {
 			return fmt.Errorf("sim: integrity violation: module %s line %d corrupted after flush (WD escaped VnC)", m.pl.Name, logical)
 		}
 	}
 	return nil
+}
+
+// encodeShadow writes the integrity shadow in ascending address order, so
+// the checkpoint bytes do not depend on map iteration order.
+func (m *moduleRun) encodeShadow(e *snap.Encoder) {
+	e.Bool(m.shadow != nil)
+	if m.shadow == nil {
+		return
+	}
+	addrs := make([]pcm.LineAddr, 0, len(m.shadow))
+	for a := range m.shadow {
+		addrs = append(addrs, a)
+	}
+	slices.Sort(addrs)
+	e.Uvarint(uint64(len(addrs)))
+	for _, a := range addrs {
+		e.U64(uint64(a))
+		pcm.EncodeLine(e, m.shadow[a])
+	}
+}
+
+// decodeShadow restores what encodeShadow wrote. The checkpoint must agree
+// with this run on whether integrity checking is on, and every shadowed
+// line must lie on this module's device.
+func (m *moduleRun) decodeShadow(d *snap.Decoder) error {
+	has := d.Bool()
+	if d.Err() == nil && has != (m.shadow != nil) {
+		return fmt.Errorf("checkpoint integrity-shadow presence %t does not match this run's %t", has, m.shadow != nil)
+	}
+	if has {
+		n := d.Count()
+		for i := 0; i < n && d.Err() == nil; i++ {
+			a := pcm.LineAddr(d.U64())
+			if d.Err() == nil && uint64(a) >= uint64(m.dev.Lines()) {
+				d.Invalid("checkpoint integrity shadow holds line %d of a %d-line device", a, m.dev.Lines())
+			}
+			m.shadow[a] = pcm.DecodeLine(d)
+		}
+	}
+	return d.Err()
+}
+
+// stats returns the module's counters.
+func (m *moduleRun) stats() (mc.Stats, pcm.Stats, ecp.Stats, wd.Stats) {
+	return m.ctrl.Stats, m.dev.Stats(), m.ctrl.ECP().Stats, m.ctrl.WDStats()
 }
 
 // wearMoves is the module's Start-Gap copy count.
@@ -228,7 +296,7 @@ func assembleSnapshot(reg *metrics.Registry, mods []*moduleRun, sc simCounters) 
 // mergedStats folds every module's counters in module order.
 func mergedStats(mods []*moduleRun) (mcS mc.Stats, devS pcm.Stats, ecpS ecp.Stats, wdS wd.Stats) {
 	for _, m := range mods {
-		a, b, c, d := m.p.mergedStats()
+		a, b, c, d := m.stats()
 		mcS.Add(a)
 		devS.Add(b)
 		ecpS.Add(c)
@@ -243,7 +311,7 @@ func mergedStats(mods []*moduleRun) (mcS mc.Stats, devS pcm.Stats, ecpS ecp.Stat
 func stackHeatmaps(mods []*moduleRun) *wd.HeatmapSnapshot {
 	var out *wd.HeatmapSnapshot
 	for _, m := range mods {
-		s := m.p.hm.Snapshot()
+		s := m.hm.Snapshot()
 		if s == nil {
 			continue
 		}

@@ -47,7 +47,7 @@ type Config struct {
 	// replays (the paper uses 10M; benches use less, shape-preserving).
 	RefsPerCore int
 	// Topology lays memory out as modules: each gets its own device,
-	// allocator, per-bank controllers and RNG subtree, cores are assigned
+	// allocator, controller and RNG subtree, cores are assigned
 	// to modules round-robin, and per-module link latency is charged on
 	// every request and response. Nil means topo.Default(), one 16-bank
 	// module holding all of memory; it runs the same loop and draws its
@@ -405,10 +405,8 @@ func Run(cfg Config) (Result, error) {
 	ckpt := runState{cfg: cfg, spec: spec, reg: reg, mods: mods, cores: cores, h: &h, nextSnap: cfg.SnapshotInterval}
 	checkpointing := cfg.CheckpointEvery > 0 && cfg.CheckpointPath != ""
 	if checkpointing || cfg.ResumeFrom != "" {
-		// All of a module's controllers share one scheme config; checking
-		// bank 0 covers every bank.
 		for _, m := range mods {
-			if err := m.p.ctrls[0].CheckpointSupported(); err != nil {
+			if err := m.ctrl.CheckpointSupported(); err != nil {
 				return Result{}, fmt.Errorf("%w: module %s: %v", ErrCheckpointUnsupported, m.pl.Name, err)
 			}
 		}
@@ -474,7 +472,7 @@ func Run(cfg Config) (Result, error) {
 	}
 	var end uint64
 	for _, m := range mods {
-		end = max(end, m.p.flushAll(maxEnd))
+		end = max(end, m.ctrl.Flush(maxEnd))
 	}
 	for _, m := range mods {
 		if err := m.checkShadow(); err != nil {
@@ -510,7 +508,7 @@ func Run(cfg Config) (Result, error) {
 				Pages:      m.pl.Pages,
 				LinkCycles: m.pl.LinkCycles,
 			}
-			mr.MC, mr.Dev, mr.ECP, mr.WD = m.p.mergedStats()
+			mr.MC, mr.Dev, mr.ECP, mr.WD = m.stats()
 			res.Modules[i] = mr
 		}
 	}

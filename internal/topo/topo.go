@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -285,8 +286,7 @@ func ParseSpec(data []byte) (*Spec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return nil, invalid("parse spec: %w", err)
 	}
-	var extra json.RawMessage
-	if err := dec.Decode(&extra); err == nil || extra != nil {
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, invalid("parse spec: trailing data after spec")
 	}
 	return &s, nil

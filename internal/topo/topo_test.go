@@ -199,8 +199,13 @@ func TestParseSpecRejectsUnknownFields(t *testing.T) {
 	if _, err := ParseSpec([]byte(`{"modules":[{"bankz":8}]}`)); err == nil {
 		t.Error("unknown field accepted")
 	}
-	if _, err := ParseSpec([]byte(`{"modules":[{}]}{"modules":[{}]}`)); err == nil {
-		t.Error("trailing data accepted")
+	for _, body := range []string{`{"modules":[{}]}{"modules":[{}]}`, `{"modules":[{}]} garbage`, `{"modules":[{}]} }`} {
+		if _, err := ParseSpec([]byte(body)); err == nil {
+			t.Errorf("trailing data accepted: %s", body)
+		}
+	}
+	if _, err := ParseSpec([]byte("{\"modules\":[{}]}\n")); err != nil {
+		t.Errorf("trailing white space refused: %v", err)
 	}
 }
 

@@ -58,7 +58,7 @@ type Stats struct {
 }
 
 // Add accumulates another Stats value: counters sum, worst-case fields take
-// the max. Order-independent, so the per-bank controllers' engines merge
+// the max. Order-independent, so a controller's per-bank engines merge
 // commutatively.
 func (s *Stats) Add(o Stats) {
 	s.WritesObserved += o.WritesObserved
