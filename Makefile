@@ -22,11 +22,11 @@ bench:
 # The pinned data-plane benchmark set the benchstat CI gate compares
 # against main. Parent names only: sub-benchmarks (WritePath/vnc, ...) run
 # because go test splits the -bench regex on '/'.
-BENCH_PIN = BenchmarkDevicePeek$$|BenchmarkDeviceWrite$$|BenchmarkDeviceDisturb$$|BenchmarkDeviceFirstTouch$$|BenchmarkDINEncode$$|BenchmarkECPRecordClear$$|BenchmarkWDInject$$|BenchmarkWritePath$$|BenchmarkSimulatorThroughput$$|BenchmarkGeometric$$|BenchmarkBernoulli$$|BenchmarkTranslateMiss$$
+BENCH_PIN = BenchmarkDevicePeek$$|BenchmarkDeviceWrite$$|BenchmarkDeviceDisturb$$|BenchmarkDeviceFirstTouch$$|BenchmarkDINEncode$$|BenchmarkECPRecordClear$$|BenchmarkWDInject$$|BenchmarkWritePath$$|BenchmarkDemandRead$$|BenchmarkSimulatorThroughput$$|BenchmarkGeometric$$|BenchmarkBernoulli$$|BenchmarkTranslateMiss$$
 
 # Where bench-json records the per-benchmark medians; the CI bench-gate sets
 # it explicitly so the Makefile and workflow can never disagree on the name.
-BENCH_OUT ?= BENCH_21.json
+BENCH_OUT ?= BENCH_24.json
 
 # Run the pinned set three times, keep the raw text (bench.txt, what
 # benchstat consumes) and record per-benchmark medians as $(BENCH_OUT).

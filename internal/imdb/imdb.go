@@ -120,9 +120,14 @@ func (w *Barrier) correct(ctx mc.PolicyContext, e entry, depth int) int {
 
 // OverrideRead masks buffered (not yet applied) repairs out of read data:
 // the module knows which cells of the line are spuriously SET and clears
-// them on the way out, exactly as a pending correction would.
+// them on the way out, exactly as a pending correction would. It only looks
+// up: a read before the barrier's first write allocates no buffers, so the
+// checkpointed buffer count depends on writes alone.
 func (w *Barrier) OverrideRead(ctx mc.PolicyContext, a pcm.LineAddr, line pcm.Line) pcm.Line {
-	bk := *w.buffer(ctx, a)
+	if w.banks == nil {
+		return line
+	}
+	bk := w.banks[ctx.Bank(a)]
 	for i := range bk {
 		if bk[i].addr == a {
 			for j := range line {

@@ -1,6 +1,7 @@
 package imdb
 
 import (
+	"bytes"
 	"testing"
 
 	"sdpcm/internal/alloc"
@@ -9,6 +10,7 @@ import (
 	"sdpcm/internal/pcm"
 	"sdpcm/internal/rng"
 	"sdpcm/internal/sim"
+	"sdpcm/internal/snap"
 	"sdpcm/internal/workload"
 )
 
@@ -33,6 +35,14 @@ func maskOf(bits ...int) pcm.Mask {
 // correction policy and returns the view w acts through.
 func policyContext(t *testing.T, w *Barrier, banks int) mc.PolicyContext {
 	t.Helper()
+	c, _ := controller(t, w, banks)
+	return c.PolicyContext()
+}
+
+// controller builds a controller over a banks-bank device with w as its
+// correction policy.
+func controller(t *testing.T, w *Barrier, banks int) (*mc.Controller, *pcm.Device) {
+	t.Helper()
 	const pages = 1 << 10
 	d, err := pcm.NewDevice(pcm.Config{Pages: pages, Banks: banks, FillSeed: 7})
 	if err != nil {
@@ -48,7 +58,7 @@ func policyContext(t *testing.T, w *Barrier, banks int) mc.PolicyContext {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c.PolicyContext()
+	return c, d
 }
 
 func TestAbsorbCoalesces(t *testing.T) {
@@ -139,6 +149,52 @@ func TestBufferKeysByModuleBank(t *testing.T) {
 	w.Absorb(ctx, pcm.LineOf(3+16, 0), maskOf(0), []int{0}, 0)
 	if w.Buffered() != 2 || w.Evictions != 0 {
 		t.Fatalf("32-bank module: banks 3 and 19 share a buffer (%d records, %d evictions)", w.Buffered(), w.Evictions)
+	}
+}
+
+// TestReadsAllocateNoBuffers: reads before the first write leave the
+// barrier without buffers, so a checkpoint then encodes none, exactly as a
+// controller that was never read encodes, and resumes to the same state.
+// Were the read path to size the buffers, the encoded buffer count would
+// depend on whether anything fetched line content.
+func TestReadsAllocateNoBuffers(t *testing.T) {
+	encode := func(d *pcm.Device, c *mc.Controller) []byte {
+		e := snap.NewEncoder(1)
+		d.EncodeState(e)
+		c.EncodeState(e)
+		return e.Finish()
+	}
+	w := New(0)
+	c, d := controller(t, w, pcm.NumBanks)
+	quiet, qd := controller(t, New(0), pcm.NumBanks)
+	for i := range 32 {
+		a := pcm.LineOf(pcm.PageAddr(i), i%4)
+		done, _ := c.Read(uint64(i*1000), a)
+		if got := quiet.ReadTime(uint64(i*1000), a); got != done {
+			t.Fatalf("read %d: ReadTime = %d, Read = %d", i, got, done)
+		}
+	}
+	if w.banks != nil {
+		t.Fatalf("reads sized %d bank buffers", len(w.banks))
+	}
+	data := encode(d, c)
+	if !bytes.Equal(data, encode(qd, quiet)) {
+		t.Fatal("checkpoint after reads differs from one of a controller whose reads fetched no data")
+	}
+	w2 := New(0)
+	r, rd := controller(t, w2, pcm.NumBanks)
+	dec, err := snap.NewDecoder(data, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rd.DecodeState(dec); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.DecodeState(dec); err != nil {
+		t.Fatal(err)
+	}
+	if w2.banks != nil || !bytes.Equal(encode(rd, r), data) {
+		t.Fatal("resume from a checkpoint taken after reads does not restore it")
 	}
 }
 

@@ -128,8 +128,6 @@ func (c *Controller) EncodeState(e *snap.Encoder) {
 			e.Bool(w.belowOK)
 			e.Bool(w.prTop)
 			e.Bool(w.prBelow)
-			pcm.EncodeLine(e, w.bufTop)
-			pcm.EncodeLine(e, w.bufBelow)
 		}
 		e.Uvarint(uint64(len(b.prereads)))
 		for _, p := range b.prereads {
@@ -176,7 +174,7 @@ func (c *Controller) validEntry(i int, w *writeEntry) bool {
 
 // readInFlight reports whether an in-flight preread fits the queue: the
 // entry it names, while still queued, needs verification on that side and
-// holds the buffer the issue filled. An entry may have left the queue
+// has the pre-read flag the issue set. An entry may have left the queue
 // already, since a full-queue drain executes entries whose prereads are
 // still in flight.
 func (b *bank) readInFlight(p prOp) bool {
@@ -196,7 +194,7 @@ func (b *bank) readInFlight(p prOp) bool {
 // line of this device in its own bank's queue, at most once per line; ECP
 // and codec state must name lines the controller owns; an in-flight preread
 // must name an entry id already handed out and, while that entry is queued,
-// a buffered side of it; and only a controller with PreRead (WriteCancel)
+// a pre-read side of it; and only a controller with PreRead (WriteCancel)
 // accepts in-flight prereads (a bank mid-drain). The queue's address mirror
 // and open-side count are rebuilt, and the next issue pass scans the whole
 // queue.
@@ -230,8 +228,6 @@ func (c *Controller) DecodeState(d *snap.Decoder) error {
 			w.belowOK = d.Bool()
 			w.prTop = d.Bool()
 			w.prBelow = d.Bool()
-			w.bufTop = pcm.DecodeLine(d)
-			w.bufBelow = pcm.DecodeLine(d)
 			switch {
 			case d.Err() != nil:
 			case !c.validEntry(i, w):
@@ -260,7 +256,7 @@ func (c *Controller) DecodeState(d *snap.Decoder) error {
 			case p.entryID == 0 || p.entryID > c.nextID:
 				d.Invalid("mc: checkpoint has an in-flight preread on bank %d for entry %d, an id never handed out (next is %d)", i, p.entryID, c.nextID+1)
 			case !b.readInFlight(p):
-				d.Invalid("mc: checkpoint has an in-flight preread for a side of entry %d on bank %d that holds no preread buffer", p.entryID, i)
+				d.Invalid("mc: checkpoint has an in-flight preread for a side of entry %d on bank %d that has no preread", p.entryID, i)
 			}
 			b.prereads = append(b.prereads, p)
 		}

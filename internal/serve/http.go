@@ -149,8 +149,13 @@ func (s *Server) handleExperiments(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// maxSubmitBytes caps a submit body. A job spec is a few hundred bytes, a
+// topology a few KB; a larger body is refused before it is read in full.
+const maxSubmitBytes = 1 << 20
+
 // decodeJobSpec is the strict submit decoder: an unknown field, or anything
-// but white space after the spec, is an error.
+// but white space after the spec, is an error. A read error is wrapped, so
+// the caller can tell a body over its size cap from a bad spec.
 func decodeJobSpec(r io.Reader) (JobSpec, error) {
 	var spec JobSpec
 	dec := json.NewDecoder(r)
@@ -158,15 +163,24 @@ func decodeJobSpec(r io.Reader) (JobSpec, error) {
 	if err := dec.Decode(&spec); err != nil {
 		return JobSpec{}, fmt.Errorf("bad job spec: %w", err)
 	}
-	if _, err := dec.Token(); err != io.EOF {
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return spec, nil
+	case err != nil:
+		return JobSpec{}, fmt.Errorf("bad job spec: after the spec: %w", err)
+	default:
 		return JobSpec{}, errors.New("bad job spec: trailing data after spec")
 	}
-	return spec, nil
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := decodeJobSpec(r.Body)
-	if err != nil {
+	spec, err := decodeJobSpec(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, err)
+		return
+	case err != nil:
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}

@@ -183,6 +183,27 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsOversizeBody: a submit body over the 1 MiB cap is
+// refused with 413 before it is read in full, whether the excess is inside
+// the spec or after it.
+func TestSubmitRejectsOversizeBody(t *testing.T) {
+	_, ts := newTestServer(t, ManagerConfig{})
+	big := strings.Repeat("a", 10<<20)
+	for name, body := range map[string]string{
+		"oversize experiment": `{"experiment":"` + big + `"}`,
+		"oversize trailing":   `{"experiment":"fig4"}` + strings.Repeat(" ", 2<<20),
+	} {
+		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s -> %d, want 413", name, resp.StatusCode)
+		}
+	}
+}
+
 // TestResultNotReady: fetching a result before the job finishes answers
 // 409, not a broken table.
 func TestResultNotReady(t *testing.T) {

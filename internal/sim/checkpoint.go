@@ -17,8 +17,9 @@ import (
 // snap.VersionError instead of decoding garbage. Version 1 was the original
 // single-DIMM container, version 2 the separate multi-module one and 3 the
 // one container with a registry per bank; 4 holds one registry per run and
-// one device counter set per module, and 5 one controller per module.
-const checkpointVersion = 5
+// one device counter set per module, 5 one controller per module, and 6
+// drops the write-queue entries' pre-read line buffers.
+const checkpointVersion = 6
 
 var (
 	// ErrResume marks a failure to load or validate a resume checkpoint.

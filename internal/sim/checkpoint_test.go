@@ -163,16 +163,18 @@ func fixtureCfg() Config {
 	}
 }
 
-const fixturePath = "testdata/checkpoint_v5.bin"
+const fixturePath = "testdata/checkpoint_v6.bin"
 
-// v1FixturePath, v3FixturePath and v4FixturePath are checkpoints of
-// fixtureCfg in the original version-1 single-DIMM container, the version-3
-// container with a registry per bank and the version-4 one with a
-// controller per bank, kept to pin that older files are refused.
+// v1FixturePath, v3FixturePath, v4FixturePath and v5FixturePath are
+// checkpoints of fixtureCfg in the original version-1 single-DIMM container,
+// the version-3 container with a registry per bank, the version-4 one with a
+// controller per bank and the version-5 one whose queue entries carry
+// pre-read line buffers, kept to pin that older files are refused.
 const (
 	v1FixturePath = "testdata/checkpoint_v1.bin"
 	v3FixturePath = "testdata/checkpoint_v3.bin"
 	v4FixturePath = "testdata/checkpoint_v4.bin"
+	v5FixturePath = "testdata/checkpoint_v5.bin"
 )
 
 // fixtureInterval fires once at 51 of the 100 total references.
@@ -246,7 +248,7 @@ func withVersion(t *testing.T, v byte) string {
 }
 
 // TestCheckpointVersionError: a file of any other format version — the
-// committed v1, v3 and v4 files, a v2 (the retired multi-module container)
+// committed v1, v3, v4 and v5 files, a v2 (the retired multi-module container)
 // or a future version — fails with a typed, versioned error under both a default
 // and a topology configuration: never a panic and never silently decoded
 // garbage.
@@ -260,6 +262,7 @@ func TestCheckpointVersionError(t *testing.T) {
 		{"v2", withVersion(t, 2), 2},
 		{"v3", v3FixturePath, 3},
 		{"v4", v4FixturePath, 4},
+		{"v5", v5FixturePath, 5},
 		{"v99", withVersion(t, 99), 99},
 	}
 	cfgs := []struct {

@@ -1,10 +1,14 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"sdpcm/internal/alloc"
 	"sdpcm/internal/core"
+	"sdpcm/internal/pcm"
+	"sdpcm/internal/rng"
+	"sdpcm/internal/topo"
 	"sdpcm/internal/trace"
 	"sdpcm/internal/workload"
 )
@@ -355,4 +359,46 @@ func TestPerCoreAllocatorTags(t *testing.T) {
 	// Integrity still holds with mixed tags.
 	mixed.CheckIntegrity = true
 	run(t, mixed)
+}
+
+// TestReadReportsCorruptedLine: with the integrity shadow on, a demand read
+// fetches the line's content and refuses one that differs from the last
+// write. A disturbance flip injected straight into the array after the
+// write drained must surface as an integrity violation on the next read.
+func TestReadReportsCorruptedLine(t *testing.T) {
+	cfg := quickCfg(core.Baseline(), "mcf")
+	cfg.CheckIntegrity = true
+	cfg = cfg.normalized()
+	pls, err := topo.Default().Resolve(cfg.MemPages, cfg.RegionPages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := newModuleRun(cfg, pls[0], rng.New(1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := pcm.LineOf(100, 3)
+	m.write(0, addr, workload.Mutation{Mask: 1, Fresh: [32]uint16{0xbeef}})
+	if _, err := m.read(10, addr); err != nil {
+		t.Fatalf("read forwarded from the queue: %v", err)
+	}
+	end := m.ctrl.Flush(10)
+	if _, err := m.read(end, addr); err != nil {
+		t.Fatalf("read of the drained line: %v", err)
+	}
+	// Set one cell the stored image holds at 0, as a disturbance flip would.
+	stored := m.dev.Peek(addr)
+	var flip pcm.Mask
+	for i := 0; i < pcm.LineBits; i++ {
+		if stored[i/64]>>(i%64)&1 == 0 {
+			flip[i/64] = 1 << (i % 64)
+			break
+		}
+	}
+	if m.dev.Disturb(addr, flip) != 1 {
+		t.Fatal("disturbance flipped no cell")
+	}
+	if _, err := m.read(end+10000, addr); err == nil || !strings.Contains(err.Error(), "integrity violation") {
+		t.Fatalf("read of the corrupted line: err = %v, want an integrity violation", err)
+	}
 }

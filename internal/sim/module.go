@@ -167,12 +167,14 @@ func (m *moduleRun) remap(a pcm.LineAddr) pcm.LineAddr {
 // read performs a core's blocking demand read issued at now and returns the
 // cycle the data is back at the core. The request crosses the link before
 // the module sees it and the data crosses back: both legs charge the link
-// latency. A read that disagrees with the integrity shadow is an integrity
-// violation.
+// latency. The core waits on the read's timing only, so the line's content
+// is fetched just for the integrity shadow: a read that disagrees with it is
+// an integrity violation.
 func (m *moduleRun) read(now uint64, logical pcm.LineAddr) (uint64, error) {
-	done, data := m.ctrl.Read(now+m.link, m.remap(logical))
+	addr := m.remap(logical)
+	done := m.ctrl.ReadTime(now+m.link, addr)
 	if m.shadow != nil {
-		if want, ok := m.shadow[logical]; ok && data != want {
+		if want, ok := m.shadow[logical]; ok && m.ctrl.LatestData(addr) != want {
 			return done + m.link, fmt.Errorf("sim: integrity violation: read of line %d returned corrupted data", logical)
 		}
 	}
