@@ -229,9 +229,9 @@ func (d *Device) Geometry() Geometry { return d.geo }
 // Stats returns the device's counters.
 func (d *Device) Stats() Stats { return d.stats }
 
-// CountRead counts one array read without performing it — the controller's
-// read-combining paths serve data from queue state but still occupy the
-// array (verification, cascade and pre-reads).
+// CountRead counts one array read. The controller counts every read that
+// occupies the array (demand, verification, cascade and pre-reads) and
+// fetches a line's content with Peek only where something consumes it.
 func (d *Device) CountRead() { d.stats.Reads++ }
 
 // Pages returns the number of pages the device exposes.
@@ -342,13 +342,6 @@ func (d *Device) Peek(a LineAddr) Line {
 		return *st.lines.At(s)
 	}
 	return d.background(a)
-}
-
-// Read returns a line's content and counts one array read. Timing is the
-// caller's concern (Timing.ReadCycles).
-func (d *Device) Read(a LineAddr) Line {
-	d.CountRead()
-	return d.Peek(a)
 }
 
 // WriteResult describes the device-level effect of one line write.

@@ -92,7 +92,8 @@ func TestWriteThenRead(t *testing.T) {
 	l[0] = 0xdeadbeef
 	l[7] = 1 << 63
 	d.Write(5, l, NormalWrite)
-	if got := d.Read(5); got != l {
+	d.CountRead()
+	if got := d.Peek(5); got != l {
 		t.Fatalf("read back %v, want %v", got, l)
 	}
 	if d.Stats().Reads != 1 || d.Stats().Writes != 1 {
