@@ -11,8 +11,14 @@ build:
 test:
 	$(GO) test ./...
 
+# The simulator's determinism tests run again on one, two and four Ps, so
+# the per-core reference producers meet the race detector both sharing the
+# run loop's P and running beside it.
+DETERMINISM_TESTS = ^(TestDeterminism|TestShardDeterminismMatrix|TestResumeDeterminismMatrix|TestTraceReplayDeterminism|TestCheckpointFixtureBytes)$$
+
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -cpu 1,2,4 -run '$(DETERMINISM_TESTS)' ./internal/sim
 
 # One iteration of every benchmark — a smoke test that the bench harness
 # still runs, not a measurement.
@@ -22,11 +28,11 @@ bench:
 # The pinned data-plane benchmark set the benchstat CI gate compares
 # against main. Parent names only: sub-benchmarks (WritePath/vnc, ...) run
 # because go test splits the -bench regex on '/'.
-BENCH_PIN = BenchmarkDevicePeek$$|BenchmarkDeviceWrite$$|BenchmarkDeviceDisturb$$|BenchmarkDeviceFirstTouch$$|BenchmarkDINEncode$$|BenchmarkECPRecordClear$$|BenchmarkWDInject$$|BenchmarkWritePath$$|BenchmarkDemandRead$$|BenchmarkSimulatorThroughput$$|BenchmarkGeometric$$|BenchmarkBernoulli$$|BenchmarkTranslateMiss$$
+BENCH_PIN = BenchmarkDevicePeek$$|BenchmarkDeviceWrite$$|BenchmarkDeviceDisturb$$|BenchmarkDeviceFirstTouch$$|BenchmarkDINEncode$$|BenchmarkECPRecordClear$$|BenchmarkWDInject$$|BenchmarkWritePath$$|BenchmarkDemandRead$$|BenchmarkSimulatorThroughput$$|BenchmarkSimulatorThroughputRead$$|BenchmarkGeometric$$|BenchmarkBernoulli$$|BenchmarkTranslateMiss$$
 
 # Where bench-json records the per-benchmark medians; the CI bench-gate sets
 # it explicitly so the Makefile and workflow can never disagree on the name.
-BENCH_OUT ?= BENCH_24.json
+BENCH_OUT ?= BENCH_25.json
 
 # Run the pinned set three times, keep the raw text (bench.txt, what
 # benchstat consumes) and record per-benchmark medians as $(BENCH_OUT).

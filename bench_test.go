@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"sdpcm"
+	"sdpcm/internal/topo"
 )
 
 // benchOpts keeps individual benchmarks to a few hundred milliseconds.
@@ -218,6 +219,29 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(8*5000*b.N)/b.Elapsed().Seconds(), "refs/s")
+}
+
+// BenchmarkSimulatorThroughputRead is the read-dominated counterpart: 8
+// cores of bwaves on the two-module demo topology, where reference
+// generation, translation and the demand-read path do most of the work and
+// the write path idles.
+func BenchmarkSimulatorThroughputRead(b *testing.B) {
+	cfg := sdpcm.SimConfig{
+		Scheme:      sdpcm.Baseline(),
+		Mix:         sdpcm.HomogeneousMix("bwaves", 8),
+		Topology:    topo.Demo2(),
+		RefsPerCore: 20000,
+		MemPages:    1 << 16,
+		RegionPages: 1024,
+		Seed:        1,
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sdpcm.Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(8*20000*b.N)/b.Elapsed().Seconds(), "refs/s")
 }
 
 // BenchmarkAblationEncoding compares word-line codecs on the same workload

@@ -41,6 +41,15 @@ func writeStream(tb testing.TB, cfg Config) (*Controller, []pcm.LineAddr, []pcm.
 	return c, addrs, datas
 }
 
+// preGrowScratch grows the verification scratch to the controller's
+// normalized cascade bound, so a cascade deeper than any the warm-up
+// reached cannot allocate while a loop is measured.
+func preGrowScratch(c *Controller) {
+	for depth := 0; depth <= c.cfg.MaxCascadeDepth; depth++ {
+		c.scratchBits(depth, pcm.Mask{})
+	}
+}
+
 // TestWritePathAllocFree pins the controller's steady-state zero-allocation
 // contract: after a warm-up that materializes device chunks, queue capacity,
 // the entry pool and the per-depth bit scratch, posted writes (including
@@ -49,11 +58,7 @@ func TestWritePathAllocFree(t *testing.T) {
 	cfg := baselineCfg()
 	cfg.WriteQueueCap = 8
 	c, addrs, datas := writeStream(t, cfg)
-	// Pre-grow the verification scratch to the cascade bound so a deeper-
-	// than-warm-up cascade during measurement cannot allocate.
-	for depth := 0; depth <= cfg.MaxCascadeDepth; depth++ {
-		c.scratchBits(depth, pcm.Mask{})
-	}
+	preGrowScratch(c)
 	var clock uint64
 	step := func(i int) {
 		j := i % streamLen
@@ -112,6 +117,7 @@ func BenchmarkWritePath(b *testing.B) {
 			cfg := v.cfg
 			cfg.WriteQueueCap = 8
 			c, addrs, datas := writeStream(b, cfg)
+			preGrowScratch(c)
 			var clock uint64
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -163,11 +169,7 @@ var readMixes = []readMix{
 // spread evenly among the reads.
 func demandReadMix(tb testing.TB, mix readMix) (*Controller, func()) {
 	c, addrs, datas := writeStream(tb, mix.cfg)
-	// Pre-grow the verification scratch to the cascade bound so a deeper-
-	// than-warm-up cascade during measurement cannot allocate.
-	for depth := 0; depth <= c.cfg.MaxCascadeDepth; depth++ {
-		c.scratchBits(depth, pcm.Mask{})
-	}
+	preGrowScratch(c)
 	rnd := rng.New(5)
 	reads := make([]pcm.LineAddr, streamLen)
 	for i := range reads {

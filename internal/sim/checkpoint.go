@@ -9,7 +9,6 @@ import (
 	"sdpcm/internal/snap"
 	"sdpcm/internal/topo"
 	"sdpcm/internal/trace"
-	"sdpcm/internal/workload"
 )
 
 // checkpointVersion is the on-disk format version. Bump it whenever any
@@ -89,20 +88,16 @@ func (s *runState) encodeCheckpoint() []byte {
 	for _, c := range *s.h {
 		active[c.id] = true
 	}
-	replay := len(s.cfg.Streams) > 0
 	e.Uvarint(uint64(len(s.cores)))
 	for i, c := range s.cores {
 		e.Bool(active[i])
 		e.U64(c.time)
 		e.Uvarint(uint64(c.refs))
 		e.U64(c.instrs)
-		if replay {
-			// Replayed streams are fast-forwarded by record count on
-			// resume; only the write-back mutator carries RNG state.
-			c.mut.(*workload.Mutator).EncodeState(e)
-		} else {
-			c.mut.(*workload.Generator).EncodeState(e)
-		}
+		// A live core's generator, or a replayed core's write-back
+		// mutator; replayed streams are fast-forwarded by record count on
+		// resume.
+		c.in.encodeState(e)
 		c.as.EncodeState(e)
 	}
 
@@ -157,7 +152,7 @@ func (s *runState) restoreCheckpoint(path string) error {
 	// position is exactly the number of records this core consumed.
 	if len(s.cfg.Streams) > 0 {
 		for _, c := range s.cores {
-			if err := fastForward(c.stream, c.refs); err != nil {
+			if err := fastForward(c.in.stream, c.refs); err != nil {
 				return resumeErr(fmt.Errorf("core %d: %w", c.id, err))
 			}
 		}
@@ -184,9 +179,9 @@ func (s *runState) decode(data []byte) error {
 		return fmt.Errorf("checkpoint has %d cores, this run has %d", n, len(s.cores))
 	}
 	*s.h = (*s.h)[:0]
-	replay := len(s.cfg.Streams) > 0
 	for _, c := range s.cores {
-		if d.Bool() {
+		active := d.Bool()
+		if active {
 			*s.h = append(*s.h, c)
 		}
 		c.time = d.U64()
@@ -194,14 +189,15 @@ func (s *runState) decode(data []byte) error {
 		if d.Err() == nil && refs > uint64(s.cfg.RefsPerCore) {
 			return fmt.Errorf("checkpoint core %d is at reference %d of %d", c.id, refs, s.cfg.RefsPerCore)
 		}
+		// The loop retires a core on its last reference, so no run writes
+		// a running core at the limit; its producer would have nothing
+		// left to draw.
+		if d.Err() == nil && active && refs == uint64(s.cfg.RefsPerCore) {
+			return fmt.Errorf("checkpoint core %d is still running at its reference limit %d", c.id, refs)
+		}
 		c.refs = int(refs)
 		c.instrs = d.U64()
-		if replay {
-			err = c.mut.(*workload.Mutator).DecodeState(d)
-		} else {
-			err = c.mut.(*workload.Generator).DecodeState(d)
-		}
-		if err != nil {
+		if err := c.in.src.DecodeState(d); err != nil {
 			return err
 		}
 		if err := c.as.DecodeState(d); err != nil {

@@ -39,6 +39,9 @@ type Config struct {
 	// Streams replays pre-captured traces instead of live generators, one
 	// stream per core (the sdpcm-trace workflow). Replayed traces carry no
 	// data payloads; write-backs are synthesised with MutateChunkProb.
+	// Each stream is read ahead of the run loop on a goroutine of its own,
+	// never past RefsPerCore records and never after Run returns, so no
+	// two cores may share one.
 	Streams []trace.Stream
 	// MutateChunkProb is the per-16-bit-chunk rewrite probability used for
 	// replayed writes (<=0 selects a typical 0.15).
@@ -236,22 +239,14 @@ func (r Result) ECPChipLifetime() float64 {
 	return base / (base + extra)
 }
 
-// mutator synthesises write-back payloads; live generators and the replay
-// Mutator both satisfy it. Payloads are drawn (consuming the per-core RNG in
-// program order) separately from their application to the line's latest
-// content.
-type mutator interface {
-	DrawMutation() workload.Mutation
-}
-
 // corePending is the per-core event state. mod is the index of the module
-// the core's address space allocates from.
+// the core's address space allocates from; in supplies its references and
+// write-back payloads.
 type corePending struct {
 	id     int
 	mod    int
 	time   uint64
-	stream trace.Stream
-	mut    mutator
+	in     *prefetch
 	as     *vm.AddressSpace
 	refs   int
 	instrs uint64
@@ -345,18 +340,12 @@ func Run(cfg Config) (Result, error) {
 		}
 	}
 
-	type coreSrc struct {
-		stream trace.Stream
-		mut    mutator
-	}
-	var srcs []coreSrc
+	var srcs []*prefetch
 	if len(cfg.Streams) > 0 {
 		wseed := root.SplitLabeled("mutator").Uint64()
 		for i, s := range cfg.Streams {
-			srcs = append(srcs, coreSrc{
-				stream: s,
-				mut:    workload.NewMutator(cfg.MutateChunkProb, wseed+uint64(i)*0x9e3779b97f4a7c15),
-			})
+			srcs = append(srcs, replayPrefetch(s,
+				workload.NewMutator(cfg.MutateChunkProb, wseed+uint64(i)*0x9e3779b97f4a7c15)))
 		}
 	} else {
 		gens, err := cfg.Mix.Generators(root.SplitLabeled("workload").Uint64())
@@ -364,7 +353,7 @@ func Run(cfg Config) (Result, error) {
 			return Result{}, err
 		}
 		for _, g := range gens {
-			srcs = append(srcs, coreSrc{stream: g, mut: g})
+			srcs = append(srcs, livePrefetch(g))
 		}
 	}
 	if len(cfg.CoreTags) > 0 && len(cfg.CoreTags) != len(srcs) {
@@ -383,7 +372,7 @@ func Run(cfg Config) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		cores[i] = &corePending{id: i, mod: mod, stream: src.stream, mut: src.mut, as: as}
+		cores[i] = &corePending{id: i, mod: mod, in: src, as: as}
 		h = append(h, cores[i])
 	}
 	h.init()
@@ -416,10 +405,12 @@ func Run(cfg Config) (Result, error) {
 			return Result{}, err
 		}
 	}
+	stop := startPrefetch(cores, h, cfg.RefsPerCore)
+	defer stop()
 
 	for len(h) > 0 {
 		c := h[0]
-		rec, ok := c.stream.Next()
+		rec, ok := c.in.Next()
 		if !ok {
 			h.pop() // replayed trace exhausted
 			continue
@@ -439,7 +430,7 @@ func Run(cfg Config) (Result, error) {
 			}
 			c.time = done // blocking load
 		} else {
-			m.write(c.time, logical, c.mut.DrawMutation())
+			m.write(c.time, logical, c.in.DrawMutation())
 			c.time++ // posted write: the core only pays the issue cycle
 		}
 		c.refs++

@@ -270,3 +270,41 @@ func TestMutatorMatchesGeneratorModel(t *testing.T) {
 		t.Fatalf("generator flips %v vs mutator %v: models diverged", a, b)
 	}
 }
+
+// TestStateAndClone: a clone continues the original's stream, and SetState
+// rewinds a source to a position State returned, for generators (records
+// and payloads) and mutators alike.
+func TestStateAndClone(t *testing.T) {
+	spec, _ := ByName("mcf")
+	g, err := NewGenerator(spec, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Next()
+	at := g.State()
+	c := g.Clone()
+	draw := func(g *Generator) (trace.Record, Mutation) {
+		r, _ := g.Next()
+		return r, g.DrawMutation()
+	}
+	r1, m1 := draw(g)
+	if r2, m2 := draw(c); r1 != r2 || m1 != m2 {
+		t.Fatal("clone diverged from its original")
+	}
+	g.SetState(at)
+	if r2, m2 := draw(g); r1 != r2 || m1 != m2 {
+		t.Fatal("SetState did not rewind the generator")
+	}
+
+	m := NewMutator(0.2, 9)
+	mat := m.State()
+	mc := m.Clone()
+	a := m.DrawMutation()
+	if b := mc.DrawMutation(); a != b {
+		t.Fatal("mutator clone diverged from its original")
+	}
+	m.SetState(mat)
+	if b := m.DrawMutation(); a != b {
+		t.Fatal("SetState did not rewind the mutator")
+	}
+}
