@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-json golden check-golden bench-record obs-smoke resume-smoke serve-smoke fuzz lint ci
+.PHONY: build test race bench bench-pin bench-json golden check-golden bench-record obs-smoke resume-smoke serve-smoke fuzz lint ci
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,11 @@ bench:
 # against main. Parent names only: sub-benchmarks (WritePath/vnc, ...) run
 # because go test splits the -bench regex on '/'.
 BENCH_PIN = BenchmarkDevicePeek$$|BenchmarkDeviceWrite$$|BenchmarkDeviceDisturb$$|BenchmarkDeviceFirstTouch$$|BenchmarkDINEncode$$|BenchmarkECPRecordClear$$|BenchmarkWDInject$$|BenchmarkWritePath$$|BenchmarkDemandRead$$|BenchmarkSimulatorThroughput$$|BenchmarkSimulatorThroughputRead$$|BenchmarkGeometric$$|BenchmarkBernoulli$$|BenchmarkTranslateMiss$$
+
+# Print the pinned regex, so the CI bench-gate runs the same set on the
+# merge base without a second copy of the list.
+bench-pin:
+	@echo '$(BENCH_PIN)'
 
 # Where bench-json records the per-benchmark medians; the CI bench-gate sets
 # it explicitly so the Makefile and workflow can never disagree on the name.

@@ -47,16 +47,22 @@ type Stats struct {
 	ECPBitWrites     uint64 // cells programmed in the ECP chip (wear proxy)
 }
 
+// Counters lists the table counters as metric rows, in field order (which
+// is also their checkpoint order).
+func (s *Stats) Counters() []metrics.Field {
+	return []metrics.Field{
+		{Name: "ecp.wd_recorded", V: &s.WDRecorded},
+		{Name: "ecp.wd_duplicates", V: &s.WDDuplicates},
+		{Name: "ecp.overflows", V: &s.Overflows},
+		{Name: "ecp.cleared_by_write", V: &s.ClearedByWrite},
+		{Name: "ecp.cleared_by_correct", V: &s.ClearedByCorrect},
+		{Name: "ecp.bit_writes", V: &s.ECPBitWrites},
+	}
+}
+
 // Add accumulates another Stats value; all fields are additive, so the
 // per-module controllers' tables merge commutatively.
-func (s *Stats) Add(o Stats) {
-	s.WDRecorded += o.WDRecorded
-	s.WDDuplicates += o.WDDuplicates
-	s.Overflows += o.Overflows
-	s.ClearedByWrite += o.ClearedByWrite
-	s.ClearedByCorrect += o.ClearedByCorrect
-	s.ECPBitWrites += o.ECPBitWrites
-}
+func (s *Stats) Add(o Stats) { metrics.AddFields(s.Counters(), o.Counters()) }
 
 // lineState is the per-line entry bookkeeping. WD entries are kept as an
 // ordered slice of cell indices; hard errors are abstract (only their count

@@ -1,6 +1,7 @@
 package ecp
 
 import (
+	"sdpcm/internal/metrics"
 	"sdpcm/internal/pcm"
 	"sdpcm/internal/snap"
 )
@@ -10,12 +11,7 @@ import (
 // deterministic. N, HardFn and the instruments are construction parameters.
 func (t *Table) EncodeState(e *snap.Encoder) {
 	e.Begin("ecp.table")
-	e.U64(t.Stats.WDRecorded)
-	e.U64(t.Stats.WDDuplicates)
-	e.U64(t.Stats.Overflows)
-	e.U64(t.Stats.ClearedByWrite)
-	e.U64(t.Stats.ClearedByCorrect)
-	e.U64(t.Stats.ECPBitWrites)
+	metrics.EncodeFields(e, t.Stats.Counters())
 	e.Uvarint(uint64(t.index.Len()))
 	t.index.Visit(func(a pcm.LineAddr, i uint32) {
 		s := t.lines.At(i)
@@ -39,12 +35,7 @@ func (t *Table) EncodeState(e *snap.Encoder) {
 // device, restored beforehand.
 func (t *Table) DecodeState(d *snap.Decoder, owns func(pcm.LineAddr) bool) error {
 	d.Begin("ecp.table")
-	t.Stats.WDRecorded = d.U64()
-	t.Stats.WDDuplicates = d.U64()
-	t.Stats.Overflows = d.U64()
-	t.Stats.ClearedByWrite = d.U64()
-	t.Stats.ClearedByCorrect = d.U64()
-	t.Stats.ECPBitWrites = d.U64()
+	metrics.DecodeFields(d, t.Stats.Counters())
 	t.index.Reset()
 	t.lines.Reset()
 	// cells reads a list of cell indices, each inside one line.

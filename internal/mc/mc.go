@@ -152,34 +152,40 @@ type Stats struct {
 	ReadWaitSum    uint64 // queueing component of read latency
 }
 
+// Counters lists the controller counters as metric rows, in field order
+// (which is also their checkpoint order).
+func (s *Stats) Counters() []metrics.Field {
+	return []metrics.Field{
+		{Name: "mc.demand_reads", V: &s.DemandReads},
+		{Name: "mc.forwarded_reads", V: &s.ForwardedReads},
+		{Name: "mc.write_requests", V: &s.WriteRequests},
+		{Name: "mc.coalesced", V: &s.Coalesced},
+		{Name: "mc.write_ops", V: &s.WriteOps},
+		{Name: "mc.drains", V: &s.Drains},
+		{Name: "mc.preread_issued", V: &s.PreReadsIssued},
+		{Name: "mc.preread_forwarded", V: &s.PreReadsForwarded},
+		{Name: "mc.preread_canceled", V: &s.PreReadsCanceled},
+		{Name: "mc.preread_hits", V: &s.PreReadHits},
+		{Name: "mc.verify_reads", V: &s.VerifyReads},
+		{Name: "mc.cascade_reads", V: &s.CascadeReads},
+		{Name: "mc.correction_writes", V: &s.CorrectionWrites},
+		{Name: "mc.lazy_records", V: &s.LazyRecords},
+		{Name: "mc.cascade_truncated", V: &s.CascadeTruncated},
+		{Name: "mc.read_preemptions", V: &s.ReadPreemptions},
+		{Name: "mc.burst_ops", V: &s.BurstOps},
+		{Name: "mc.background_ops", V: &s.BackgroundOps},
+		{Name: "mc.program_cycles", V: &s.ProgramCycles},
+		{Name: "mc.verify_cycles", V: &s.VerifyCycles},
+		{Name: "mc.correct_cycles", V: &s.CorrectCycles},
+		{Name: "mc.read_cycles", V: &s.ReadCycles},
+		{Name: "mc.read_latency_sum", V: &s.ReadLatencySum},
+		{Name: "mc.read_wait_sum", V: &s.ReadWaitSum},
+	}
+}
+
 // Add accumulates another Stats value. Every field is additive, so merging
 // the simulator's per-module controllers in module order is exact.
-func (s *Stats) Add(o Stats) {
-	s.DemandReads += o.DemandReads
-	s.ForwardedReads += o.ForwardedReads
-	s.WriteRequests += o.WriteRequests
-	s.Coalesced += o.Coalesced
-	s.WriteOps += o.WriteOps
-	s.Drains += o.Drains
-	s.PreReadsIssued += o.PreReadsIssued
-	s.PreReadsForwarded += o.PreReadsForwarded
-	s.PreReadsCanceled += o.PreReadsCanceled
-	s.PreReadHits += o.PreReadHits
-	s.VerifyReads += o.VerifyReads
-	s.CascadeReads += o.CascadeReads
-	s.CorrectionWrites += o.CorrectionWrites
-	s.LazyRecords += o.LazyRecords
-	s.CascadeTruncated += o.CascadeTruncated
-	s.ReadPreemptions += o.ReadPreemptions
-	s.BurstOps += o.BurstOps
-	s.BackgroundOps += o.BackgroundOps
-	s.ProgramCycles += o.ProgramCycles
-	s.VerifyCycles += o.VerifyCycles
-	s.CorrectCycles += o.CorrectCycles
-	s.ReadCycles += o.ReadCycles
-	s.ReadLatencySum += o.ReadLatencySum
-	s.ReadWaitSum += o.ReadWaitSum
-}
+func (s *Stats) Add(o Stats) { metrics.AddFields(s.Counters(), o.Counters()) }
 
 // Encoder is the word-line codec contract: a stored-image transform with
 // per-line state keyed by the slots of the device Bind names. *din.Codec

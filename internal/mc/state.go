@@ -3,6 +3,7 @@ package mc
 import (
 	"fmt"
 
+	"sdpcm/internal/metrics"
 	"sdpcm/internal/pcm"
 	"sdpcm/internal/snap"
 )
@@ -48,67 +49,13 @@ func isBuiltinPolicy(p CorrectionPolicy) bool {
 	return false
 }
 
-func encodeMCStats(e *snap.Encoder, s Stats) {
-	e.U64(s.DemandReads)
-	e.U64(s.ForwardedReads)
-	e.U64(s.WriteRequests)
-	e.U64(s.Coalesced)
-	e.U64(s.WriteOps)
-	e.U64(s.Drains)
-	e.U64(s.PreReadsIssued)
-	e.U64(s.PreReadsForwarded)
-	e.U64(s.PreReadsCanceled)
-	e.U64(s.PreReadHits)
-	e.U64(s.VerifyReads)
-	e.U64(s.CascadeReads)
-	e.U64(s.CorrectionWrites)
-	e.U64(s.LazyRecords)
-	e.U64(s.CascadeTruncated)
-	e.U64(s.ReadPreemptions)
-	e.U64(s.BurstOps)
-	e.U64(s.BackgroundOps)
-	e.U64(s.ProgramCycles)
-	e.U64(s.VerifyCycles)
-	e.U64(s.CorrectCycles)
-	e.U64(s.ReadCycles)
-	e.U64(s.ReadLatencySum)
-	e.U64(s.ReadWaitSum)
-}
-
-func decodeMCStats(d *snap.Decoder, s *Stats) {
-	s.DemandReads = d.U64()
-	s.ForwardedReads = d.U64()
-	s.WriteRequests = d.U64()
-	s.Coalesced = d.U64()
-	s.WriteOps = d.U64()
-	s.Drains = d.U64()
-	s.PreReadsIssued = d.U64()
-	s.PreReadsForwarded = d.U64()
-	s.PreReadsCanceled = d.U64()
-	s.PreReadHits = d.U64()
-	s.VerifyReads = d.U64()
-	s.CascadeReads = d.U64()
-	s.CorrectionWrites = d.U64()
-	s.LazyRecords = d.U64()
-	s.CascadeTruncated = d.U64()
-	s.ReadPreemptions = d.U64()
-	s.BurstOps = d.U64()
-	s.BackgroundOps = d.U64()
-	s.ProgramCycles = d.U64()
-	s.VerifyCycles = d.U64()
-	s.CorrectCycles = d.U64()
-	s.ReadCycles = d.U64()
-	s.ReadLatencySum = d.U64()
-	s.ReadWaitSum = d.U64()
-}
-
 // EncodeState serializes the controller's mutable state: counters, the
 // entry-ID generator, every bank's queue, preread bookkeeping and
 // disturbance engine, and the ECP table, word-line codec and (when
 // stateful) correction policy. The device is serialized by the caller.
 func (c *Controller) EncodeState(e *snap.Encoder) {
 	e.Begin("mc.controller")
-	encodeMCStats(e, c.Stats)
+	metrics.EncodeFields(e, c.Stats.Counters())
 	e.U64(c.nextID)
 	for i := range c.banks {
 		b := &c.banks[i]
@@ -200,7 +147,7 @@ func (b *bank) readInFlight(p prOp) bool {
 // queue.
 func (c *Controller) DecodeState(d *snap.Decoder) error {
 	d.Begin("mc.controller")
-	decodeMCStats(d, &c.Stats)
+	metrics.DecodeFields(d, c.Stats.Counters())
 	c.nextID = d.U64()
 	for i := range c.banks {
 		b := &c.banks[i]

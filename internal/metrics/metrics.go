@@ -1,72 +1,29 @@
 // Package metrics is the simulator's observability layer: a zero-dependency
-// registry of counters, gauges and fixed-bucket histograms, plus an optional
-// bounded ring-buffer event trace (trace.go).
+// registry of the hot-path instruments — fixed-bucket histograms and an
+// optional bounded ring-buffer event trace (trace.go) — plus the Snapshot
+// that exports a run. Counters are not registry instruments: each
+// component keeps them as uint64 fields of its Stats type and lists them
+// once as Field rows (field.go), which fold, render into a Snapshot and
+// checkpoint.
 //
 // Design constraints, in order:
 //
 //   - Allocation-free on the hot path. Instruments are registered once at
-//     construction time; Add/Set/Observe mutate plain uint64 fields and
-//     never allocate. One simulation run is single-goroutine deterministic,
-//     so no locks or atomics are needed (a Registry must not be shared
-//     across concurrently executing runs).
+//     construction time; Observe and Emit mutate plain fields and never
+//     allocate. One simulation run is single-goroutine deterministic, so no
+//     locks or atomics are needed (a Registry must not be shared across
+//     concurrently executing runs).
 //   - Free when disabled. Every instrument method is nil-safe: a nil
 //     *Registry hands out nil instrument handles, and calling a method on a
 //     nil handle is a no-op. Uninstrumented components therefore pay one
 //     nil-check branch per call site and nothing else — the overhead budget
 //     is <2% on the simulator's hot paths (BenchmarkMetricsOverhead).
-//   - Deterministic snapshots. Snapshot orders every instrument by name, so
+//   - Deterministic snapshots. A Snapshot orders every series by name, so
 //     two runs with the same config and seed export byte-identical JSON —
 //     snapshots double as regression fixtures.
 package metrics
 
 import "sort"
-
-// Counter is a monotonically increasing uint64 instrument.
-type Counter struct {
-	v uint64
-}
-
-// Add increases the counter; no-op on a nil handle.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v += n
-	}
-}
-
-// Inc increases the counter by one; no-op on a nil handle.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v++
-	}
-}
-
-// Value returns the current count (0 for a nil handle).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
-// Gauge is a last-value-wins uint64 instrument.
-type Gauge struct {
-	v uint64
-}
-
-// Set records the gauge value; no-op on a nil handle.
-func (g *Gauge) Set(v uint64) {
-	if g != nil {
-		g.v = v
-	}
-}
-
-// Value returns the current value (0 for a nil handle).
-func (g *Gauge) Value() uint64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
 
 // Histogram is a fixed-bucket uint64 distribution. A histogram with bounds
 // [b0, b1, ... bn] has n+2 buckets: v <= b0, b0 < v <= b1, ..., v > bn.
@@ -162,47 +119,13 @@ func quantile(bounds, counts []uint64, n uint64, q float64) float64 {
 // usable; construct with New. A nil *Registry is the disabled form: every
 // lookup returns a nil handle and Snapshot returns nil.
 type Registry struct {
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	trace    *Trace
+	hists map[string]*Histogram
+	trace *Trace
 }
 
 // New creates an empty registry.
 func New() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-	}
-}
-
-// Counter returns the named counter, creating it on first use. Returns nil
-// (the no-op handle) on a nil registry.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	c := r.counters[name]
-	if c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns the named gauge, creating it on first use. Returns nil on a
-// nil registry.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return &Registry{hists: make(map[string]*Histogram)}
 }
 
 // Histogram returns the named histogram, creating it with the given bucket
@@ -249,14 +172,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		return nil
 	}
 	s := &Snapshot{}
-	for name, c := range r.counters {
-		s.Counters = append(s.Counters, CounterPoint{Name: name, Value: c.v})
-	}
-	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
-	for name, g := range r.gauges {
-		s.Gauges = append(s.Gauges, GaugePoint{Name: name, Value: g.v})
-	}
-	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	for name, h := range r.hists {
 		hp := HistogramPoint{
 			Name:   name,

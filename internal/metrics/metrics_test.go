@@ -7,31 +7,9 @@ import (
 	"testing"
 )
 
-func TestCounterGauge(t *testing.T) {
-	r := New()
-	c := r.Counter("a")
-	c.Inc()
-	c.Add(4)
-	if got := c.Value(); got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
-	}
-	if r.Counter("a") != c {
-		t.Fatal("second lookup returned a different counter")
-	}
-	g := r.Gauge("g")
-	g.Set(7)
-	g.Set(3)
-	if got := g.Value(); got != 3 {
-		t.Fatalf("gauge = %d, want 3 (last write wins)", got)
-	}
-}
-
 func TestNilRegistryAndHandlesAreNoOps(t *testing.T) {
 	var r *Registry
 	// Every call below must be a safe no-op.
-	r.Counter("x").Inc()
-	r.Counter("x").Add(3)
-	r.Gauge("x").Set(1)
 	r.Histogram("x", []uint64{1, 2}).Observe(9)
 	r.EnableTrace(16).Emit(0, EvWDInjected, 1, 2, 3)
 	r.Trace().Emit(0, EvWDDetected, 1, 2, 3)
@@ -41,8 +19,8 @@ func TestNilRegistryAndHandlesAreNoOps(t *testing.T) {
 	if s := r.Snapshot(); s != nil {
 		t.Fatalf("nil registry snapshot = %+v, want nil", s)
 	}
-	if got := r.Counter("x").Value(); got != 0 {
-		t.Fatalf("nil counter value = %d", got)
+	if got := r.Histogram("x", nil).Count(); got != 0 {
+		t.Fatalf("nil histogram count = %d", got)
 	}
 }
 
@@ -111,7 +89,7 @@ func TestSnapshotStableOrderAndJSON(t *testing.T) {
 	build := func(order []string) *Snapshot {
 		r := New()
 		for _, n := range order {
-			r.Counter(n).Inc()
+			r.Histogram(n, []uint64{1}).Observe(1)
 		}
 		return r.Snapshot()
 	}
@@ -125,8 +103,8 @@ func TestSnapshotStableOrderAndJSON(t *testing.T) {
 	if !a.Equal(b) {
 		t.Fatal("Equal() = false for identical state")
 	}
-	if a.Counters[0].Name != "a" || a.Counters[2].Name != "z" {
-		t.Fatalf("counters not name-sorted: %+v", a.Counters)
+	if a.Histograms[0].Name != "a" || a.Histograms[2].Name != "z" {
+		t.Fatalf("histograms not name-sorted: %+v", a.Histograms)
 	}
 }
 
@@ -144,10 +122,7 @@ func TestEventKindJSONNames(t *testing.T) {
 }
 
 func TestSnapshotAccessors(t *testing.T) {
-	r := New()
-	r.Counter("c").Add(9)
-	r.Gauge("g").Set(4)
-	s := r.Snapshot()
+	s := &Snapshot{Counters: []CounterPoint{{Name: "c", Value: 9}}, Gauges: []GaugePoint{{Name: "g", Value: 4}}}
 	if s.Counter("c") != 9 || s.Counter("missing") != 0 {
 		t.Fatal("counter accessor wrong")
 	}
@@ -166,15 +141,15 @@ func TestSnapshotAccessors(t *testing.T) {
 func TestMergeIsOrderIndependent(t *testing.T) {
 	mk := func(c uint64, g uint64, obs ...uint64) *Snapshot {
 		r := New()
-		r.Counter("c").Add(c)
-		r.Counter("only-" + string(rune('a'+c))).Add(1)
-		r.Gauge("g").Set(g)
 		h := r.Histogram("h", []uint64{10, 100})
 		for _, v := range obs {
 			h.Observe(v)
 		}
 		r.EnableTrace(2).Emit(0, EvWDInjected, 0, 0, 0)
-		return r.Snapshot()
+		s := r.Snapshot()
+		s.Counters = []CounterPoint{{Name: "c", Value: c}, {Name: "only-" + string(rune('a'+c)), Value: 1}}
+		s.Gauges = []GaugePoint{{Name: "g", Value: g}}
+		return s
 	}
 	a, b := mk(1, 5, 3, 50), mk(2, 9, 200)
 	ab := (&Snapshot{}).Merge(a).Merge(b)
@@ -206,11 +181,12 @@ func TestMergeIsOrderIndependent(t *testing.T) {
 
 func TestWriteTable(t *testing.T) {
 	r := New()
-	r.Counter("mc.write_ops").Add(7)
 	r.Histogram("mc.cascade_depth", []uint64{1, 2}).Observe(1)
 	r.EnableTrace(4).Emit(10, EvWDFlushed, 3, 2, 1)
+	s := r.Snapshot()
+	s.Counters = []CounterPoint{{Name: "mc.write_ops", Value: 7}}
 	var buf bytes.Buffer
-	if err := r.Snapshot().WriteTable(&buf); err != nil {
+	if err := s.WriteTable(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -45,10 +45,12 @@ func (h HistogramPoint) Quantile(q float64) float64 {
 	return quantile(h.Bounds, h.Counts, h.Count, q)
 }
 
-// Snapshot is a registry export: every slice is sorted by instrument name,
-// so equal registries marshal to byte-identical JSON and snapshots serve as
-// regression fixtures. The zero value is a valid empty snapshot; a nil
-// *Snapshot (metrics disabled) is handled by every method.
+// Snapshot is a run's metrics export: the registry's histograms and event
+// tail plus the counters and gauges rendered from component stats. Every
+// slice is sorted by name, so equal states marshal to byte-identical JSON
+// and snapshots serve as regression fixtures. The zero value is a valid
+// empty snapshot; a nil *Snapshot (metrics disabled) is handled by every
+// method.
 type Snapshot struct {
 	Counters   []CounterPoint   `json:"counters,omitempty"`
 	Gauges     []GaugePoint     `json:"gauges,omitempty"`

@@ -7,9 +7,11 @@ import (
 	"sdpcm/internal/snap"
 )
 
-// EncodeState serializes the registry's instrument values and the event-ring
-// contents in name-sorted (deterministic) order. Nil-safe: a disabled
-// registry encodes as absent.
+// EncodeState serializes the registry's histograms in name-sorted
+// (deterministic) order and the event-ring contents. Nil-safe: a disabled
+// registry encodes as absent. Two zero counts, the counter and gauge
+// sections of checkpoint version 6, precede the histograms: counters live
+// in component Stats now, and the version-6 bytes must not change.
 func (r *Registry) EncodeState(e *snap.Encoder) {
 	e.Begin("metrics.registry")
 	e.Bool(r != nil)
@@ -17,30 +19,10 @@ func (r *Registry) EncodeState(e *snap.Encoder) {
 		e.End()
 		return
 	}
+	e.Uvarint(0) // counters
+	e.Uvarint(0) // gauges
 
-	names := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	e.Uvarint(uint64(len(names)))
-	for _, n := range names {
-		e.String(n)
-		e.U64(r.counters[n].v)
-	}
-
-	names = names[:0]
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	e.Uvarint(uint64(len(names)))
-	for _, n := range names {
-		e.String(n)
-		e.U64(r.gauges[n].v)
-	}
-
-	names = names[:0]
+	names := make([]string, 0, len(r.hists))
 	for n := range r.hists {
 		names = append(names, n)
 	}
@@ -80,11 +62,12 @@ func (r *Registry) EncodeState(e *snap.Encoder) {
 	e.End()
 }
 
-// DecodeState restores instrument values written by EncodeState. The restore
-// is in place — existing Counter/Gauge/Histogram handles held by
-// already-instrumented components stay valid; instruments absent from the
-// fresh registry are created. Histogram bounds must match the running
-// configuration.
+// DecodeState restores the histograms and event ring written by
+// EncodeState. The restore is in place — Histogram handles held by
+// already-instrumented components stay valid. The checkpoint must name
+// exactly the histograms this run registered, with the same bounds, and its
+// counter and gauge sections must be empty: a decoded name this run does
+// not publish would otherwise surface in (or be summed into) its snapshot.
 func (r *Registry) DecodeState(d *snap.Decoder) error {
 	d.Begin("metrics.registry")
 	present := d.Bool()
@@ -99,33 +82,33 @@ func (r *Registry) DecodeState(d *snap.Decoder) error {
 		return d.Err()
 	}
 
-	nc := d.Count()
-	for i := 0; i < nc && d.Err() == nil; i++ {
-		name := d.String()
-		r.Counter(name).v = d.U64()
-	}
-	ng := d.Count()
-	for i := 0; i < ng && d.Err() == nil; i++ {
-		name := d.String()
-		r.Gauge(name).v = d.U64()
+	for _, section := range []string{"counter", "gauge"} {
+		if n := d.Count(); d.Err() == nil && n != 0 {
+			return fmt.Errorf("metrics: checkpoint holds %d %s instruments, the registry keeps none", n, section)
+		}
 	}
 	nh := d.Count()
+	if d.Err() == nil && nh != len(r.hists) {
+		return fmt.Errorf("metrics: checkpoint holds %d histograms, this run registered %d", nh, len(r.hists))
+	}
+	prev := ""
 	for i := 0; i < nh && d.Err() == nil; i++ {
 		name := d.String()
-		nb := d.Count()
-		bounds := make([]uint64, nb)
-		for j := range bounds {
-			bounds[j] = d.U64()
+		h := r.hists[name]
+		switch {
+		case d.Err() != nil:
+			return d.Err()
+		case h == nil:
+			return fmt.Errorf("metrics: checkpoint histogram %q is not registered in this run", name)
+		case name <= prev:
+			return fmt.Errorf("metrics: checkpoint histogram %q repeats or is out of order", name)
 		}
-		if d.Err() != nil {
-			break
+		prev = name
+		if nb := d.Count(); d.Err() == nil && nb != len(h.bounds) {
+			return fmt.Errorf("metrics: checkpoint histogram %q has %d bounds, this run has %d", name, nb, len(h.bounds))
 		}
-		h := r.Histogram(name, bounds)
-		if len(h.bounds) != len(bounds) {
-			return fmt.Errorf("metrics: checkpoint histogram %q has %d bounds, this run has %d", name, len(bounds), len(h.bounds))
-		}
-		for j, b := range bounds {
-			if h.bounds[j] != b {
+		for _, b := range h.bounds {
+			if v := d.U64(); d.Err() == nil && v != b {
 				return fmt.Errorf("metrics: checkpoint histogram %q bounds differ from this run's", name)
 			}
 		}

@@ -50,3 +50,76 @@ func TestDecodeRejectsInconsistentTrace(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeRefusesUnregisteredInstruments: a checkpoint's registry section
+// restores exactly the histograms this run registered. Counter and gauge
+// sections must be empty, and a histogram this run does not have, one it
+// lacks or one named twice is refused rather than created — it would
+// otherwise surface in, or be summed into, the run's snapshot.
+func TestDecodeRefusesUnregisteredInstruments(t *testing.T) {
+	bounds := []uint64{10, 100}
+	encode := func(counters, gauges, hists []string) []byte {
+		e := snap.NewEncoder(1)
+		e.Begin("metrics.registry")
+		e.Bool(true)
+		for _, names := range [][]string{counters, gauges} {
+			e.Uvarint(uint64(len(names)))
+			for _, n := range names {
+				e.String(n)
+				e.U64(7)
+			}
+		}
+		e.Uvarint(uint64(len(hists)))
+		for _, n := range hists {
+			e.String(n)
+			e.Uvarint(uint64(len(bounds)))
+			for _, b := range bounds {
+				e.U64(b)
+			}
+			for range len(bounds) + 1 {
+				e.U64(1)
+			}
+			e.U64(55) // sum
+			e.U64(3)  // count
+		}
+		e.Bool(false) // no trace
+		e.End()
+		return e.Finish()
+	}
+	for _, tc := range []struct {
+		name                    string
+		counters, gauges, hists []string
+		valid                   bool
+	}{
+		{name: "exact set", hists: []string{"a", "b"}, valid: true},
+		{name: "counter section", counters: []string{"injected"}, hists: []string{"a", "b"}},
+		{name: "gauge section", gauges: []string{"sim.cycles"}, hists: []string{"a", "b"}},
+		{name: "unregistered histogram", hists: []string{"a", "b", "extra"}},
+		{name: "histogram swapped for another", hists: []string{"a", "extra"}},
+		{name: "missing histogram", hists: []string{"a"}},
+		{name: "repeated histogram", hists: []string{"a", "a"}},
+	} {
+		r := New()
+		r.Histogram("a", bounds)
+		r.Histogram("b", bounds)
+		d, err := snap.NewDecoder(encode(tc.counters, tc.gauges, tc.hists), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = r.DecodeState(d)
+		if (err == nil) != tc.valid {
+			t.Errorf("%s: DecodeState err = %v", tc.name, err)
+			continue
+		}
+		if !tc.valid {
+			continue
+		}
+		s := r.Snapshot()
+		if len(s.Counters) != 0 || len(s.Gauges) != 0 || len(s.Histograms) != 2 {
+			t.Errorf("%s: snapshot after restore = %+v, want only histograms a and b", tc.name, s)
+		}
+		if hp, _ := s.Histogram("b"); hp.Count != 3 || hp.Sum != 55 {
+			t.Errorf("%s: restored histogram b = %+v", tc.name, hp)
+		}
+	}
+}

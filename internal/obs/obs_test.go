@@ -40,11 +40,12 @@ func TestServerEndpoints(t *testing.T) {
 	s, ts := testServer(t)
 
 	r := metrics.New()
-	r.Counter("mc.write_ops").Add(7)
 	tr := r.EnableTrace(8)
 	tr.Emit(100, metrics.EvWDParked, 93, 2, 4)
 	tr.Emit(200, metrics.EvWDFlushed, 93, 2, 1)
-	s.SetSnapshot(r.Snapshot())
+	snapshot := r.Snapshot()
+	snapshot.Counters = []metrics.CounterPoint{{Name: "mc.write_ops", Value: 7}}
+	s.SetSnapshot(snapshot)
 	s.Progress().Begin("fig11")
 	s.Progress().PointDone(runner.PointEvent{Total: 4})
 
@@ -142,9 +143,7 @@ func TestServerMetricsFromProgress(t *testing.T) {
 	if _, body, _ := get(t, ts.URL+"/metrics"); !strings.Contains(body, "sdpcm_mc_write_ops_total 7") {
 		t.Fatalf("/metrics before SetSnapshot lacks the merged counter:\n%s", body)
 	}
-	r := metrics.New()
-	r.Counter("mc.write_ops").Add(42)
-	s.SetSnapshot(r.Snapshot())
+	s.SetSnapshot(&metrics.Snapshot{Counters: []metrics.CounterPoint{{Name: "mc.write_ops", Value: 42}}})
 	if _, body, _ := get(t, ts.URL+"/metrics"); !strings.Contains(body, "sdpcm_mc_write_ops_total 42") {
 		t.Fatalf("/metrics after SetSnapshot lacks the published counter:\n%s", body)
 	}
@@ -230,9 +229,7 @@ func TestServerStartClose(t *testing.T) {
 // with its full body instead of being dropped mid-response.
 func TestCloseDrainsInFlightRequest(t *testing.T) {
 	s := NewServer()
-	r := metrics.New()
-	r.Counter("mc.write_ops").Add(42)
-	s.SetSnapshot(r.Snapshot())
+	s.SetSnapshot(&metrics.Snapshot{Counters: []metrics.CounterPoint{{Name: "mc.write_ops", Value: 42}}})
 
 	entered := make(chan struct{})
 	release := make(chan struct{})

@@ -144,10 +144,9 @@ func TestProgressNewSectionResetsETA(t *testing.T) {
 // pointWith builds a successful point event carrying a metrics snapshot with
 // one counter and a one-cell heatmap.
 func pointWith(writes, injected uint64) runner.PointEvent {
-	r := metrics.New()
-	r.Counter("mc.write_ops").Add(writes)
+	s := &metrics.Snapshot{Counters: []metrics.CounterPoint{{Name: "mc.write_ops", Value: writes}}}
 	hm := &wd.HeatmapSnapshot{Banks: 1, Regions: 1, Cells: [][]wd.HeatCell{{{Injected: injected}}}}
-	return runner.PointEvent{Total: 2, Result: &sim.Result{Metrics: r.Snapshot(), Heatmap: hm}}
+	return runner.PointEvent{Total: 2, Result: &sim.Result{Metrics: s, Heatmap: hm}}
 }
 
 func TestProgressMergesAggregate(t *testing.T) {

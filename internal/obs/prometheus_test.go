@@ -52,14 +52,16 @@ func parseExposition(t *testing.T, text string) (map[string]uint64, map[string]s
 
 func TestWritePrometheusParseBack(t *testing.T) {
 	r := metrics.New()
-	r.Counter("mc.write_ops").Add(42)
-	r.Counter("mc.read_latency_sum").Add(777) // the would-be collision case
-	r.Gauge("sim.cycles").Set(123456)
 	h := r.Histogram("mc.read_latency", []uint64{10, 100})
 	for _, v := range []uint64{5, 50, 500} {
 		h.Observe(v)
 	}
 	s := r.Snapshot()
+	s.Counters = []metrics.CounterPoint{
+		{Name: "mc.read_latency_sum", Value: 777}, // the would-be collision case
+		{Name: "mc.write_ops", Value: 42},
+	}
+	s.Gauges = []metrics.GaugePoint{{Name: "sim.cycles", Value: 123456}}
 
 	var b strings.Builder
 	if err := WritePrometheus(&b, s); err != nil {
@@ -108,12 +110,12 @@ func TestWritePrometheusNilAndDeterminism(t *testing.T) {
 	if b.Len() != 0 {
 		t.Fatalf("nil snapshot rendered %q", b.String())
 	}
-	r := metrics.New()
-	r.Counter("b.second").Inc()
-	r.Counter("a.first").Inc()
+	snapshot := func() *metrics.Snapshot {
+		return &metrics.Snapshot{Counters: []metrics.CounterPoint{{Name: "a.first", Value: 1}, {Name: "b.second", Value: 1}}}
+	}
 	var x, y strings.Builder
-	WritePrometheus(&x, r.Snapshot())
-	WritePrometheus(&y, r.Snapshot())
+	WritePrometheus(&x, snapshot())
+	WritePrometheus(&y, snapshot())
 	if x.String() != y.String() {
 		t.Fatal("equal snapshots rendered differently")
 	}
@@ -140,14 +142,15 @@ func TestPromName(t *testing.T) {
 // buckets merge it with le, and values escape correctly.
 func TestWritePrometheusLabeled(t *testing.T) {
 	r := metrics.New()
-	r.Counter("mc.write_ops").Add(42)
-	r.Gauge("sim.cycles").Set(9)
 	h := r.Histogram("mc.read_latency", []uint64{10})
 	h.Observe(5)
 	h.Observe(50)
+	s := r.Snapshot()
+	s.Counters = []metrics.CounterPoint{{Name: "mc.write_ops", Value: 42}}
+	s.Gauges = []metrics.GaugePoint{{Name: "sim.cycles", Value: 9}}
 
 	var b strings.Builder
-	if err := WritePrometheusLabeled(&b, r.Snapshot(), []Label{{Name: "job", Value: "job-1"}}); err != nil {
+	if err := WritePrometheusLabeled(&b, s, []Label{{Name: "job", Value: "job-1"}}); err != nil {
 		t.Fatal(err)
 	}
 	values, types := parseExposition(t, b.String())
@@ -186,10 +189,9 @@ func TestWritePrometheusLabeled(t *testing.T) {
 // TestLabelEscaping: quotes, backslashes and newlines in label values must
 // not corrupt the exposition.
 func TestLabelEscaping(t *testing.T) {
-	r := metrics.New()
-	r.Counter("x").Add(1)
+	s := &metrics.Snapshot{Counters: []metrics.CounterPoint{{Name: "x", Value: 1}}}
 	var b strings.Builder
-	if err := WritePrometheusLabeled(&b, r.Snapshot(), []Label{{Name: "job", Value: "a\"b\\c\nd"}}); err != nil {
+	if err := WritePrometheusLabeled(&b, s, []Label{{Name: "job", Value: "a\"b\\c\nd"}}); err != nil {
 		t.Fatal(err)
 	}
 	want := `sdpcm_x_total{job="a\"b\\c\nd"} 1`

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"sdpcm/internal/metrics"
 )
 
 // Timing holds the PCM access latencies of Table 2, in CPU cycles (4 GHz:
@@ -69,18 +71,24 @@ type Stats struct {
 // CellWrites returns the total number of programmed cells (wear proxy).
 func (s Stats) CellWrites() uint64 { return s.ResetPulses + s.SetPulses }
 
+// Counters lists the device counters as metric rows, in field order (which
+// is also their checkpoint order).
+func (s *Stats) Counters() []metrics.Field {
+	return []metrics.Field{
+		{Name: "pcm.reads", V: &s.Reads},
+		{Name: "pcm.writes", V: &s.Writes},
+		{Name: "pcm.reset_pulses", V: &s.ResetPulses},
+		{Name: "pcm.set_pulses", V: &s.SetPulses},
+		{Name: "pcm.correction_writes", V: &s.CorrectionWrites},
+		{Name: "pcm.correction_reset_pulses", V: &s.CorrectionResetPulses},
+		{Name: "pcm.disturbed_bits", V: &s.DisturbedBits},
+	}
+}
+
 // Add accumulates another Stats value; all fields are additive, so folding
 // per-module counters in module order is equivalent to a single global
 // counter.
-func (s *Stats) Add(o Stats) {
-	s.Reads += o.Reads
-	s.Writes += o.Writes
-	s.ResetPulses += o.ResetPulses
-	s.SetPulses += o.SetPulses
-	s.CorrectionWrites += o.CorrectionWrites
-	s.CorrectionResetPulses += o.CorrectionResetPulses
-	s.DisturbedBits += o.DisturbedBits
-}
+func (s *Stats) Add(o Stats) { metrics.AddFields(s.Counters(), o.Counters()) }
 
 // chunkLines is the number of lines one chunk-table entry covers. Physically
 // adjacent rows (the bit-line WD victims) are LinesPerPage bank-local lines

@@ -1,28 +1,9 @@
 package pcm
 
-import "sdpcm/internal/snap"
-
-// encodeStats writes one Stats value field by field; keep in lockstep with
-// decodeStats and Stats.Add.
-func encodeStats(e *snap.Encoder, s Stats) {
-	e.U64(s.Reads)
-	e.U64(s.Writes)
-	e.U64(s.ResetPulses)
-	e.U64(s.SetPulses)
-	e.U64(s.CorrectionWrites)
-	e.U64(s.CorrectionResetPulses)
-	e.U64(s.DisturbedBits)
-}
-
-func decodeStats(d *snap.Decoder, s *Stats) {
-	s.Reads = d.U64()
-	s.Writes = d.U64()
-	s.ResetPulses = d.U64()
-	s.SetPulses = d.U64()
-	s.CorrectionWrites = d.U64()
-	s.CorrectionResetPulses = d.U64()
-	s.DisturbedBits = d.U64()
-}
+import (
+	"sdpcm/internal/metrics"
+	"sdpcm/internal/snap"
+)
 
 // EncodeLine writes one line image as eight fixed words.
 func EncodeLine(e *snap.Encoder, l Line) {
@@ -47,7 +28,7 @@ func DecodeLine(d *snap.Decoder) Line {
 // targets a freshly built Device of the same Config.
 func (d *Device) EncodeState(e *snap.Encoder) {
 	e.Begin("pcm.device")
-	encodeStats(e, d.stats)
+	metrics.EncodeFields(e, d.stats.Counters())
 	for b := range d.store {
 		st := &d.store[b]
 		e.Uvarint(uint64(len(st.hdrs) - 1))
@@ -79,7 +60,7 @@ func (d *Device) EncodeState(e *snap.Encoder) {
 // every bitmap must name at least one line, as EncodeState writes them.
 func (d *Device) DecodeState(dec *snap.Decoder) error {
 	dec.Begin("pcm.device")
-	decodeStats(dec, &d.stats)
+	metrics.DecodeFields(dec, d.stats.Counters())
 	for b := range d.store {
 		st := &d.store[b]
 		if len(st.hdrs) > 1 {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"sdpcm/internal/metrics"
 	"sdpcm/internal/snap"
 )
 
@@ -21,7 +22,7 @@ type chunkEntry struct {
 func encodeBank0(st Stats, chunks []chunkEntry) []byte {
 	e := snap.NewEncoder(1)
 	e.Begin("pcm.device")
-	encodeStats(e, st)
+	metrics.EncodeFields(e, st.Counters())
 	for b := 0; b < NumBanks; b++ {
 		if b != 0 {
 			e.Uvarint(0)

@@ -2,9 +2,15 @@ package sim
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"sdpcm/internal/core"
+	"sdpcm/internal/ecp"
+	"sdpcm/internal/mc"
+	"sdpcm/internal/metrics"
+	"sdpcm/internal/pcm"
+	"sdpcm/internal/wd"
 )
 
 // metricsCfg is quickCfg with collection (and optionally tracing) enabled.
@@ -13,6 +19,55 @@ func metricsCfg(scheme core.Scheme, bench string, traceEvents int) Config {
 	cfg.CollectMetrics = true
 	cfg.TraceEvents = traceEvents
 	return cfg
+}
+
+// TestStatsRowsCoverEveryCounter: each component's Stats lists every uint64
+// field in exactly one row, so a counter added without a row — which would
+// then neither fold, publish nor survive a checkpoint — fails here. Metric
+// names are unique across the components, as the snapshot merges them.
+func TestStatsRowsCoverEveryCounter(t *testing.T) {
+	var (
+		mcS  mc.Stats
+		devS pcm.Stats
+		ecpS ecp.Stats
+		wdS  wd.Stats
+	)
+	names := map[string]bool{}
+	for _, tc := range []struct {
+		stats any // pointer to the Stats value the rows point into
+		rows  []metrics.Field
+	}{
+		{&mcS, mcS.Counters()},
+		{&devS, devS.Counters()},
+		{&ecpS, ecpS.Counters()},
+		{&wdS, wdS.Counters()},
+	} {
+		v := reflect.ValueOf(tc.stats).Elem()
+		fields := map[uintptr]string{}
+		for i := range v.NumField() {
+			if v.Field(i).Kind() == reflect.Uint64 {
+				fields[v.Field(i).Addr().Pointer()] = v.Type().Field(i).Name
+			}
+		}
+		if len(tc.rows) != len(fields) {
+			t.Errorf("%s: %d rows for %d uint64 fields", v.Type(), len(tc.rows), len(fields))
+		}
+		covered := map[uintptr]bool{}
+		for _, r := range tc.rows {
+			p := reflect.ValueOf(r.V).Pointer()
+			if _, ok := fields[p]; !ok {
+				t.Errorf("%s: row %q does not point at one of its uint64 fields", v.Type(), r.Name)
+			}
+			if covered[p] {
+				t.Errorf("%s: field %s has more than one row (second: %q)", v.Type(), fields[p], r.Name)
+			}
+			covered[p] = true
+			if names[r.Name] {
+				t.Errorf("metric name %q is declared twice", r.Name)
+			}
+			names[r.Name] = true
+		}
+	}
 }
 
 func TestMetricsDisabledByDefault(t *testing.T) {

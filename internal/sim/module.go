@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"sdpcm/internal/alloc"
 	"sdpcm/internal/core"
@@ -273,25 +274,25 @@ type simCounters struct {
 	wearMoves    uint64
 }
 
-// assembleSnapshot builds a metrics snapshot from the quiesced modules:
-// module stats are summed and rendered into a scratch registry and merged
-// with the run registry's histograms; the run registry's event tail is the
-// snapshot's. The result is a pure function of the run's state.
+// assembleSnapshot builds a metrics snapshot from the quiesced modules: the
+// run registry supplies the histograms and the event tail, and the summed
+// module stats and the orchestrator's counters supply the counters and
+// gauges, every one emitted even when zero. The result is a pure function
+// of the run's state.
 func assembleSnapshot(reg *metrics.Registry, mods []*moduleRun, sc simCounters) *metrics.Snapshot {
-	tmp := metrics.New()
 	mcS, devS, ecpS, wdS := mergedStats(mods)
-	mcS.Publish(tmp)
-	devS.Publish(tmp)
-	ecpS.Publish(tmp)
-	wdS.Publish(tmp)
-	tmp.Counter("sim.instructions").Add(sc.instructions)
-	tmp.Counter("sim.tlb_misses").Add(sc.tlbMisses)
-	tmp.Counter("sim.page_faults").Add(sc.pageFaults)
-	tmp.Counter("sim.wear_moves").Add(sc.wearMoves)
-	tmp.Gauge("sim.cycles").Set(sc.cycles)
-	rs := reg.Snapshot()
-	s := tmp.Snapshot().Merge(rs)
-	s.Events, s.EventsDropped = rs.Events, rs.EventsDropped
+	s := reg.Snapshot()
+	for _, rows := range [][]metrics.Field{mcS.Counters(), devS.Counters(), ecpS.Counters(), wdS.Counters()} {
+		s.Counters = metrics.AppendCounters(s.Counters, rows)
+	}
+	s.Counters = append(s.Counters,
+		metrics.CounterPoint{Name: "sim.instructions", Value: sc.instructions},
+		metrics.CounterPoint{Name: "sim.tlb_misses", Value: sc.tlbMisses},
+		metrics.CounterPoint{Name: "sim.page_faults", Value: sc.pageFaults},
+		metrics.CounterPoint{Name: "sim.wear_moves", Value: sc.wearMoves})
+	s.Gauges = append(wdS.Gauges(), metrics.GaugePoint{Name: "sim.cycles", Value: sc.cycles})
+	slices.SortFunc(s.Counters, func(a, b metrics.CounterPoint) int { return strings.Compare(a.Name, b.Name) })
+	slices.SortFunc(s.Gauges, func(a, b metrics.GaugePoint) int { return strings.Compare(a.Name, b.Name) })
 	return s
 }
 

@@ -3,6 +3,7 @@ package wd
 import (
 	"fmt"
 
+	"sdpcm/internal/metrics"
 	"sdpcm/internal/snap"
 )
 
@@ -11,12 +12,7 @@ import (
 // instruments are construction parameters.
 func (e *Engine) EncodeState(enc *snap.Encoder) {
 	enc.Begin("wd.engine")
-	enc.U64(e.Stats.WritesObserved)
-	enc.U64(e.Stats.InLineErrors)
-	enc.U64(e.Stats.EdgeErrors)
-	enc.U64(e.Stats.RewritePulses)
-	enc.U64(e.Stats.EdgeHealPulses)
-	enc.U64(e.Stats.BitLineFlips)
+	metrics.EncodeFields(enc, e.Stats.Counters())
 	enc.Int(e.Stats.MaxWordLinePerWrite)
 	enc.Int(e.Stats.MaxBitLinePerLine)
 	enc.U64(e.Now)
@@ -29,12 +25,7 @@ func (e *Engine) EncodeState(enc *snap.Encoder) {
 // DecodeState restores state written by EncodeState.
 func (e *Engine) DecodeState(d *snap.Decoder) error {
 	d.Begin("wd.engine")
-	e.Stats.WritesObserved = d.U64()
-	e.Stats.InLineErrors = d.U64()
-	e.Stats.EdgeErrors = d.U64()
-	e.Stats.RewritePulses = d.U64()
-	e.Stats.EdgeHealPulses = d.U64()
-	e.Stats.BitLineFlips = d.U64()
+	metrics.DecodeFields(d, e.Stats.Counters())
 	e.Stats.MaxWordLinePerWrite = d.Int()
 	e.Stats.MaxBitLinePerLine = d.Int()
 	e.Now = d.U64()

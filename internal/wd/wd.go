@@ -57,16 +57,33 @@ type Stats struct {
 	MaxBitLinePerLine   int
 }
 
+// Counters lists the engine counters as metric rows, in field order (which
+// is also their checkpoint order). The two worst-case fields are not rows:
+// they merge by max and publish as gauges.
+func (s *Stats) Counters() []metrics.Field {
+	return []metrics.Field{
+		{Name: "wd.writes_observed", V: &s.WritesObserved},
+		{Name: "wd.inline_errors", V: &s.InLineErrors},
+		{Name: "wd.edge_errors", V: &s.EdgeErrors},
+		{Name: "wd.rewrite_pulses", V: &s.RewritePulses},
+		{Name: "wd.edge_heal_pulses", V: &s.EdgeHealPulses},
+		{Name: "wd.bitline_flips", V: &s.BitLineFlips},
+	}
+}
+
+// Gauges renders the worst-case fields as snapshot gauges.
+func (s *Stats) Gauges() []metrics.GaugePoint {
+	return []metrics.GaugePoint{
+		{Name: "wd.max_wordline_per_write", Value: uint64(s.MaxWordLinePerWrite)},
+		{Name: "wd.max_bitline_per_line", Value: uint64(s.MaxBitLinePerLine)},
+	}
+}
+
 // Add accumulates another Stats value: counters sum, worst-case fields take
 // the max. Order-independent, so a controller's per-bank engines merge
 // commutatively.
 func (s *Stats) Add(o Stats) {
-	s.WritesObserved += o.WritesObserved
-	s.InLineErrors += o.InLineErrors
-	s.EdgeErrors += o.EdgeErrors
-	s.RewritePulses += o.RewritePulses
-	s.EdgeHealPulses += o.EdgeHealPulses
-	s.BitLineFlips += o.BitLineFlips
+	metrics.AddFields(s.Counters(), o.Counters())
 	s.MaxWordLinePerWrite = max(s.MaxWordLinePerWrite, o.MaxWordLinePerWrite)
 	s.MaxBitLinePerLine = max(s.MaxBitLinePerLine, o.MaxBitLinePerLine)
 }

@@ -182,14 +182,6 @@ func (g *Generator) Next() (trace.Record, bool) {
 	return trace.Record{Kind: kind, Line: line, Gap: gap}, true
 }
 
-// MutateLine produces the new content of a line written by this workload:
-// each 16-bit chunk is rewritten with probability WriteChunkChange. At
-// least one chunk always changes (a write-back of a clean line never
-// reaches memory).
-func (g *Generator) MutateLine(old [8]uint64) [8]uint64 {
-	return mutate(g.rnd, g.spec.WriteChunkChange, old)
-}
-
 // Mutator produces write-back payloads for replayed traces, which carry
 // addresses but no data: it applies the same chunk-level volatility model
 // the live generators use.
@@ -208,15 +200,6 @@ func NewMutator(prob float64, seed uint64) *Mutator {
 		prob = 1
 	}
 	return &Mutator{rnd: rng.New(seed).SplitLabeled("mutator"), prob: prob}
-}
-
-// MutateLine rewrites chunks of the line per the volatility model.
-func (m *Mutator) MutateLine(old [8]uint64) [8]uint64 {
-	return mutate(m.rnd, m.prob, old)
-}
-
-func mutate(rnd *rng.Rand, prob float64, old [8]uint64) [8]uint64 {
-	return DrawMutation(rnd, prob).Apply(old)
 }
 
 // Capture materialises n records from the generator into a slice.

@@ -129,7 +129,7 @@ func TestMutateLineVolatility(t *testing.T) {
 		total := 0
 		const n = 2000
 		for i := 0; i < n; i++ {
-			next := g.MutateLine(line)
+			next := g.DrawMutation().Apply(line)
 			for w := range line {
 				x := line[w] ^ next[w]
 				for x != 0 {
@@ -156,9 +156,9 @@ func TestMutateLineAlwaysChanges(t *testing.T) {
 	g, _ := NewGenerator(spec, 5)
 	var line [8]uint64
 	for i := 0; i < 500; i++ {
-		next := g.MutateLine(line)
+		next := g.DrawMutation().Apply(line)
 		if next == line {
-			t.Fatal("MutateLine must always change at least one word")
+			t.Fatal("a drawn mutation must always change at least one word")
 		}
 		line = next
 	}
@@ -223,8 +223,8 @@ func TestMutatorDeterminismAndClamping(t *testing.T) {
 	m2 := NewMutator(0.2, 9)
 	var line [8]uint64
 	for i := 0; i < 50; i++ {
-		a := m1.MutateLine(line)
-		b := m2.MutateLine(line)
+		a := m1.DrawMutation().Apply(line)
+		b := m2.DrawMutation().Apply(line)
 		if a != b {
 			t.Fatal("mutators with equal seeds diverged")
 		}
@@ -232,12 +232,12 @@ func TestMutatorDeterminismAndClamping(t *testing.T) {
 	}
 	// Non-positive probability selects the default and still mutates.
 	m := NewMutator(-1, 3)
-	if m.MutateLine(line) == line {
+	if m.DrawMutation().Apply(line) == line {
 		t.Fatal("default-probability mutator must change the line")
 	}
 	// Probability 1 rewrites every chunk (almost surely != old).
 	hot := NewMutator(5, 4) // clamped to 1
-	if hot.MutateLine(line) == line {
+	if hot.DrawMutation().Apply(line) == line {
 		t.Fatal("prob-1 mutator must rewrite")
 	}
 }
@@ -248,11 +248,11 @@ func TestMutatorMatchesGeneratorModel(t *testing.T) {
 	spec, _ := ByName("lbm")
 	g, _ := NewGenerator(spec, 7)
 	m := NewMutator(spec.WriteChunkChange, 7)
-	count := func(f func([8]uint64) [8]uint64) float64 {
+	count := func(draw func() Mutation) float64 {
 		var line [8]uint64
 		total := 0
 		for i := 0; i < 3000; i++ {
-			next := f(line)
+			next := draw().Apply(line)
 			for w := range line {
 				x := line[w] ^ next[w]
 				for x != 0 {
@@ -264,8 +264,8 @@ func TestMutatorMatchesGeneratorModel(t *testing.T) {
 		}
 		return float64(total) / 3000
 	}
-	a := count(g.MutateLine)
-	b := count(m.MutateLine)
+	a := count(g.DrawMutation)
+	b := count(m.DrawMutation)
 	if a < b*0.8 || a > b*1.2 {
 		t.Fatalf("generator flips %v vs mutator %v: models diverged", a, b)
 	}
