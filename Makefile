@@ -80,8 +80,9 @@ resume-smoke:
 # invocation. The FuzzResume targets' inputs are whole checkpoints (~19 KB)
 # and FuzzDiskStoreLoad's are whole result-store entries, so minimizing each
 # new corpus entry is capped at 2 s to leave the budget for fuzzing.
-# FuzzResumeTopology and FuzzResumeReplay resume a two-module topology run
-# and a trace-replay run from a checkpoint each writes at start-up.
+# FuzzResumeTopology, FuzzResumeReplay and FuzzResumeBarrier resume a
+# two-module topology run, a trace-replay run and an in-module-barrier run
+# from a checkpoint each writes at start-up.
 # FuzzJobSpec drives the sdpcm-serve job-submit decoder and Validate.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 20s ./internal/topo
@@ -89,6 +90,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzResume$$' -fuzztime 20s -fuzzminimizetime 2s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzResumeTopology$$' -fuzztime 20s -fuzzminimizetime 2s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzResumeReplay$$' -fuzztime 20s -fuzzminimizetime 2s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzResumeBarrier$$' -fuzztime 20s -fuzzminimizetime 2s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzDINEncode$$' -fuzztime 20s ./internal/din
 	$(GO) test -run '^$$' -fuzz '^FuzzGeometric$$' -fuzztime 20s ./internal/rng
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceReader$$' -fuzztime 20s ./internal/trace

@@ -44,6 +44,21 @@ func FuzzResumeTopology(f *testing.F) {
 	fuzzResume(f, mk, checkpointOf(f, mk))
 }
 
+// FuzzResumeBarrier is FuzzResume under the in-module barrier, whose
+// checkpoint holds the barrier's per-bank victim buffers.
+func FuzzResumeBarrier(f *testing.F) {
+	s, err := core.ByName("imdb", 6)
+	if err != nil {
+		f.Fatal(err)
+	}
+	mk := func() Config {
+		cfg := fixtureCfg()
+		cfg.Scheme = s
+		return cfg
+	}
+	fuzzResume(f, mk, checkpointOf(f, mk))
+}
+
 // FuzzResumeReplay is FuzzResume on a trace-replay run, whose checkpoint
 // holds write-back mutators in place of generators and resumes by
 // fast-forwarding the streams.
