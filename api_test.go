@@ -204,12 +204,12 @@ func TestPublicMetricsSurviveMemoCache(t *testing.T) {
 }
 
 // TestPublicSchemeRegistry exercises the registry surface: every listed
-// name resolves to a valid scheme, and the imdb plugin — registered via
-// the facade's blank import, never a controller edit — runs end to end.
+// name resolves to a valid scheme, and the built-in imdb scheme (the
+// in-module barrier) runs end to end.
 func TestPublicSchemeRegistry(t *testing.T) {
 	names := sdpcm.SchemeNames()
 	if len(names) < 14 {
-		t.Fatalf("SchemeNames() = %v, want the 13 built-ins plus imdb", names)
+		t.Fatalf("SchemeNames() = %v, want the 14 built-ins", names)
 	}
 	for _, n := range names {
 		s, err := sdpcm.SchemeByName(n, 0)
@@ -221,7 +221,7 @@ func TestPublicSchemeRegistry(t *testing.T) {
 		}
 	}
 	if _, err := sdpcm.SchemeByName("imdb", 0); err != nil {
-		t.Fatalf("imdb plugin not registered: %v", err)
+		t.Fatalf("imdb scheme not registered: %v", err)
 	}
 	s, _ := sdpcm.SchemeByName("imdb", 0)
 	res, err := sdpcm.Run(sdpcm.SimConfig{

@@ -37,7 +37,7 @@ func run() int {
 		storeDir     = flag.String("store", "sdpcm-results", "durable result-store directory ('' disables persistence; in-memory memoization only)")
 		storeMaxB    = flag.Int64("store-max-bytes", 0, "prune the result store down to this many bytes, oldest entries first (0 = unbounded)")
 		storeAge     = flag.Duration("store-max-age", 0, "prune result-store entries older than this (e.g. 720h; 0 = keep forever)")
-		gcInterval   = flag.Duration("store-gc-interval", 10*time.Minute, "how often the result-store retention policy is re-applied while serving")
+		gcInterval   = flag.Duration("store-gc-interval", 10*time.Minute, "how often the result-store retention policy is re-applied while serving (must be positive with a retention bound)")
 		maxJobs      = flag.Int("max-jobs", 2, "concurrently running jobs; further submissions queue in order")
 		workers      = flag.Int("workers", 0, "concurrent simulations across all jobs (0 = all cores)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for running jobs before canceling them cooperatively")
@@ -50,6 +50,15 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "sdpcm-serve: %v\n", err)
 		return 2
 	}
+	retention := *storeMaxB > 0 || *storeAge > 0
+	if retention && *storeDir == "" {
+		fmt.Fprintf(os.Stderr, "sdpcm-serve: -store-max-bytes/-store-max-age require -store (usage: -store DIR -store-max-bytes N)\n")
+		return 2
+	}
+	if retention && *gcInterval <= 0 {
+		fmt.Fprintf(os.Stderr, "sdpcm-serve: -store-gc-interval must be positive with a retention bound (usage: -store-max-age 720h -store-gc-interval 10m)\n")
+		return 2
+	}
 	var store *serve.DiskStore
 	if *storeDir != "" {
 		store, err = serve.OpenDiskStore(*storeDir)
@@ -57,7 +66,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "sdpcm-serve: %v\n", err)
 			return 1
 		}
-		if *storeMaxB > 0 || *storeAge > 0 {
+		if retention {
 			store.ConfigureGC(serve.GCPolicy{MaxBytes: *storeMaxB, MaxAge: *storeAge})
 			if n, freed, err := store.Prune(time.Now()); err != nil {
 				fmt.Fprintf(os.Stderr, "sdpcm-serve: %v\n", err)
@@ -68,9 +77,6 @@ func run() int {
 			stopGC := store.StartGC(*gcInterval)
 			defer stopGC()
 		}
-	} else if *storeMaxB > 0 || *storeAge > 0 {
-		fmt.Fprintf(os.Stderr, "sdpcm-serve: -store-max-bytes/-store-max-age require -store (usage: -store DIR -store-max-bytes N)\n")
-		return 2
 	}
 	mgr := serve.NewManager(serve.ManagerConfig{
 		Store:   store,

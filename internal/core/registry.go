@@ -11,10 +11,9 @@ import (
 
 // The scheme registry maps the CLI/experiment vocabulary to scheme
 // constructors, the way database/sql maps driver names: packages register
-// at init time (the built-in roster below; internal/imdb registers its
-// in-module barrier) and callers resolve with ByName. sdpcm-sim,
-// sdpcm-bench and experiments all look schemes up here, so a new scheme
-// registered anywhere appears in every tool without edits.
+// at init time (the built-in roster below) and callers resolve with ByName.
+// sdpcm-sim, sdpcm-bench and experiments all look schemes up here, so a new
+// scheme registered anywhere appears in every tool without edits.
 
 // Ctor builds a registered scheme at the given ECP provisioning;
 // ecpEntries <= 0 selects DefaultECPEntries. Constructors of schemes with
@@ -98,7 +97,8 @@ func AliasesOf(name string) []string {
 	return out
 }
 
-// The built-in §5.3 roster, under the names the CLIs always used.
+// The built-in roster: §5.3's schemes under the names the CLIs always used,
+// plus the in-module barrier.
 func init() {
 	fixed := func(f func() Scheme) Ctor { return func(int) Scheme { return f() } }
 	Register("din", nil, fixed(DIN))
@@ -114,4 +114,5 @@ func init() {
 	Register("all", []string{"lazyc+preread+2:3"}, func(ecp int) Scheme { return AllThree(ecp, alloc.Tag23) })
 	Register("wc", nil, fixed(WC))
 	Register("wc+lazyc", nil, WCLazyC)
+	Register("imdb", []string{"barrier"}, IMDB)
 }

@@ -116,3 +116,28 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 		t.Error("failed registration left a resolvable name")
 	}
 }
+
+// The registered scheme must resolve by name and alias and run end-to-end.
+func TestRegisteredScheme(t *testing.T) {
+	for _, name := range []string{"imdb", "barrier", "IMDB"} {
+		s, err := ByName(name, 0)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", name, err)
+		}
+		if s.Name != "IMDB" || s.BarrierKey() != "imdb:8" || !s.Barrier {
+			t.Fatalf("ByName(%q) = %+v", name, s)
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	found := false
+	for _, n := range Names() {
+		if n == "imdb" {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("imdb missing from Names() = %v", Names())
+	}
+}

@@ -29,6 +29,8 @@ func TestValidateCatchesBadSchemes(t *testing.T) {
 		{Name: "x", Layout: geometry.SuperDense, Tag: alloc.Tag11, ECPEntries: -1},
 		// LazyCorrection without bit-line WD is a configuration error.
 		{Name: "x", Layout: geometry.DINEnhanced, Tag: alloc.Tag11, LazyCorrection: true},
+		// The barrier and LazyCorrection are alternative correction paths.
+		{Name: "x", Layout: geometry.SuperDense, Tag: alloc.Tag11, LazyCorrection: true, Barrier: true},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -61,18 +63,21 @@ func TestNeedsVnC(t *testing.T) {
 func TestMCConfigTranslation(t *testing.T) {
 	s := AllThree(6, alloc.Tag23)
 	cfg := s.MCConfig(16)
-	if !cfg.VerifyNeighbors || cfg.Correction != mc.LazyECP() || !cfg.PreRead || cfg.WriteCancel {
+	if !cfg.VerifyNeighbors || cfg.Correction != mc.LazyECP || !cfg.PreRead || cfg.WriteCancel {
 		t.Errorf("config = %+v", cfg)
 	}
 	if cfg.ECPEntries != 6 || cfg.WriteQueueCap != 16 {
 		t.Errorf("config = %+v", cfg)
 	}
-	if cfg.Encoder != nil {
-		t.Error("all schemes keep DIN encoding on (§4.1): a nil Encoder selects it")
+	if cfg.Encoding != mc.DIN {
+		t.Error("all schemes keep DIN encoding on (§4.1)")
 	}
 	din := DIN().MCConfig(0)
 	if din.VerifyNeighbors {
 		t.Error("DIN scheme must not verify neighbours")
+	}
+	if c := IMDB(6).MCConfig(0); c.Correction != mc.Barrier || !c.VerifyNeighbors {
+		t.Errorf("IMDB config = %+v", c)
 	}
 }
 

@@ -93,20 +93,20 @@ func BenchmarkWritePath(b *testing.B) {
 		{"vnc", baselineCfg()},
 		{"lazyc6", func() Config {
 			c := baselineCfg()
-			c.Correction = LazyECP()
+			c.Correction = LazyECP
 			c.ECPEntries = 6
 			return c
 		}()},
 		{"lazyc6+preread", func() Config {
 			c := baselineCfg()
-			c.Correction = LazyECP()
+			c.Correction = LazyECP
 			c.ECPEntries = 6
 			c.PreRead = true
 			return c
 		}()},
 		{"wc+lazyc6", func() Config {
 			c := baselineCfg()
-			c.Correction = LazyECP()
+			c.Correction = LazyECP
 			c.ECPEntries = 6
 			c.WriteCancel = true
 			return c
@@ -155,7 +155,7 @@ type readMix struct {
 var readMixes = []readMix{
 	{"mcf-write", func() Config {
 		c := baselineCfg()
-		c.Correction = LazyECP()
+		c.Correction = LazyECP
 		c.ECPEntries = 6
 		c.PreRead = true
 		return c

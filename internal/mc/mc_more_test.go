@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"sdpcm/internal/alloc"
-	"sdpcm/internal/din"
-	"sdpcm/internal/fnw"
 	"sdpcm/internal/pcm"
 	"sdpcm/internal/rng"
 )
@@ -36,7 +34,7 @@ func TestHardErrorsForceCorrections(t *testing.T) {
 	// park WD errors: LazyC degenerates to eager correction.
 	mk := func(hard int) *testRig {
 		cfg := baselineCfg()
-		cfg.Correction = LazyECP()
+		cfg.Correction = LazyECP
 		cfg.ECPEntries = 6
 		cfg.WriteQueueCap = 2
 		cfg.HardErrorFn = func(pcm.LineAddr) int { return hard }
@@ -70,14 +68,14 @@ func TestReadReturnsECPCorrectedData(t *testing.T) {
 	// though the array still holds flipped cells. A zero-filled device and
 	// a three-RESET aggressor keep the error count within ECP-6.
 	cfg := baselineCfg()
-	cfg.Correction = LazyECP()
+	cfg.Correction = LazyECP
 	cfg.ECPEntries = 6
 	cfg.Rates.BitLine = 1.0 // make disturbance certain
 	cfg.Rates.WordLine = 0  // no in-line rewrite adds RESETs of its own
 	cfg.WriteQueueCap = 1
 	// Identity codec: the DIN encoder would (correctly!) invert the group
 	// and avoid the RESET pulses this test needs.
-	cfg.Encoder = (*din.Codec)(nil)
+	cfg.Encoding = Raw
 	d, err := pcm.NewDevice(pcm.Config{Pages: testPages, ZeroFill: true})
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +167,7 @@ func TestCoalescingPreservesPrereadState(t *testing.T) {
 
 func TestFNWEncoderThroughController(t *testing.T) {
 	cfg := baselineCfg()
-	cfg.Encoder = fnw.NewCodec()
+	cfg.Encoding = FlipNWrite
 	cfg.WriteQueueCap = 2
 	r := newRig(t, cfg)
 	shadow := map[pcm.LineAddr]pcm.Line{}

@@ -247,7 +247,7 @@ func TestLazyCorrectionReducesCorrections(t *testing.T) {
 	run := func(lazy bool, entries int) (corrections, ops uint64) {
 		cfg := baselineCfg()
 		if lazy {
-			cfg.Correction = LazyECP()
+			cfg.Correction = LazyECP
 		}
 		cfg.ECPEntries = entries
 		cfg.WriteQueueCap = 4
@@ -283,13 +283,13 @@ func TestDataIntegrityGolden(t *testing.T) {
 		{"baseline", baselineCfg()},
 		{"lazy6", func() Config {
 			c := baselineCfg()
-			c.Correction = LazyECP()
+			c.Correction = LazyECP
 			c.ECPEntries = 6
 			return c
 		}()},
 		{"lazy0", func() Config {
 			c := baselineCfg()
-			c.Correction = LazyECP()
+			c.Correction = LazyECP
 			c.ECPEntries = 0
 			return c
 		}()},
@@ -301,7 +301,7 @@ func TestDataIntegrityGolden(t *testing.T) {
 		{"wc+lazy", func() Config {
 			c := baselineCfg()
 			c.WriteCancel = true
-			c.Correction = LazyECP()
+			c.Correction = LazyECP
 			c.ECPEntries = 6
 			return c
 		}()},
@@ -531,7 +531,7 @@ func TestDeterminism(t *testing.T) {
 		}
 		a, _ := alloc.New(testPages, 128)
 		cfg := baselineCfg()
-		cfg.Correction = LazyECP()
+		cfg.Correction = LazyECP
 		cfg.ECPEntries = 6
 		cfg.PreRead = true
 		cfg.WriteQueueCap = 4

@@ -221,10 +221,10 @@ func (c *Controller) verifySides(p pcm.PageAddr) (top, below bool) {
 }
 
 // Flush drains every bank completely (end of simulation or checkpoint) and
-// returns the cycle all work finishes. A correction policy holding buffered
-// repairs (Drainer) writes them back here — its buffer is volatile module
-// SRAM and must be empty at power-down — and its cost is conservatively
-// serialised after the last bank's queue runs dry.
+// returns the cycle all work finishes. The in-module barrier writes its
+// buffered repairs back here — its buffer is volatile module SRAM and must
+// be empty at power-down — and its cost is conservatively serialised after
+// the last bank's queue runs dry.
 func (c *Controller) Flush(now uint64) uint64 {
 	end := now
 	for i := range c.banks {
@@ -237,8 +237,8 @@ func (c *Controller) Flush(now uint64) uint64 {
 		b.draining = false
 		end = max(end, b.freeAt)
 	}
-	if c.drainer != nil {
-		end += uint64(c.drainer.DrainFlush(PolicyContext{c}))
+	if c.barrier != nil {
+		end += uint64(c.barrier.drain(c))
 	}
 	return end
 }

@@ -6,7 +6,6 @@ import (
 
 	"sdpcm/internal/alloc"
 	"sdpcm/internal/core"
-	"sdpcm/internal/imdb"
 	"sdpcm/internal/mc"
 	"sdpcm/internal/pcm"
 	"sdpcm/internal/rng"
@@ -68,7 +67,7 @@ func TestReadTimeMatchesRead(t *testing.T) {
 		core.LazyC(6),
 		core.LazyCPreRead(6),
 		core.WC(),
-		imdb.Scheme(6, 2),
+		core.IMDB(6),
 	}
 	for _, s := range schemes {
 		t.Run(s.Name, func(t *testing.T) {
@@ -135,6 +134,9 @@ func TestReadTimeMatchesRead(t *testing.T) {
 			if st.ForwardedReads == 0 || st.DemandReads == st.ForwardedReads || st.Drains == 0 ||
 				s.PreRead && st.PreReadsCanceled == 0 || s.WriteCancel && st.ReadPreemptions == 0 {
 				t.Fatalf("stream too gentle: %+v", st)
+			}
+			if s.Barrier && a.BarrierEvictions() == 0 {
+				t.Fatal("stream too gentle: the barrier never evicted")
 			}
 		})
 	}

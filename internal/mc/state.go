@@ -8,51 +8,10 @@ import (
 	"sdpcm/internal/snap"
 )
 
-// PolicyState is the optional CorrectionPolicy extension for policies that
-// carry mutable state across write operations (the in-module barrier's
-// victim buffers, for example). The built-in policies are stateless and do
-// not implement it; a stateful plugin must, or checkpointing a run that
-// uses it is refused — silently dropping policy state would break the
-// resume contract.
-type PolicyState interface {
-	EncodePolicyState(e *snap.Encoder)
-	DecodePolicyState(ctx PolicyContext, d *snap.Decoder) error
-}
-
-// codecState is the word-line codec's optional checkpoint surface;
-// *din.Codec (including the nil identity form) and *fnw.Codec implement it.
-type codecState interface {
-	EncodeState(e *snap.Encoder)
-	DecodeState(d *snap.Decoder, owns func(pcm.LineAddr) bool) error
-}
-
-// CheckpointSupported reports whether this controller's configuration can
-// be checkpointed exactly: an opaque correction policy or word-line codec
-// without a state codec would silently lose state across a resume.
-func (c *Controller) CheckpointSupported() error {
-	// The built-in policies are stateless value types; anything else must
-	// declare its state through PolicyState.
-	if _, ok := c.cfg.Correction.(PolicyState); !ok && !isBuiltinPolicy(c.cfg.Correction) {
-		return fmt.Errorf("mc: correction policy %T does not implement mc.PolicyState; checkpointing would drop its state", c.cfg.Correction)
-	}
-	if _, ok := c.codec.(codecState); !ok {
-		return fmt.Errorf("mc: word-line codec %T does not implement a state codec; checkpointing would drop its state", c.codec)
-	}
-	return nil
-}
-
-func isBuiltinPolicy(p CorrectionPolicy) bool {
-	switch p.(type) {
-	case eagerCorrection, lazyECP:
-		return true
-	}
-	return false
-}
-
 // EncodeState serializes the controller's mutable state: counters, the
 // entry-ID generator, every bank's queue, preread bookkeeping and
-// disturbance engine, and the ECP table, word-line codec and (when
-// stateful) correction policy. The device is serialized by the caller.
+// disturbance engine, and the ECP table, word-line codec and (under
+// Barrier) the in-module barrier. The device is serialized by the caller.
 func (c *Controller) EncodeState(e *snap.Encoder) {
 	e.Begin("mc.controller")
 	metrics.EncodeFields(e, c.Stats.Counters())
@@ -86,17 +45,13 @@ func (c *Controller) EncodeState(e *snap.Encoder) {
 		b.engine.EncodeState(e)
 	}
 	c.ecp.EncodeState(e)
-	if cs, ok := c.codec.(codecState); ok {
-		e.Bool(true)
-		cs.EncodeState(e)
-	} else {
-		e.Bool(false)
-	}
-	if ps, ok := c.cfg.Correction.(PolicyState); ok {
-		e.Bool(true)
-		ps.EncodePolicyState(e)
-	} else {
-		e.Bool(false)
+	// Each of the two states is preceded by a presence flag: the codec's is
+	// always set, the barrier's is set under Barrier.
+	e.Bool(true)
+	c.codec.EncodeState(e)
+	e.Bool(c.barrier != nil)
+	if c.barrier != nil {
+		c.barrier.encodeState(e)
 	}
 	e.End()
 }
@@ -214,23 +169,20 @@ func (c *Controller) DecodeState(d *snap.Decoder) error {
 	if err := c.ecp.DecodeState(d, c.owns); err != nil {
 		return err
 	}
-	hasCodec := d.Bool()
-	cs, ok := c.codec.(codecState)
-	if d.Err() == nil && hasCodec != ok {
-		return fmt.Errorf("mc: checkpoint codec-state presence %t does not match this run's codec %T", hasCodec, c.codec)
+	if hasCodec := d.Bool(); d.Err() == nil && !hasCodec {
+		return fmt.Errorf("mc: checkpoint lacks the word-line codec's state")
 	}
-	if hasCodec && d.Err() == nil {
-		if err := cs.DecodeState(d, c.owns); err != nil {
+	if d.Err() == nil {
+		if err := c.codec.DecodeState(d, c.owns); err != nil {
 			return err
 		}
 	}
-	hasPolicy := d.Bool()
-	ps, ok := c.cfg.Correction.(PolicyState)
-	if d.Err() == nil && hasPolicy != ok {
-		return fmt.Errorf("mc: checkpoint policy-state presence %t does not match this run's policy %T", hasPolicy, c.cfg.Correction)
+	hasBarrier := d.Bool()
+	if d.Err() == nil && hasBarrier != (c.barrier != nil) {
+		return fmt.Errorf("mc: checkpoint barrier-state presence %t does not match this controller's correction %d", hasBarrier, c.cfg.Correction)
 	}
-	if hasPolicy && d.Err() == nil {
-		if err := ps.DecodePolicyState(PolicyContext{c}, d); err != nil {
+	if hasBarrier && d.Err() == nil {
+		if err := c.barrier.decodeState(c, d); err != nil {
 			return err
 		}
 	}

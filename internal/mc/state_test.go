@@ -162,7 +162,7 @@ func TestControllerStateFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := baselineCfg()
-	cfg.Correction = LazyECP()
+	cfg.Correction = LazyECP
 	cfg.ECPEntries = 6
 	c, err := New(cfg, d, a, rng.New(99))
 	if err != nil {

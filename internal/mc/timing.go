@@ -64,11 +64,11 @@ func (c *Controller) ReadTime(now uint64, addr pcm.LineAddr) uint64 {
 //     verify-and-rewrite (folded into the program phase);
 //  3. post-write reads of the same adjacent lines; comparison yields the
 //     manifested bit-line WD errors;
-//  4. per neighbour: the correction policy absorbs the errors (LazyC parks
-//     X+Y<=N of them in ECP entries) or a correction write RESETs the
-//     disturbed cells, which cascades — the correction is itself a write
-//     whose neighbours must be verified — until a verification finds no new
-//     errors.
+//  4. per neighbour: Config.Correction absorbs the errors (LazyC parks
+//     X+Y<=N of them in ECP entries, the barrier buffers them) or a
+//     correction write RESETs the disturbed cells, which cascades — the
+//     correction is itself a write whose neighbours must be verified —
+//     until a verification finds no new errors.
 func (c *Controller) executeWrite(b *bank, e *writeEntry) int {
 	c.Stats.WriteOps++
 	// The engine stamps trace events with the op's start time (writes run
@@ -105,11 +105,11 @@ func (c *Controller) executeWrite(b *bank, e *writeEntry) int {
 
 	// --- 2. Program the line. ---
 	// A fresh write supersedes any WD errors parked for this line (§4.2):
-	// the ECP entries are released for free, and a buffering policy drops
-	// its pending repairs the same way.
+	// the ECP entries are released for free, and the barrier drops its
+	// pending repair the same way.
 	c.ecp.ClearWD(e.addr, false)
-	if c.writeObserver != nil {
-		c.writeObserver.ObserveWrite(PolicyContext{c}, e.addr)
+	if c.barrier != nil {
+		c.barrier.observeWrite(c, e.addr)
 	}
 	old := c.dev.Peek(e.addr)
 	img := c.codec.Encode(e.addr, e.data, old)

@@ -24,11 +24,6 @@ func Key(cfg sim.Config, hardErrorLifetime float64) (string, bool) {
 	if cfg.Scheme.HardErrorFn != nil && hardErrorLifetime <= 0 {
 		return "", false
 	}
-	if cfg.Scheme.Policy != nil && cfg.Scheme.PolicyKey == "" {
-		// A Policy hook without a declared PolicyKey is as opaque as an
-		// undeclared HardErrorFn: no cache identity, no memoization.
-		return "", false
-	}
 	if cfg.OnSnapshot != nil {
 		// A snapshot callback is a live side effect: serving a memoized
 		// result would silently skip every mid-run publication.
@@ -39,7 +34,7 @@ func Key(cfg sim.Config, hardErrorLifetime float64) (string, bool) {
 	fmt.Fprintf(&b, "scheme=%q|layout=%q:%d:%d|lazy=%t|preread=%t|wc=%t|ecp=%d|tag=%d:%d|",
 		s.Name, s.Layout.Name, s.Layout.WordLinePitchF, s.Layout.BitLinePitchF,
 		s.LazyCorrection, s.PreRead, s.WriteCancel, s.ECPEntries, s.Tag.N, s.Tag.M)
-	fmt.Fprintf(&b, "policykey=%q|", s.PolicyKey)
+	fmt.Fprintf(&b, "policykey=%q|", s.BarrierKey())
 	fmt.Fprintf(&b, "noverify=%t|nocorrect=%t|enc=%q|hardlife=%g|",
 		s.NoVerifyCharge, s.NoCorrectCharge, s.Encoding, hardErrorLifetime)
 	fmt.Fprintf(&b, "mix=%q/%d", cfg.Mix.Name, len(cfg.Mix.Cores))

@@ -317,14 +317,10 @@ func (r *Runner) execPoint(ctx context.Context, cfg sim.Config, key string) (sim
 		cfg.ResumeFrom = path
 	}
 	res, err := r.exec(ctx, cfg)
-	switch {
-	case errors.Is(err, sim.ErrResume):
+	if errors.Is(err, sim.ErrResume) {
 		// Stale, corrupt or mismatched checkpoint: discard it and run cold.
 		os.Remove(path)
 		cfg.ResumeFrom = ""
-		res, err = r.exec(ctx, cfg)
-	case errors.Is(err, sim.ErrCheckpointUnsupported):
-		cfg.CheckpointPath, cfg.CheckpointEvery, cfg.ResumeFrom = "", 0, ""
 		res, err = r.exec(ctx, cfg)
 	}
 	if err == nil {

@@ -13,7 +13,6 @@ import (
 
 	"sdpcm/internal/alloc"
 	"sdpcm/internal/core"
-	"sdpcm/internal/mc"
 	"sdpcm/internal/pcm"
 	"sdpcm/internal/sim"
 	"sdpcm/internal/trace"
@@ -152,7 +151,7 @@ func TestKeyDistinct(t *testing.T) {
 		mutate("psi", func(c *sim.Config) { c.WearLevelPsi = 100 }),
 		mutate("integrity", func(c *sim.Config) { c.CheckIntegrity = true }),
 		mutate("coretags", func(c *sim.Config) { c.CoreTags = []alloc.Tag{alloc.Tag11, alloc.Tag12, alloc.Tag11, alloc.Tag11} }),
-		mutate("policykey", func(c *sim.Config) { c.Scheme.PolicyKey = "imdb:8" }),
+		mutate("barrier", func(c *sim.Config) { c.Scheme.Barrier = true }),
 		{name: "hardlife", cfg: base, life: 0.5},
 		{name: "hardlife-2", cfg: base, life: 1.0},
 	}
@@ -187,15 +186,6 @@ func TestKeyUncacheable(t *testing.T) {
 	}
 	if _, ok := Key(cfg, 0.5); !ok {
 		t.Error("HardErrorFn declared via lifetime override must be cacheable")
-	}
-	cfg = sim.Config{Scheme: core.Baseline()}
-	cfg.Scheme.Policy = func(*mc.Config) {}
-	if _, ok := Key(cfg, 0); ok {
-		t.Error("Policy hook without a PolicyKey must not be cacheable")
-	}
-	cfg.Scheme.PolicyKey = "test:1"
-	if _, ok := Key(cfg, 0); !ok {
-		t.Error("Policy hook with a declared PolicyKey must be cacheable")
 	}
 }
 

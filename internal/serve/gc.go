@@ -96,8 +96,9 @@ func (s *DiskStore) Prune(now time.Time) (removed int, freed int64, err error) {
 }
 
 // StartGC runs Prune now and then once per interval until the returned stop
-// function is called. Stop is idempotent and waits for an in-flight pass to
-// finish.
+// function is called. The interval must be positive (time.NewTicker panics
+// otherwise; callers validate it). Stop is idempotent and waits for an
+// in-flight pass to finish.
 func (s *DiskStore) StartGC(interval time.Duration) (stop func()) {
 	done := make(chan struct{})
 	finished := make(chan struct{})

@@ -20,19 +20,11 @@ import (
 // drops the write-queue entries' pre-read line buffers.
 const checkpointVersion = 6
 
-var (
-	// ErrResume marks a failure to load or validate a resume checkpoint.
-	// The run can always be restarted cold instead — the sweep runner does
-	// exactly that — so callers should treat it as "checkpoint unusable",
-	// not "configuration broken".
-	ErrResume = errors.New("sim: checkpoint resume failed")
-	// ErrCheckpointUnsupported marks a configuration whose state cannot be
-	// captured exactly: an opaque correction policy or word-line codec that
-	// does not declare its state through mc.PolicyState / the codec state
-	// surface. Checkpointing such a run would silently drop state and break
-	// the identical-resume contract, so it is refused up front.
-	ErrCheckpointUnsupported = errors.New("sim: configuration cannot be checkpointed")
-)
+// ErrResume marks a failure to load or validate a resume checkpoint. The
+// run can always be restarted cold instead — the sweep runner does exactly
+// that — so callers should treat it as "checkpoint unusable", not
+// "configuration broken".
+var ErrResume = errors.New("sim: checkpoint resume failed")
 
 // checkpointIdentity renders every behavior-affecting Config field into a
 // canonical string stored in (and verified against) each checkpoint, so a
@@ -44,7 +36,7 @@ func (c Config) checkpointIdentity(cores int) string {
 			"mix=%s mixcores=%v streams=%d mutate=%g refs=%d mem=%d region=%d wq=%d seed=%d coretags=%v psi=%d "+
 			"metrics=%t trace=%d heat=%d snap=%d integrity=%t cores=%d",
 		s.Name, s.Layout, s.LazyCorrection, s.PreRead, s.WriteCancel, s.ECPEntries, s.Tag,
-		s.NoVerifyCharge, s.NoCorrectCharge, s.Encoding, s.PolicyKey, s.HardErrorFn != nil,
+		s.NoVerifyCharge, s.NoCorrectCharge, s.Encoding, s.BarrierKey(), s.HardErrorFn != nil,
 		c.Mix.Name, c.Mix.Cores, len(c.Streams), c.MutateChunkProb, c.RefsPerCore, c.MemPages,
 		c.RegionPages, c.WriteQueueCap, c.Seed, c.CoreTags, c.WearLevelPsi,
 		c.CollectMetrics, c.TraceEvents, c.HeatmapRegions, c.SnapshotInterval, c.CheckIntegrity, cores)

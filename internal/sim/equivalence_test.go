@@ -13,7 +13,6 @@ import (
 
 	"sdpcm/internal/core"
 	"sdpcm/internal/ecp"
-	"sdpcm/internal/imdb"
 	"sdpcm/internal/mc"
 	"sdpcm/internal/metrics"
 	"sdpcm/internal/pcm"
@@ -84,7 +83,7 @@ func pinnedRuns() []struct {
 	banks4 := multiCfg()
 	banks4.Topology = topo.Demo2()
 	banks4.Topology.Modules[1].Banks = 4
-	imdb32 := sweepCfg(imdb.Scheme(6, 0), "mcf")
+	imdb32 := sweepCfg(core.IMDB(6), "mcf")
 	imdb32.Topology = &topo.Spec{Modules: []topo.Module{{Banks: 32}}}
 	return []struct {
 		name string
@@ -96,7 +95,7 @@ func pinnedRuns() []struct {
 		{"pin|multiCfg-far-banks4", banks4, multiFingerprint},
 		{"pin|WC|mcf", sweepCfg(core.WC(), "mcf"), fingerprint},
 		{"pin|WC+LazyC|mcf", sweepCfg(core.WCLazyC(6), "mcf"), fingerprint},
-		{"pin|IMDB|mcf", sweepCfg(imdb.Scheme(6, 0), "mcf"), fingerprint},
+		{"pin|IMDB|mcf", sweepCfg(core.IMDB(6), "mcf"), fingerprint},
 		{"pin|IMDB-banks32|mcf", imdb32, multiFingerprint},
 	}
 }

@@ -393,13 +393,6 @@ func Run(cfg Config) (Result, error) {
 	snapshotting := cfg.SnapshotInterval > 0 && cfg.OnSnapshot != nil
 	ckpt := runState{cfg: cfg, spec: spec, reg: reg, mods: mods, cores: cores, h: &h, nextSnap: cfg.SnapshotInterval}
 	checkpointing := cfg.CheckpointEvery > 0 && cfg.CheckpointPath != ""
-	if checkpointing || cfg.ResumeFrom != "" {
-		for _, m := range mods {
-			if err := m.ctrl.CheckpointSupported(); err != nil {
-				return Result{}, fmt.Errorf("%w: module %s: %v", ErrCheckpointUnsupported, m.pl.Name, err)
-			}
-		}
-	}
 	if cfg.ResumeFrom != "" {
 		if err := ckpt.restoreCheckpoint(cfg.ResumeFrom); err != nil {
 			return Result{}, err

@@ -1,9 +1,9 @@
-// Command archcheck asserts the package import DAG. The layered write-path
-// architecture only stays open to new schemes if the dependency arrows keep
-// pointing one way: the controller core (internal/mc) must not know about
-// the layers above it, the scheme layer (internal/core) must not know about
-// the harness, and plugins (internal/imdb) sit beside core, never under it.
-// `make lint` (and the CI lint job) runs this on every build.
+// Command archcheck asserts the package import DAG. The layered write path
+// stays composable only if the dependency arrows keep pointing one way: the
+// controller core (internal/mc), which holds every mechanism, must not know
+// about the layers above it, and the scheme layer (internal/core), which
+// composes those mechanisms into named schemes, must not know about the
+// harness. `make lint` (and the CI lint job) runs this on every build.
 //
 // Usage: go run ./scripts/archcheck.go [repo-root]
 package main
@@ -22,7 +22,7 @@ import (
 // forbiddenImports maps a package directory to import prefixes its non-test
 // files must not pull in. Arrows point up the stack only:
 //
-//	cmd, facade → serve → experiments, runner, obs → sim → core, imdb, topo → mc → device models
+//	cmd, facade → serve → experiments, runner, obs → sim → core, topo → mc → device models
 var forbiddenImports = map[string][]string{
 	// The topology layer is a pure description: it names modules, schemes and
 	// geometry as data, and must never reach into the machinery that
@@ -36,10 +36,9 @@ var forbiddenImports = map[string][]string{
 		"sdpcm/internal/runner",
 		"sdpcm/internal/obs",
 		"sdpcm/internal/serve",
-		"sdpcm/internal/imdb",
 	},
-	// The controller core is beneath the scheme/sim/harness layers; a policy
-	// interface that imported its own assembler would be circular by design.
+	// The controller core is beneath the scheme/sim/harness layers; a
+	// mechanism that imported its own assembler would be circular by design.
 	"internal/mc": {
 		"sdpcm/internal/core",
 		"sdpcm/internal/topo",
@@ -48,22 +47,11 @@ var forbiddenImports = map[string][]string{
 		"sdpcm/internal/runner",
 		"sdpcm/internal/obs",
 		"sdpcm/internal/serve",
-		"sdpcm/internal/imdb",
 	},
 	// The scheme layer assembles controller configs; it must not depend on
-	// who runs them, nor on any plugin (plugins import core, never the
-	// reverse — that is what keeps the registry open).
+	// who runs them (callers register schemes with core, never the reverse —
+	// that is what keeps the registry open).
 	"internal/core": {
-		"sdpcm/internal/topo",
-		"sdpcm/internal/sim",
-		"sdpcm/internal/experiments",
-		"sdpcm/internal/runner",
-		"sdpcm/internal/obs",
-		"sdpcm/internal/serve",
-		"sdpcm/internal/imdb",
-	},
-	// A plugin sits beside core: it may use mc and core, not the harness.
-	"internal/imdb": {
 		"sdpcm/internal/topo",
 		"sdpcm/internal/sim",
 		"sdpcm/internal/experiments",

@@ -15,6 +15,9 @@
 #   4. SIGTERM with a job still running (fresh store, nothing cached) must
 #      drain it to completion and still exit 0.
 #
+# First, a retention bound with a non-positive -store-gc-interval must be
+# refused as a usage error (exit 2, one-line hint), never a panic.
+#
 # The server prints "serve: listening on http://ADDR" to stderr, so the
 # script needs no free-port guessing.
 set -euo pipefail
@@ -28,6 +31,17 @@ cleanup() {
 trap cleanup EXIT
 
 go build -o "$tmp/sdpcm-serve" ./cmd/sdpcm-serve
+
+### Usage check: a zero GC interval under a retention bound.
+rc=0
+timeout 10 "$tmp/sdpcm-serve" -listen 127.0.0.1:0 -store "$tmp/store-gc" \
+  -store-max-age 1h -store-gc-interval 0 2>"$tmp/stderr-gc.txt" || rc=$?
+if [ "$rc" -ne 2 ] || grep -q '^panic:' "$tmp/stderr-gc.txt" ||
+  ! grep -q -- '-store-gc-interval must be positive' "$tmp/stderr-gc.txt"; then
+  echo "zero -store-gc-interval: exit $rc, want 2 with a usage hint and no panic:" >&2
+  cat "$tmp/stderr-gc.txt" >&2
+  exit 1
+fi
 
 store="$tmp/store"
 start_server() { # $1 = stderr log file
@@ -182,4 +196,4 @@ grep -q 'drained, exiting' "$tmp/stderr3.txt" || {
   exit 1
 }
 
-echo "serve smoke OK: cold run streamed and persisted; warm run was sim-free and byte-identical; mid-job SIGTERM drained cleanly"
+echo "serve smoke OK: zero GC interval refused; cold run streamed and persisted; warm run was sim-free and byte-identical; mid-job SIGTERM drained cleanly"

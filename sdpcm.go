@@ -45,7 +45,6 @@ import (
 	"sdpcm/internal/core"
 	"sdpcm/internal/experiments"
 	"sdpcm/internal/geometry"
-	_ "sdpcm/internal/imdb" // registers the in-module-barrier scheme
 	"sdpcm/internal/metrics"
 	"sdpcm/internal/obs"
 	"sdpcm/internal/runner"
@@ -116,10 +115,10 @@ var (
 const DefaultECPEntries = core.DefaultECPEntries
 
 // Scheme registry re-exports: schemes register constructors under CLI
-// names at init time (internal/core's built-in roster; internal/imdb's
-// plugin via its blank import above) and every tool resolves -scheme
-// arguments through the registry, so a newly registered scheme appears
-// everywhere without per-tool edits.
+// names at init time (internal/core's built-in roster, the in-module
+// barrier included) and every tool resolves -scheme arguments through the
+// registry, so a newly registered scheme appears everywhere without
+// per-tool edits.
 var (
 	// SchemeByName resolves a registered scheme name or alias
 	// (case-insensitive); ecpEntries <= 0 selects DefaultECPEntries.
@@ -130,8 +129,10 @@ var (
 	// SchemeAliases lists the registered aliases of a canonical name.
 	SchemeAliases = core.AliasesOf
 	// RegisterScheme adds a scheme constructor to the registry (panics on a
-	// duplicate name or alias). Library users plug new design points in
-	// exactly as internal/imdb does.
+	// duplicate name or alias). A registered scheme is a Scheme value
+	// composed from the controller's mechanisms (layout, correction,
+	// PreRead, write cancellation, ECP, allocator tag, encoding); a new
+	// mechanism is a controller change, not a registration.
 	RegisterScheme = core.Register
 )
 
@@ -149,16 +150,12 @@ func Run(cfg SimConfig) (SimResult, error) { return sim.Run(cfg) }
 // to periodically snapshot a run's complete state, and SimConfig.ResumeFrom
 // to continue from such a snapshot with a Result byte-identical to the
 // uninterrupted run. Sweeps checkpoint through SweepRunner.CheckpointDir
-// (with SweepRunner.CheckpointEvery).
-var (
-	// ErrResume marks a checkpoint that cannot be used (missing, corrupt,
-	// version-incompatible, or from a different configuration); callers fall
-	// back to a cold start.
-	ErrResume = sim.ErrResume
-	// ErrCheckpointUnsupported marks a configuration whose plugin state
-	// cannot be serialized (an opaque correction policy or encoding).
-	ErrCheckpointUnsupported = sim.ErrCheckpointUnsupported
-)
+// (with SweepRunner.CheckpointEvery). Every configuration checkpoints.
+//
+// ErrResume marks a checkpoint that cannot be used (missing, corrupt,
+// version-incompatible, or from a different configuration); callers fall
+// back to a cold start.
+var ErrResume = sim.ErrResume
 
 // Speedup is the §5.2 performance metric: CPI_base / CPI_tech.
 func Speedup(base, tech SimResult) float64 { return stats.Speedup(base.CPI, tech.CPI) }
