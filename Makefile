@@ -28,7 +28,7 @@ bench:
 # The pinned data-plane benchmark set the benchstat CI gate compares
 # against main. Parent names only: sub-benchmarks (WritePath/vnc, ...) run
 # because go test splits the -bench regex on '/'.
-BENCH_PIN = BenchmarkDevicePeek$$|BenchmarkDeviceWrite$$|BenchmarkDeviceDisturb$$|BenchmarkDeviceFirstTouch$$|BenchmarkDINEncode$$|BenchmarkECPRecordClear$$|BenchmarkWDInject$$|BenchmarkWritePath$$|BenchmarkDemandRead$$|BenchmarkSimulatorThroughput$$|BenchmarkSimulatorThroughputRead$$|BenchmarkGeometric$$|BenchmarkBernoulli$$|BenchmarkTranslateMiss$$
+BENCH_PIN = BenchmarkDevicePeek$$|BenchmarkDeviceWrite$$|BenchmarkDeviceDisturb$$|BenchmarkDeviceFirstTouch$$|BenchmarkDINEncode$$|BenchmarkECPRecordClear$$|BenchmarkWDInject$$|BenchmarkWritePath$$|BenchmarkDemandRead$$|BenchmarkSimulatorThroughput$$|BenchmarkSimulatorThroughputRead$$|BenchmarkGeometric$$|BenchmarkBernoulli$$|BenchmarkSampleBits$$|BenchmarkDrawMutation$$|BenchmarkTranslateMiss$$
 
 # Print the pinned regex, so the CI bench-gate runs the same set on the
 # merge base without a second copy of the list.
@@ -37,13 +37,13 @@ bench-pin:
 
 # Where bench-json records the per-benchmark medians; the CI bench-gate sets
 # it explicitly so the Makefile and workflow can never disagree on the name.
-BENCH_OUT ?= BENCH_25.json
+BENCH_OUT ?= BENCH_28.json
 
 # Run the pinned set three times, keep the raw text (bench.txt, what
 # benchstat consumes) and record per-benchmark medians as $(BENCH_OUT).
 bench-json:
 	$(GO) test -run '^$$' -bench '$(BENCH_PIN)' -benchtime 200ms -count 3 \
-		./internal/pcm ./internal/din ./internal/ecp ./internal/wd ./internal/mc ./internal/rng ./internal/vm . > bench.txt
+		./internal/pcm ./internal/din ./internal/ecp ./internal/wd ./internal/mc ./internal/rng ./internal/vm ./internal/workload . > bench.txt
 	$(GO) run ./scripts/benchgate -emit bench.txt > $(BENCH_OUT)
 
 # Refresh the pinned golden tables after an intentional simulator change.
@@ -75,8 +75,8 @@ resume-smoke:
 
 # Fuzz each outside-input decoder (FuzzTraceReader checks the trace reader
 # and stream reader against each other), the DIN encoder against its scalar
-# oracle and the geometric sampler against its Bernoulli-loop oracle, for
-# ~20 s from its seed corpus (the CI fuzz job). go test accepts one -fuzz target per
+# oracle and the geometric and bit-mask samplers against their Bernoulli-loop
+# oracles, for ~20 s from its seed corpus (the CI fuzz job). go test accepts one -fuzz target per
 # invocation. The FuzzResume targets' inputs are whole checkpoints (~19 KB)
 # and FuzzDiskStoreLoad's are whole result-store entries, so minimizing each
 # new corpus entry is capped at 2 s to leave the budget for fuzzing.
@@ -93,6 +93,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzResumeBarrier$$' -fuzztime 20s -fuzzminimizetime 2s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzDINEncode$$' -fuzztime 20s ./internal/din
 	$(GO) test -run '^$$' -fuzz '^FuzzGeometric$$' -fuzztime 20s ./internal/rng
+	$(GO) test -run '^$$' -fuzz '^FuzzSampleBits$$' -fuzztime 20s ./internal/rng
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceReader$$' -fuzztime 20s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 20s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzDiskStoreLoad$$' -fuzztime 20s -fuzzminimizetime 2s ./internal/serve

@@ -116,6 +116,9 @@ func (s Scheme) Validate() error {
 	if s.LazyCorrection && !s.NeedsVnC() {
 		return fmt.Errorf("core: scheme %s enables LazyCorrection on a WD-free-bit-line layout", s.Name)
 	}
+	if s.Barrier && !s.NeedsVnC() {
+		return fmt.Errorf("core: scheme %s enables the barrier on a WD-free-bit-line layout", s.Name)
+	}
 	if s.LazyCorrection && s.Barrier {
 		return fmt.Errorf("core: scheme %s enables both LazyCorrection and the barrier", s.Name)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"sdpcm/internal/alloc"
@@ -36,6 +37,21 @@ func TestValidateCatchesBadSchemes(t *testing.T) {
 		if err := s.Validate(); err == nil {
 			t.Errorf("bad scheme %d accepted", i)
 		}
+	}
+}
+
+// TestValidateRefusesBarrierWithoutVnC: without bit-line WD the controller
+// verifies no neighbour, so the barrier would never absorb a repair and the
+// scheme would run as its layout alone while its key claimed the barrier.
+func TestValidateRefusesBarrierWithoutVnC(t *testing.T) {
+	for _, l := range []geometry.Layout{geometry.DINEnhanced, geometry.Prototype} {
+		s := Scheme{Name: "x", Layout: l, Tag: alloc.Tag11, Barrier: true}
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "barrier") {
+			t.Errorf("barrier on layout %+v: Validate = %v, want a barrier error", l, err)
+		}
+	}
+	if err := IMDB(6).Validate(); err != nil {
+		t.Errorf("IMDB(6): %v", err)
 	}
 }
 

@@ -250,14 +250,6 @@ func Edges(resetMask pcm.Mask) EdgeExposure {
 	return e
 }
 
-// Forget drops the codec's aux state for a line (used when a line is
-// decommissioned, e.g. marked no-use by the (n:m) allocator).
-func (c *Codec) Forget(a pcm.LineAddr) {
-	if c != nil {
-		c.aux.Delete(a)
-	}
-}
-
 // AuxBits exposes a line's current coding word for inspection/testing.
 func (c *Codec) AuxBits(a pcm.LineAddr) uint32 {
 	if c == nil {

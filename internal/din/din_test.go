@@ -65,7 +65,6 @@ func TestNilCodecIsIdentity(t *testing.T) {
 	if c.AuxBits(1) != 0 {
 		t.Fatal("nil codec has no aux bits")
 	}
-	c.Forget(1) // must not panic
 }
 
 func TestVulnerableDefinition(t *testing.T) {
@@ -190,17 +189,6 @@ func TestEdges(t *testing.T) {
 		if e.LeftAggressor[s] || e.RightAggressor[s] {
 			t.Fatalf("segment %d must have no aggressors", s)
 		}
-	}
-}
-
-func TestForget(t *testing.T) {
-	c := newCodec(t)
-	var data, stored pcm.Line
-	data[0] = ^uint64(0) // encourage inversion somewhere
-	c.Encode(5, data, stored)
-	c.Forget(5)
-	if c.AuxBits(5) != 0 {
-		t.Fatal("Forget must drop aux state")
 	}
 }
 

@@ -104,13 +104,6 @@ func (c *Codec) Encode(a pcm.LineAddr, data, stored pcm.Line) pcm.Line {
 	return out
 }
 
-// Forget drops the codec's aux state for a line.
-func (c *Codec) Forget(a pcm.LineAddr) {
-	if c != nil {
-		c.aux.Delete(a)
-	}
-}
-
 // AuxBits exposes a line's current flip word for inspection/testing.
 func (c *Codec) AuxBits(a pcm.LineAddr) uint32 {
 	if c == nil {

@@ -101,7 +101,6 @@ func TestNilCodecIdentity(t *testing.T) {
 	if c.Encode(1, d, pcm.Line{}) != d || c.Decode(1, d) != d {
 		t.Fatal("nil codec must be identity")
 	}
-	c.Forget(1)
 	if c.AuxBits(1) != 0 {
 		t.Fatal("nil codec aux must be zero")
 	}
@@ -120,21 +119,5 @@ func TestStats(t *testing.T) {
 	}
 	if c.Stats.BitsSaved != uint64(pcm.LineBits) {
 		t.Fatalf("BitsSaved = %d, want %d", c.Stats.BitsSaved, pcm.LineBits)
-	}
-}
-
-func TestForget(t *testing.T) {
-	c := newCodec(t)
-	var data pcm.Line
-	for w := range data {
-		data[w] = ^uint64(0)
-	}
-	c.Encode(5, data, pcm.Line{})
-	if c.AuxBits(5) == 0 {
-		t.Fatal("expected flipped groups")
-	}
-	c.Forget(5)
-	if c.AuxBits(5) != 0 {
-		t.Fatal("Forget must drop aux state")
 	}
 }

@@ -254,18 +254,23 @@ func (d *Device) contains(a LineAddr) bool { return uint64(a) < uint64(d.numLine
 // background returns the deterministic initial content of a line.
 func (d *Device) background(a LineAddr) Line {
 	var l Line
-	if d.zeroFill {
-		return l
-	}
-	state := d.fillSeed ^ (uint64(a)+1)*0x9e3779b97f4a7c15
 	for i := range l {
-		state += 0x9e3779b97f4a7c15
-		z := state
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		l[i] = z ^ (z >> 31)
+		l[i] = d.backgroundWord(a, i)
 	}
 	return l
+}
+
+// backgroundWord returns word w of a line's background: a SplitMix64 stream
+// seeded per line, whose w-th output is word w.
+func (d *Device) backgroundWord(a LineAddr, w int) uint64 {
+	if d.zeroFill {
+		return 0
+	}
+	seed := d.fillSeed ^ (uint64(a)+1)*0x9e3779b97f4a7c15
+	z := seed + uint64(w+1)*0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 // checkRange panics on out-of-range addresses: callers are inside the
@@ -350,6 +355,19 @@ func (d *Device) Peek(a LineAddr) Line {
 		return *st.lines.At(s)
 	}
 	return d.background(a)
+}
+
+// PeekWord returns word w of a line's current content, as Peek(a)[w] does,
+// without copying the line; for an untouched line it computes only that
+// word of the background.
+func (d *Device) PeekWord(a LineAddr, w int) uint64 {
+	d.checkRange(a)
+	bank, local := d.geo.bankLocal(a)
+	st := &d.store[bank]
+	if s := st.slot(local); s != 0 {
+		return st.lines.At(s)[w]
+	}
+	return d.backgroundWord(a, w)
 }
 
 // WriteResult describes the device-level effect of one line write.

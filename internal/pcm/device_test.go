@@ -62,6 +62,27 @@ func TestBackgroundDeterministic(t *testing.T) {
 	}
 }
 
+// TestPeekWordMatchesPeek checks every word of untouched, written and
+// disturbed lines, on a pseudo-random and a zero-filled background.
+func TestPeekWordMatchesPeek(t *testing.T) {
+	for _, zero := range []bool{false, true} {
+		d, err := NewDevice(Config{Pages: 64, FillSeed: 11, ZeroFill: zero})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Write(LineOf(3, 7), Line{1, 2, 3, 4, 5, 6, 7, 8}, NormalWrite)
+		d.Disturb(LineOf(19, 7), Mask{^uint64(0)})
+		for a := LineAddr(0); a < LineAddr(d.Lines()); a++ {
+			want := d.Peek(a)
+			for w := range want {
+				if got := d.PeekWord(a, w); got != want[w] {
+					t.Fatalf("zero=%v line %d word %d: PeekWord %#x, Peek %#x", zero, a, w, got, want[w])
+				}
+			}
+		}
+	}
+}
+
 func TestBackgroundBitBalance(t *testing.T) {
 	// Random fill should be roughly half ones so ~half the cells are
 	// WD-vulnerable, as with arbitrary resident data.

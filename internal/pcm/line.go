@@ -95,7 +95,7 @@ func (m Mask) AndNot(o Mask) Mask {
 }
 
 // Bits returns the indices of all set bits, ascending. It allocates; hot
-// paths use VisitBits or AppendBits instead.
+// paths use AppendBits instead.
 func (m Mask) Bits() []int {
 	return m.AppendBits(make([]int, 0, m.PopCount()))
 }
@@ -112,22 +112,6 @@ func (m Mask) AppendBits(dst []int) []int {
 		}
 	}
 	return dst
-}
-
-// VisitBits calls f for every set bit in ascending index order, stopping
-// early if f returns false. It performs no allocation: the closure stays on
-// the stack (f does not escape), so per-bit work like the disturbance
-// engine's Bernoulli sampling runs allocation-free.
-func (m Mask) VisitBits(f func(int) bool) {
-	for w, word := range m {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			if !f(w*64 + b) {
-				return
-			}
-			word &= word - 1
-		}
-	}
 }
 
 // DiffMasks computes the differential-write pulse maps for updating a line

@@ -1,6 +1,7 @@
 package pcm
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -88,77 +89,25 @@ func TestMaskBits(t *testing.T) {
 	}
 }
 
-// TestVisitBitsMatchesBits: the allocation-free visitor must produce exactly
-// the ascending order of Bits() — the RNG-stream-preservation invariant the
-// disturbance engine relies on — and honour early termination.
-func TestVisitBitsMatchesBits(t *testing.T) {
+// TestAppendBitsMatchesBits: AppendBits (and Bits, built on it) lists the set
+// bits in ascending order, checked against a bit-by-bit scan, and keeps the
+// prefix it appends to.
+func TestAppendBitsMatchesBits(t *testing.T) {
 	if err := quick.Check(func(words [LineWords]uint64) bool {
 		m := Mask(words)
-		var visited []int
-		m.VisitBits(func(b int) bool {
-			visited = append(visited, b)
-			return true
-		})
-		want := m.Bits()
-		if len(visited) != len(want) {
-			return false
-		}
-		for i := range want {
-			if visited[i] != want[i] {
-				return false
+		var want []int
+		for b := 0; b < LineBits; b++ {
+			if m.Bit(b) == 1 {
+				want = append(want, b)
 			}
 		}
-		// AppendBits onto a prefix keeps the prefix and appends the same.
+		if !slices.Equal(m.Bits(), want) {
+			return false
+		}
 		app := m.AppendBits([]int{-1})
-		if app[0] != -1 || len(app) != len(want)+1 {
-			return false
-		}
-		for i := range want {
-			if app[i+1] != want[i] {
-				return false
-			}
-		}
-		return true
+		return app[0] == -1 && slices.Equal(app[1:], want)
 	}, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestVisitBitsEarlyStop(t *testing.T) {
-	var m Mask
-	for _, b := range []int{1, 60, 80, 300} {
-		m.SetBit(b)
-	}
-	var got []int
-	m.VisitBits(func(b int) bool {
-		got = append(got, b)
-		return len(got) < 2
-	})
-	if len(got) != 2 || got[0] != 1 || got[1] != 60 {
-		t.Fatalf("early-stop visit = %v", got)
-	}
-}
-
-// TestVisitBitsAllocFree pins the visitor's zero-allocation property with a
-// capturing closure — the wd.sample pattern.
-func TestVisitBitsAllocFree(t *testing.T) {
-	var m Mask
-	for b := 0; b < LineBits; b += 7 {
-		m.SetBit(b)
-	}
-	count := 0
-	if n := testing.AllocsPerRun(100, func() {
-		var out Mask
-		m.VisitBits(func(b int) bool {
-			out.SetBit(b)
-			count++
-			return true
-		})
-	}); n != 0 {
-		t.Errorf("VisitBits allocates %v/run", n)
-	}
-	if count == 0 {
-		t.Fatal("visitor never ran")
 	}
 }
 

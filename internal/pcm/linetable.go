@@ -114,17 +114,6 @@ func (t *LineTable) outgrow(a LineAddr) {
 	st.chunks = chunks
 }
 
-// Delete drops a line's entry.
-func (t *LineTable) Delete(a LineAddr) {
-	if !t.Has(a) {
-		return
-	}
-	bank, s := t.dev.Slot(a)
-	t.set[bank][s>>6] &^= 1 << (s & 63)
-	t.vals[bank][s] = 0
-	t.n--
-}
-
 // Len returns the number of entries.
 func (t *LineTable) Len() int { return t.n }
 

@@ -75,6 +75,29 @@ func (r *Rand) Uint64() uint64 {
 	return result
 }
 
+// xoshiro is the generator state as four scalars, stepped as Uint64 steps
+// r.s. The sampling kernels keep it in registers across a whole loop and
+// store it back once; a value receiver keeps it that way, where a pointer
+// receiver would move it to the stack.
+type xoshiro struct{ s0, s1, s2, s3 uint64 }
+
+func (r *Rand) local() xoshiro { return xoshiro{r.s[0], r.s[1], r.s[2], r.s[3]} }
+
+func (r *Rand) store(x xoshiro) { r.s = [4]uint64{x.s0, x.s1, x.s2, x.s3} }
+
+// next returns the state after one step and the step's output.
+func (x xoshiro) next() (xoshiro, uint64) {
+	v := bits.RotateLeft64(x.s1*5, 7) * 9
+	t := x.s1 << 17
+	x.s2 ^= x.s0
+	x.s3 ^= x.s1
+	x.s1 ^= x.s2
+	x.s0 ^= x.s3
+	x.s2 ^= t
+	x.s3 = bits.RotateLeft64(x.s3, 45)
+	return x, v
+}
+
 // Split returns a new generator whose stream is statistically independent of
 // the parent's subsequent output. The parent is advanced.
 func (r *Rand) Split() *Rand {
@@ -232,13 +255,10 @@ func (r *Rand) Poisson(mean float64) int {
 // sequence of Bernoulli(p) trials. It returns 0 for p >= 1 and panics for
 // p <= 0; a run of more than 2^24 failures stops at 2^24+1.
 //
-// Each trial consumes one Uint64 and is exactly Bernoulli's Float64() < p:
-// k = Uint64()>>11 is an integer below 2^53 and Float64() is k/2^53, both
-// exact, so the trial succeeds iff k < p·2^53 (itself exact, a power-of-two
-// scaling), iff k < ceil(p·2^53). The loop runs the xoshiro step on local
-// copies of the state against that integer threshold and stores the state
-// once, so the drawn values and the final State match the trial-by-trial
-// Bernoulli loop.
+// Each trial consumes one Uint64 and is exactly Bernoulli's Float64() < p
+// (see Chance). The loop runs the xoshiro step on local copies of the state
+// against the integer threshold and stores the state once, so the drawn
+// values and the final State match the trial-by-trial Bernoulli loop.
 func (r *Rand) Geometric(p float64) int {
 	if p >= 1 {
 		return 0
@@ -246,22 +266,13 @@ func (r *Rand) Geometric(p float64) int {
 	if p <= 0 {
 		panic("rng: Geometric with non-positive p")
 	}
-	var thr uint64 // a NaN p never succeeds, as Float64() < NaN never holds
-	if p == p {
-		thr = uint64(ceil(p * (1 << 53)))
-	}
-	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	thr := NewChance(p).thr
+	x := r.local()
 	n := 0
 	for {
-		k := bits.RotateLeft64(s1*5, 7) * 9 >> 11
-		t := s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= t
-		s3 = bits.RotateLeft64(s3, 45)
-		if k < thr {
+		var k uint64
+		x, k = x.next()
+		if k>>11 < thr {
 			break
 		}
 		n++
@@ -269,6 +280,112 @@ func (r *Rand) Geometric(p float64) int {
 			break
 		}
 	}
-	r.s = [4]uint64{s0, s1, s2, s3}
+	r.store(x)
 	return n
+}
+
+// Chance is a probability converted once into the integer test a draw is
+// compared against, so a caller that tries the same p many times pays for
+// the float conversion once. A trial against a Chance is exactly
+// Bernoulli(p): k = Uint64()>>11 is an integer below 2^53 and Float64() is
+// k/2^53, both exact; p·2^53 is exact too (a power-of-two scaling), and an
+// integer is below a real x exactly when it is below ceil(x). So
+// Float64() < p holds iff k < ceil(p·2^53). Like Bernoulli, a trial draws
+// nothing for p <= 0 (never hits) or p >= 1 (always hits), and one value
+// for a NaN p, which never hits because Float64() < NaN never holds.
+type Chance struct {
+	thr  uint64 // a draw hits iff Uint64()>>11 < thr
+	draw bool   // false: the trial is decided without a draw, by thr != 0
+}
+
+// NewChance converts p into a Chance.
+func NewChance(p float64) Chance {
+	switch {
+	case p <= 0:
+		return Chance{}
+	case p >= 1:
+		return Chance{thr: 1 << 53}
+	case p != p: // NaN: draws, never hits
+		return Chance{draw: true}
+	}
+	return Chance{thr: uint64(ceil(p * (1 << 53))), draw: true}
+}
+
+// Hit runs one trial against c; it draws and decides exactly as
+// Bernoulli(p) does.
+func (r *Rand) Hit(c Chance) bool {
+	if !c.draw {
+		return c.thr != 0
+	}
+	return r.Uint64()>>11 < c.thr
+}
+
+// SampleBits runs one trial against c per set bit of mask, in ascending bit
+// order (word 0's bit 0 first), stores the bits that hit in hits and
+// returns their count. hits may alias mask and must be at least as long.
+// The draws and the final State are those of calling Hit once per set bit
+// in that order: the ascending visit is part of the simulator's
+// determinism contract. The xoshiro state stays in locals for the whole
+// mask.
+func (r *Rand) SampleBits(hits, mask []uint64, c Chance) int {
+	hits = hits[:len(mask)]
+	if !c.draw {
+		n := 0
+		for w, m := range mask {
+			if c.thr == 0 {
+				m = 0
+			}
+			hits[w] = m
+			n += bits.OnesCount64(m)
+		}
+		return n
+	}
+	thr := c.thr
+	x := r.local()
+	n := 0
+	for w, m := range mask {
+		var h uint64
+		for m != 0 {
+			low := m & -m
+			m ^= low
+			var k uint64
+			x, k = x.next()
+			if k>>11 < thr {
+				h |= low
+			}
+		}
+		hits[w] = h
+		n += bits.OnesCount64(h)
+	}
+	r.store(x)
+	return n
+}
+
+// SampleValues runs one trial against c per element of vals, in index
+// order, and after each hit draws one more Uint64 into that element (the
+// elements of misses are left as they are). It returns the hits as a bit
+// set, bit i for vals[i]; vals holds at most 64 elements. The draws and the
+// final State are those of the loop "if Hit(c) { vals[i] = Uint64() }".
+func (r *Rand) SampleValues(vals []uint64, c Chance) uint64 {
+	if len(vals) > 64 {
+		panic("rng: SampleValues over more than 64 values")
+	}
+	thr, draw := c.thr, c.draw
+	x := r.local()
+	var hits uint64
+	for i := range vals {
+		hit := thr != 0
+		if draw {
+			var k uint64
+			x, k = x.next()
+			hit = k>>11 < thr
+		}
+		if !hit {
+			continue
+		}
+		hits |= 1 << uint(i)
+		x, vals[i] = x.next()
+	}
+	r.store(x)
+	return hits
 }

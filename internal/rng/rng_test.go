@@ -3,6 +3,7 @@ package rng
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -316,6 +317,129 @@ func FuzzGeometric(f *testing.F) {
 	})
 }
 
+// sampleProbs are the rates the Chance kernels are checked at: the Table 1
+// word-line and bit-line rates, both clamps, a rate whose threshold is 1, an
+// even split, a rate past 1 and NaN (one draw a trial, never a hit).
+var sampleProbs = []float64{0, 1e-9, 0.099, 0.115, 0.5, 1, 1.5, math.NaN(), -0.5}
+
+// TestChanceMatchesBernoulli compares Hit(NewChance(p)) with Bernoulli(p)
+// trial by trial and the final State.
+func TestChanceMatchesBernoulli(t *testing.T) {
+	for _, p := range append(sampleProbs, 0.5+0x1p-53, 1-0x1p-53, 0x1p-53, 0x1p-54) {
+		got, want := New(42), New(42)
+		c := NewChance(p)
+		for i := 0; i < 20_000; i++ {
+			if g, w := got.Hit(c), want.Bernoulli(p); g != w {
+				t.Fatalf("p %v trial %d: Hit %v, Bernoulli %v", p, i, g, w)
+			}
+		}
+		if got.State() != want.State() {
+			t.Fatalf("p %v: final state %x, Bernoulli %x", p, got.State(), want.State())
+		}
+	}
+}
+
+// oracleSampleBits is SampleBits' definition: one Bernoulli trial per set
+// bit, ascending.
+func oracleSampleBits(r *Rand, mask []uint64, p float64) ([]uint64, int) {
+	hits := make([]uint64, len(mask))
+	n := 0
+	for b := 0; b < 64*len(mask); b++ {
+		if mask[b/64]>>(b%64)&1 != 0 && r.Bernoulli(p) {
+			hits[b/64] |= 1 << (b % 64)
+			n++
+		}
+	}
+	return hits, n
+}
+
+// checkSampleBits samples masks drawn from maskSeed at p, through the kernel
+// and the oracle, and fails on the first differing hit set or count or a
+// differing final state. Each mask word keeps a share of its bits set by
+// density/8, so sparse and full words both occur.
+func checkSampleBits(t *testing.T, seed, maskSeed uint64, p float64, masks int) {
+	t.Helper()
+	got, want := New(seed), New(seed)
+	mr := New(maskSeed)
+	mask := make([]uint64, 8)
+	hits := make([]uint64, 8)
+	for i := 0; i < masks; i++ {
+		for w := range mask {
+			m := mr.Uint64()
+			for d := mr.Intn(4); d > 0; d-- {
+				m &= mr.Uint64()
+			}
+			if mr.Intn(8) == 0 {
+				m = 0
+			}
+			mask[w] = m
+		}
+		n := got.SampleBits(hits, mask, NewChance(p))
+		wantHits, wantN := oracleSampleBits(want, mask, p)
+		if n != wantN || !slices.Equal(hits, wantHits) {
+			t.Fatalf("seed %d p %v mask %d: SampleBits %x (%d), oracle %x (%d)", seed, p, i, hits, n, wantHits, wantN)
+		}
+	}
+	if got.State() != want.State() {
+		t.Fatalf("seed %d p %v: final state %x, oracle %x", seed, p, got.State(), want.State())
+	}
+}
+
+// TestSampleMatchesBernoulli pins SampleBits to the Bernoulli loop over
+// random masks, hits written in place over the mask included.
+func TestSampleMatchesBernoulli(t *testing.T) {
+	for _, p := range sampleProbs {
+		checkSampleBits(t, 42, 5, p, 2000)
+	}
+	// In place: hits overwrite the mask they were sampled from.
+	r, o := New(9), New(9)
+	m := []uint64{^uint64(0), 0, 1 << 63, 0xf0f0, 1, 0, ^uint64(0) >> 1, 3}
+	want, wantN := oracleSampleBits(o, m, 0.115)
+	if n := r.SampleBits(m, m, NewChance(0.115)); n != wantN || !slices.Equal(m, want) || r.State() != o.State() {
+		t.Fatalf("in-place SampleBits %x (%d), oracle %x (%d)", m, n, want, wantN)
+	}
+}
+
+// FuzzSampleBits compares SampleBits with its Bernoulli-loop oracle on
+// fuzzed seeds, masks and p.
+func FuzzSampleBits(f *testing.F) {
+	for _, p := range sampleProbs {
+		f.Add(uint64(42), uint64(5), p)
+	}
+	f.Fuzz(func(t *testing.T, seed, maskSeed uint64, p float64) {
+		checkSampleBits(t, seed, maskSeed, p, 16)
+	})
+}
+
+// oracleSampleValues is SampleValues' definition, one Bernoulli trial and
+// one more draw per hit at a time.
+func oracleSampleValues(r *Rand, vals []uint64, p float64) uint64 {
+	var hits uint64
+	for i := range vals {
+		if r.Bernoulli(p) {
+			vals[i] = r.Uint64()
+			hits |= 1 << i
+		}
+	}
+	return hits
+}
+
+func TestSampleValuesMatchesBernoulli(t *testing.T) {
+	for _, p := range sampleProbs {
+		got, want := New(42), New(42)
+		var g, w [32]uint64
+		for i := 0; i < 2000; i++ {
+			gh, wh := got.SampleValues(g[:], NewChance(p)), oracleSampleValues(want, w[:], p)
+			if gh != wh || g != w {
+				t.Fatalf("p %v draw %d: SampleValues %x %x, oracle %x %x", p, i, gh, g, wh, w)
+			}
+		}
+		if got.State() != want.State() {
+			t.Fatalf("p %v: final state %x, oracle %x", p, got.State(), want.State())
+		}
+	}
+}
+
 func TestUint64nBounds(t *testing.T) {
 	r := New(16)
 	for i := 0; i < 10000; i++ {
@@ -363,6 +487,20 @@ func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Uint64()
+	}
+}
+
+// BenchmarkSampleBits samples a bit-line victim mask at the Table 1
+// bit-line rate: the 512 bits of a line with about half of them set.
+func BenchmarkSampleBits(b *testing.B) {
+	r := New(1)
+	var mask, hits [8]uint64
+	for w := range mask {
+		mask[w] = r.Uint64()
+	}
+	c := NewChance(0.115)
+	for i := 0; i < b.N; i++ {
+		_ = r.SampleBits(hits[:], mask[:], c)
 	}
 }
 

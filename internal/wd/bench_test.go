@@ -40,9 +40,8 @@ func BenchmarkWDInject(b *testing.B) {
 	}
 }
 
-// TestOnWriteAllocFree pins the WD sample path at zero allocations: the
-// Bernoulli sampling over pulse maps runs through the allocation-free
-// mask visitor.
+// TestOnWriteAllocFree pins the WD sample path at zero allocations: every
+// pulse map is sampled in place by rng.Rand.SampleBits.
 func TestOnWriteAllocFree(t *testing.T) {
 	dev, err := pcm.NewDevice(pcm.Config{Pages: 64, FillSeed: 3})
 	if err != nil {

@@ -133,76 +133,76 @@ type Outcome struct {
 	AboveCount, BelowCount int
 }
 
-// sample returns the subset of mask whose bits each flip with probability p.
-// The visit order (ascending bit index) fixes the RNG consumption order and
-// is part of the repository's determinism contract: golden tables and
-// equivalence fingerprints depend on it. The allocation-free visitor keeps
-// this — the hottest per-write loop — off the heap entirely.
-func (e *Engine) sample(mask pcm.Mask, p float64) pcm.Mask {
-	var out pcm.Mask
-	if p <= 0 || !mask.Any() {
-		return out
-	}
-	mask.VisitBits(func(b int) bool {
-		if e.rnd.Bernoulli(p) {
-			out.SetBit(b)
-		}
-		return true
-	})
-	return out
-}
-
 // OnWrite injects the disturbance of writing line a: old and new are the
 // stored images before/after, reset and set the differential pulse maps.
 // The device must already hold the new image; bit-line flips are applied to
 // it in place.
+//
+// Every trial is one rng.Chance draw per vulnerable cell, taken in ascending
+// bit order within each mask (rng.Rand.SampleBits): the draw order is part
+// of the repository's determinism contract, which the golden tables and
+// equivalence fingerprints pin. The masks are worked word by word, one word
+// per chip segment (din.SegmentBits is 64), without building bit lists.
 func (e *Engine) OnWrite(dev *pcm.Device, a pcm.LineAddr, old, new pcm.Line, reset, set pcm.Mask) Outcome {
 	e.Stats.WritesObserved++
-	out := Outcome{}
+	out := Outcome{FinalReset: reset}
 
 	// --- 1. In-line word-line WD with verify-and-rewrite loop. ---
-	pulsed := reset.Or(set) // cells programmed so far (not idle)
-	agg := reset            // this round's disturbing pulses
-	finalReset := reset
-	for agg.Any() {
-		vuln := din.Vulnerable(agg, old, new).AndNot(pulsed)
-		flips := e.sample(vuln, e.Rates.WordLine)
-		if !flips.Any() {
+	// A victim is an idle amorphous cell beside this round's aggressor
+	// pulses (din.Vulnerable): it stores 0 before and after the write and
+	// has not been pulsed. busy holds every cell that is not such a victim
+	// candidate; agg turns into each round's victims, then its flips, in
+	// place.
+	wl := rng.NewChance(e.Rates.WordLine)
+	var busy pcm.Mask
+	for w := range busy {
+		busy[w] = old[w] | new[w] | reset[w] | set[w]
+	}
+	agg := reset
+	for {
+		var any uint64
+		for w, g := range agg {
+			agg[w] = (g<<1 | g>>1) &^ busy[w]
+			any |= agg[w]
+		}
+		if any == 0 {
 			break
 		}
-		n := flips.PopCount()
+		n := e.rnd.SampleBits(agg[:], agg[:], wl)
+		if n == 0 {
+			break
+		}
 		out.WordLineErrors += n
 		out.RewritePulses += n
 		e.Stats.InLineErrors += uint64(n)
 		e.Stats.RewritePulses += uint64(n)
-		pulsed = pulsed.Or(flips)
-		finalReset = finalReset.Or(flips)
-		agg = flips
+		for w, f := range agg {
+			busy[w] |= f
+			out.FinalReset[w] |= f
+		}
 	}
-	out.FinalReset = finalReset
 
 	// --- 2. Cross-line word-line WD at chip-segment edges. ---
 	if e.Rates.WordLine > 0 {
-		edges := din.Edges(finalReset)
 		slot := a.Slot()
 		if slot > 0 {
-			n := e.edgeFlips(dev, a-1, edges.LeftAggressor, din.SegmentBits-1)
-			out.WordLineErrors += n
+			// A segment's first cell threatens the previous slot's last.
+			out.WordLineErrors += e.edgeFlips(dev, a-1, &out.FinalReset, 0, din.SegmentBits-1, wl)
 		}
 		if slot < pcm.LinesPerPage-1 {
-			n := e.edgeFlips(dev, a+1, edges.RightAggressor, 0)
-			out.WordLineErrors += n
+			out.WordLineErrors += e.edgeFlips(dev, a+1, &out.FinalReset, din.SegmentBits-1, 0, wl)
 		}
 	}
 
 	// --- 3. Bit-line WD on vertically adjacent lines. ---
 	if e.Rates.BitLine > 0 {
+		bl := rng.NewChance(e.Rates.BitLine)
 		above, below, okA, okB := dev.Geometry().AdjacentLines(a, dev.RowsPerBank)
 		if okA {
-			out.Above, out.AboveCount = e.bitLineFlips(dev, above, finalReset)
+			out.AboveCount = e.bitLineFlips(dev, above, &out.FinalReset, &out.Above, bl)
 		}
 		if okB {
-			out.Below, out.BelowCount = e.bitLineFlips(dev, below, finalReset)
+			out.BelowCount = e.bitLineFlips(dev, below, &out.FinalReset, &out.Below, bl)
 		}
 	}
 	if out.WordLineErrors > e.Stats.MaxWordLinePerWrite {
@@ -218,18 +218,17 @@ func (e *Engine) OnWrite(dev *pcm.Device, a pcm.LineAddr, old, new pcm.Line, res
 }
 
 // edgeFlips disturbs the edge cells of a horizontally adjacent line. For
-// each chip segment with an aggressor, the victim is the neighbour line's
-// cell at offsetInSeg of that segment; it flips if amorphous. Flips are
+// each chip segment whose cell at aggBit fires RESET, the victim is the
+// neighbour line's cell at victimBit of that segment; it flips if
+// amorphous. Only the tested word of the neighbour is read. Flips are
 // healed in place (net array change: none) and counted.
-func (e *Engine) edgeFlips(dev *pcm.Device, neighbour pcm.LineAddr, aggressor [pcm.LineBits / din.SegmentBits]bool, offsetInSeg int) int {
-	content := dev.Peek(neighbour)
+func (e *Engine) edgeFlips(dev *pcm.Device, neighbour pcm.LineAddr, finalReset *pcm.Mask, aggBit, victimBit uint, c rng.Chance) int {
 	n := 0
-	for seg, agg := range aggressor {
-		if !agg {
+	for seg, r := range finalReset {
+		if r>>aggBit&1 == 0 {
 			continue
 		}
-		bit := seg*din.SegmentBits + offsetInSeg
-		if content.Bit(bit) == 0 && e.rnd.Bernoulli(e.Rates.WordLine) {
+		if dev.PeekWord(neighbour, seg)>>victimBit&1 == 0 && e.rnd.Hit(c) {
 			n++
 		}
 	}
@@ -242,22 +241,21 @@ func (e *Engine) edgeFlips(dev *pcm.Device, neighbour pcm.LineAddr, aggressor [p
 
 // bitLineFlips disturbs a vertically adjacent line: every aggressor RESET
 // position whose counterpart cell is amorphous flips with the bit-line rate.
-// The flips persist in the array until VnC corrects them.
-func (e *Engine) bitLineFlips(dev *pcm.Device, neighbour pcm.LineAddr, aggressors pcm.Mask) (pcm.Mask, int) {
+// The flips are stored in flips and persist in the array until VnC corrects
+// them.
+func (e *Engine) bitLineFlips(dev *pcm.Device, neighbour pcm.LineAddr, aggressors, flips *pcm.Mask, c rng.Chance) int {
 	content := dev.Peek(neighbour)
-	var vulnerable pcm.Mask
-	for i := range aggressors {
-		vulnerable[i] = aggressors[i] & ^content[i]
+	for w := range flips {
+		flips[w] = aggressors[w] &^ content[w]
 	}
-	flips := e.sample(vulnerable, e.Rates.BitLine)
-	n := flips.PopCount()
+	n := e.rnd.SampleBits(flips[:], flips[:], c)
 	if n > 0 {
-		dev.Disturb(neighbour, flips)
+		dev.Disturb(neighbour, *flips)
 		e.Stats.BitLineFlips += uint64(n)
 		e.hm.RecordInjected(neighbour, n)
 		if e.tr != nil {
 			e.tr.Emit(e.Now, metrics.EvWDInjected, uint64(neighbour), uint64(n), 0)
 		}
 	}
-	return flips, n
+	return n
 }

@@ -23,15 +23,18 @@ type Mutation struct {
 // reaches memory). The RNG consumption is exactly that of the pre-existing
 // in-place mutate path, so streams and goldens depend only on the model.
 func DrawMutation(rnd *rng.Rand, prob float64) Mutation {
+	return drawMutation(rnd, rng.NewChance(prob))
+}
+
+// drawMutation is DrawMutation at a converted probability: one trial per
+// chunk in index order, each hit followed by the draw of its content.
+func drawMutation(rnd *rng.Rand, c rng.Chance) Mutation {
 	var m Mutation
-	for w := 0; w < 8; w++ {
-		for c := 0; c < 4; c++ {
-			if rnd.Bernoulli(prob) {
-				idx := w*4 + c
-				m.Fresh[idx] = uint16(rnd.Uint64() & 0xffff)
-				m.Mask |= 1 << idx
-			}
-		}
+	var fresh [32]uint64
+	m.Mask = uint32(rnd.SampleValues(fresh[:], c))
+	for mask := m.Mask; mask != 0; mask &= mask - 1 {
+		i := bits.TrailingZeros32(mask)
+		m.Fresh[i] = uint16(fresh[i])
 	}
 	if m.Mask == 0 {
 		i := rnd.Uint64n(32)
@@ -54,10 +57,10 @@ func (m Mutation) Apply(old [8]uint64) [8]uint64 {
 
 // DrawMutation draws this workload's next write-back payload.
 func (g *Generator) DrawMutation() Mutation {
-	return DrawMutation(g.rnd, g.spec.WriteChunkChange)
+	return drawMutation(g.rnd, g.chunkChange)
 }
 
 // DrawMutation draws the next replayed-trace write-back payload.
 func (m *Mutator) DrawMutation() Mutation {
-	return DrawMutation(m.rnd, m.prob)
+	return drawMutation(m.rnd, m.chance)
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"sdpcm/internal/rng"
@@ -59,5 +60,60 @@ func TestDrawMutationAlwaysChanges(t *testing.T) {
 		if m := DrawMutation(r, 0); m.Mask == 0 {
 			t.Fatal("mutation with empty mask")
 		}
+	}
+}
+
+// oracleDrawMutation is DrawMutation one Bernoulli trial at a time, as it
+// was written before the chunk trials became one rng.SampleValues kernel.
+func oracleDrawMutation(rnd *rng.Rand, prob float64) Mutation {
+	var m Mutation
+	for w := 0; w < 8; w++ {
+		for c := 0; c < 4; c++ {
+			if rnd.Bernoulli(prob) {
+				idx := w*4 + c
+				m.Fresh[idx] = uint16(rnd.Uint64() & 0xffff)
+				m.Mask |= 1 << idx
+			}
+		}
+	}
+	if m.Mask == 0 {
+		i := rnd.Uint64n(32)
+		m.Fresh[i] = uint16(rnd.Uint64() & 0xffff)
+		m.Mask = 1 << i
+	}
+	return m
+}
+
+// TestDrawMutationMatchesOracle compares every drawn mutation and the final
+// RNG state with the Bernoulli-loop oracle, at the workloads' volatilities
+// and at the clamps, a rate past 1 and NaN.
+func TestDrawMutationMatchesOracle(t *testing.T) {
+	for _, p := range []float64{0, 1e-9, 0.06, 0.099, 0.115, 0.33, 0.5, 1, 1.5, math.NaN()} {
+		got, want := rng.New(42), rng.New(42)
+		for i := 0; i < 5000; i++ {
+			if g, w := DrawMutation(got, p), oracleDrawMutation(want, p); g != w {
+				t.Fatalf("p %v draw %d: %+v, oracle %+v", p, i, g, w)
+			}
+		}
+		if got.State() != want.State() {
+			t.Fatalf("p %v: final state %x, oracle %x", p, got.State(), want.State())
+		}
+	}
+}
+
+// BenchmarkDrawMutation draws mcf's write-back payloads (a third of the 32
+// chunks rewritten), as the per-core producers do for every write.
+func BenchmarkDrawMutation(b *testing.B) {
+	spec, err := ByName("mcf")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := NewGenerator(spec, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = g.DrawMutation()
 	}
 }

@@ -118,11 +118,16 @@ type Generator struct {
 	spec Spec
 	rnd  *rng.Rand
 
-	cursor    uint64 // sequential stream position (line index)
-	writeFrac float64
-	gapP      float64 // geometric parameter for instruction gaps
-	hotPages  int
+	cursor   uint64  // sequential stream position (line index)
+	gapP     float64 // geometric parameter for instruction gaps
+	hotPages int
+
+	// The spec's trial probabilities, converted once.
+	seq, hot, write, chunkChange rng.Chance
 }
+
+// relocate is the chance a random jump also moves the sequential stream.
+var relocate = rng.NewChance(0.1)
 
 // NewGenerator builds a generator for spec. Generators with the same spec
 // and seed produce identical streams.
@@ -142,11 +147,14 @@ func NewGenerator(spec Spec, seed uint64) (*Generator, error) {
 		hot = 1
 	}
 	g := &Generator{
-		spec:      spec,
-		rnd:       rng.New(seed).SplitLabeled("workload:" + spec.Name),
-		writeFrac: spec.WPKI / (spec.RPKI + spec.WPKI),
-		gapP:      gapP,
-		hotPages:  hot,
+		spec:        spec,
+		rnd:         rng.New(seed).SplitLabeled("workload:" + spec.Name),
+		gapP:        gapP,
+		hotPages:    hot,
+		seq:         rng.NewChance(spec.SeqProb),
+		hot:         rng.NewChance(spec.HotProb),
+		write:       rng.NewChance(spec.WPKI / (spec.RPKI + spec.WPKI)),
+		chunkChange: rng.NewChance(spec.WriteChunkChange),
 	}
 	g.cursor = g.rnd.Uint64n(uint64(spec.FootprintPages) * 64)
 	return g, nil
@@ -160,22 +168,22 @@ func (g *Generator) Next() (trace.Record, bool) {
 	var line uint64
 	totalLines := uint64(g.spec.FootprintPages) * 64
 	switch {
-	case g.rnd.Bernoulli(g.spec.SeqProb):
+	case g.rnd.Hit(g.seq):
 		g.cursor = (g.cursor + 1) % totalLines
 		line = g.cursor
-	case g.rnd.Bernoulli(g.spec.HotProb):
+	case g.rnd.Hit(g.hot):
 		page := g.rnd.Uint64n(uint64(g.hotPages))
 		line = page*64 + g.rnd.Uint64n(64)
 	default:
 		line = g.rnd.Uint64n(totalLines)
 		// Random jumps also relocate the sequential stream occasionally,
 		// as when a streaming kernel moves to its next array.
-		if g.rnd.Bernoulli(0.1) {
+		if g.rnd.Hit(relocate) {
 			g.cursor = line
 		}
 	}
 	kind := trace.Read
-	if g.rnd.Bernoulli(g.writeFrac) {
+	if g.rnd.Hit(g.write) {
 		kind = trace.Write
 	}
 	gap := uint32(g.rnd.Geometric(g.gapP))
@@ -186,8 +194,8 @@ func (g *Generator) Next() (trace.Record, bool) {
 // addresses but no data: it applies the same chunk-level volatility model
 // the live generators use.
 type Mutator struct {
-	rnd  *rng.Rand
-	prob float64
+	rnd    *rng.Rand
+	chance rng.Chance
 }
 
 // NewMutator builds a mutator with the given per-16-bit-chunk rewrite
@@ -199,7 +207,7 @@ func NewMutator(prob float64, seed uint64) *Mutator {
 	if prob > 1 {
 		prob = 1
 	}
-	return &Mutator{rnd: rng.New(seed).SplitLabeled("mutator"), prob: prob}
+	return &Mutator{rnd: rng.New(seed).SplitLabeled("mutator"), chance: rng.NewChance(prob)}
 }
 
 // Capture materialises n records from the generator into a slice.
