@@ -5,8 +5,15 @@ GO ?= go
 
 .PHONY: build test race bench bench-pin bench-json golden check-golden bench-record obs-smoke resume-smoke serve-smoke fuzz lint ci
 
+# perfbench is a module of its own (it builds the benchmark against this
+# tree through a replace directive), so the root's ./... never compiles it.
+# build and lint compile and vet it too, so an API change that breaks the
+# benchmark fails here rather than only when the benchmark runs.
+PERFBENCH_CHECK = cd perfbench && $(GO) build ./... && $(GO) vet ./...
+
 build:
 	$(GO) build ./...
+	$(PERFBENCH_CHECK)
 
 test:
 	$(GO) test ./...
@@ -106,6 +113,7 @@ bench-record:
 
 lint:
 	$(GO) vet ./...
+	$(PERFBENCH_CHECK)
 	test -z "$$(gofmt -l .)"
 	$(GO) run ./scripts/archcheck.go
 

@@ -24,7 +24,7 @@ func main() {
 	var freshCPI float64
 	for _, frac := range []float64{0, 0.25, 0.5, 0.75, 1.0} {
 		scheme := sdpcm.LazyC(sdpcm.DefaultECPEntries)
-		scheme.HardErrorFn = sdpcm.HardErrorModel(frac)
+		scheme.HardErrorLifetime = frac
 		res, err := sdpcm.Run(sdpcm.SimConfig{
 			Scheme:      scheme,
 			Mix:         sdpcm.HomogeneousMix(bench, 8),

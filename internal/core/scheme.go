@@ -13,7 +13,6 @@ import (
 	"sdpcm/internal/alloc"
 	"sdpcm/internal/geometry"
 	"sdpcm/internal/mc"
-	"sdpcm/internal/pcm"
 	"sdpcm/internal/thermal"
 )
 
@@ -36,8 +35,9 @@ type Scheme struct {
 	ECPEntries int
 	// Tag is the (n:m) page allocator the workload's memory comes from.
 	Tag alloc.Tag
-	// HardErrorFn models device aging (Fig. 14); nil = pristine DIMM.
-	HardErrorFn func(pcm.LineAddr) int
+	// HardErrorLifetime ages the DIMM (§6.4 Fig. 14): the fraction of its
+	// lifetime in [0, 1] whose hard errors take ECP entries; 0 is pristine.
+	HardErrorLifetime float64
 	// NoVerifyCharge / NoCorrectCharge make the corresponding VnC phase
 	// free in time (device effects still happen). Instrumentation knobs for
 	// the Figure 5 overhead decomposition, never part of a real design.
@@ -71,15 +71,15 @@ func (s Scheme) NeedsVnC() bool { return s.Rates().BitLine > 0 }
 // writeQueueCap <= 0 selects the Table 2 default (32).
 func (s Scheme) MCConfig(writeQueueCap int) mc.Config {
 	cfg := mc.Config{
-		Rates:           s.Rates(),
-		VerifyNeighbors: s.NeedsVnC(),
-		ECPEntries:      s.ECPEntries,
-		PreRead:         s.PreRead,
-		WriteCancel:     s.WriteCancel,
-		WriteQueueCap:   writeQueueCap,
-		NoVerifyCharge:  s.NoVerifyCharge,
-		NoCorrectCharge: s.NoCorrectCharge,
-		HardErrorFn:     s.HardErrorFn,
+		Rates:             s.Rates(),
+		VerifyNeighbors:   s.NeedsVnC(),
+		ECPEntries:        s.ECPEntries,
+		PreRead:           s.PreRead,
+		WriteCancel:       s.WriteCancel,
+		WriteQueueCap:     writeQueueCap,
+		NoVerifyCharge:    s.NoVerifyCharge,
+		NoCorrectCharge:   s.NoCorrectCharge,
+		HardErrorLifetime: s.HardErrorLifetime,
 	}
 	switch s.Encoding {
 	case "", "din":
@@ -112,6 +112,9 @@ func (s Scheme) Validate() error {
 	}
 	if s.ECPEntries < 0 {
 		return fmt.Errorf("core: scheme %s has negative ECP entries", s.Name)
+	}
+	if !(s.HardErrorLifetime >= 0 && s.HardErrorLifetime <= 1) {
+		return fmt.Errorf("core: scheme %s has hard-error lifetime %g outside [0, 1]", s.Name, s.HardErrorLifetime)
 	}
 	if s.LazyCorrection && !s.NeedsVnC() {
 		return fmt.Errorf("core: scheme %s enables LazyCorrection on a WD-free-bit-line layout", s.Name)

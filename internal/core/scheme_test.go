@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -36,6 +37,25 @@ func TestValidateCatchesBadSchemes(t *testing.T) {
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("bad scheme %d accepted", i)
+		}
+	}
+}
+
+// TestValidateBoundsLifetime: a hard-error lifetime is a fraction of the
+// DIMM's life, so only [0, 1] names an age.
+func TestValidateBoundsLifetime(t *testing.T) {
+	for _, l := range []float64{0, 0.6, 1} {
+		s := LazyC(6)
+		s.HardErrorLifetime = l
+		if err := s.Validate(); err != nil {
+			t.Errorf("lifetime %g: %v", l, err)
+		}
+	}
+	for _, l := range []float64{-0.1, 1.5, math.NaN(), math.Inf(1)} {
+		s := LazyC(6)
+		s.HardErrorLifetime = l
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "lifetime") {
+			t.Errorf("lifetime %g: Validate = %v, want a lifetime error", l, err)
 		}
 	}
 }
@@ -94,6 +114,10 @@ func TestMCConfigTranslation(t *testing.T) {
 	}
 	if c := IMDB(6).MCConfig(0); c.Correction != mc.Barrier || !c.VerifyNeighbors {
 		t.Errorf("IMDB config = %+v", c)
+	}
+	s.HardErrorLifetime = 0.6
+	if c := s.MCConfig(0); c.HardErrorLifetime != 0.6 {
+		t.Errorf("lifetime 0.6 reached the controller as %g", c.HardErrorLifetime)
 	}
 }
 

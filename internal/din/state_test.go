@@ -28,7 +28,6 @@ func TestDecodeRejectsUnownedLine(t *testing.T) {
 	} {
 		e := snap.NewEncoder(1)
 		e.Begin("din.codec")
-		e.Bool(true)
 		for range 4 {
 			e.U64(0) // stats
 		}

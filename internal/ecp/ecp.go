@@ -84,13 +84,11 @@ type Table struct {
 	// every record attempt overflows, degenerating to basic VnC.
 	N int
 
-	// HardFn, when set, supplies the number of entries pre-consumed by hard
-	// errors for a line the first time its state is touched (clamped to
-	// [0,N]). It models device aging for the lifetime experiments (§6.4
-	// Fig. 14): as the DIMM wears out, hard errors crowd out LazyCorrection.
-	HardFn func(pcm.LineAddr) int
-
 	Stats Stats
+
+	// age supplies the entries hard errors pre-consume on a line the first
+	// time its state is touched (see SetLifetime).
+	age aging
 
 	// index maps a tracked line, by the bound device's resident-line slot,
 	// to its state in lines; index 0 means untracked. Only a minority of
@@ -152,13 +150,14 @@ func (t *Table) track(a pcm.LineAddr) *lineState {
 	return t.lines.At(i)
 }
 
+// SetLifetime ages the DIMM to the given fraction of its lifetime (§6.4
+// Fig. 14; 0 is pristine, 1 end of life): as it wears out, hard errors
+// crowd out LazyCorrection. Each line's hard errors are drawn the first
+// time its state is touched, capped at N. Call it before the first write.
+func (t *Table) SetLifetime(fraction float64) { t.age = newAging(fraction) }
+
 // hardFor returns the hard errors an untracked line starts with.
-func (t *Table) hardFor(a pcm.LineAddr) int {
-	if t.HardFn == nil {
-		return 0
-	}
-	return min(max(t.HardFn(a), 0), t.N)
-}
+func (t *Table) hardFor(a pcm.LineAddr) int { return min(t.age.hardErrors(a), t.N) }
 
 // Instrument attaches occupancy histograms to the table. A nil registry
 // leaves the table uninstrumented (the zero-cost default).

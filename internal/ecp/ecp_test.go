@@ -1,6 +1,7 @@
 package ecp
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -238,22 +239,65 @@ func TestWDBitsNoDuplicates(t *testing.T) {
 	}
 }
 
-func TestHardFnLazyPopulation(t *testing.T) {
-	tab := mustNew(t, 6)
-	tab.HardFn = func(a pcm.LineAddr) int { return int(a) } // addr-dependent
-	if tab.HardErrors(0) != 0 || tab.HardErrors(3) != 3 {
-		t.Fatalf("hard errors = %d/%d", tab.HardErrors(0), tab.HardErrors(3))
+// agedLine returns the first line at or after from whose hard-error count
+// under the table's lifetime is exactly k.
+func agedLine(t *testing.T, tab *Table, from pcm.LineAddr, k int) pcm.LineAddr {
+	t.Helper()
+	for a := from; a < from+1<<16; a++ {
+		if tab.age.hardErrors(a) == k {
+			return a
+		}
 	}
-	// Clamped to N.
-	if tab.HardErrors(99) != 6 {
-		t.Fatalf("hard errors = %d, want clamp to 6", tab.HardErrors(99))
+	t.Fatalf("no line with %d hard errors", k)
+	return 0
+}
+
+func TestLifetimeLazyPopulation(t *testing.T) {
+	tab := mustNew(t, 6)
+	tab.SetLifetime(1)
+	four := agedLine(t, tab, 0, 4)
+	if got := tab.HardErrors(four); got != 4 {
+		t.Fatalf("hard errors = %d, want 4", got)
+	}
+	// Capped at N.
+	small := mustNew(t, 2)
+	small.SetLifetime(1)
+	if got := small.HardErrors(four); got != 2 {
+		t.Fatalf("hard errors = %d, want the cap 2", got)
 	}
 	// Recorded reflects lazily populated hard errors.
-	if tab.Recorded(4) != 4 || tab.Free(4) != 2 {
-		t.Fatalf("recorded=%d free=%d", tab.Recorded(4), tab.Free(4))
+	if tab.Recorded(four) != 4 || tab.Free(four) != 2 {
+		t.Fatalf("recorded=%d free=%d", tab.Recorded(four), tab.Free(four))
 	}
 	// Records beyond free entries overflow.
-	if tab.RecordWD(4, []int{1, 2, 3}) {
+	if tab.RecordWD(four, []int{1, 2, 3}) {
 		t.Fatal("3 WD errors must not fit beside 4 hard errors in ECP-6")
+	}
+}
+
+// TestAgingModel checks the hard-error draw: a pristine DIMM (or a negative
+// or NaN lifetime) has none, and the per-line mean tracks
+// EndOfLifeMeanHardErrors × lifetime. The Figure 14 golden table pins the
+// draw itself.
+func TestAgingModel(t *testing.T) {
+	const lines = 1 << 16
+	for _, f := range []float64{0, -1, math.NaN()} {
+		g := newAging(f)
+		for a := range pcm.LineAddr(lines) {
+			if n := g.hardErrors(a); n != 0 {
+				t.Fatalf("lifetime %g: line %d has %d hard errors, want 0", f, a, n)
+			}
+		}
+	}
+	for _, f := range []float64{0.2, 0.6, 1} {
+		g := newAging(f)
+		sum := 0
+		for a := range pcm.LineAddr(lines) {
+			sum += g.hardErrors(a)
+		}
+		want := EndOfLifeMeanHardErrors * f
+		if mean := float64(sum) / lines; math.Abs(mean-want) > 0.02 {
+			t.Errorf("lifetime %g: mean hard errors %.4f, want %.4f", f, mean, want)
+		}
 	}
 }

@@ -8,7 +8,8 @@ import (
 
 // EncodeState serializes the table's mutable state: the counters and every
 // line's entry bookkeeping, in ascending address order so the encoding is
-// deterministic. N, HardFn and the instruments are construction parameters.
+// deterministic. N, the lifetime and the instruments are construction
+// parameters.
 func (t *Table) EncodeState(e *snap.Encoder) {
 	e.Begin("ecp.table")
 	metrics.EncodeFields(e, t.Stats.Counters())

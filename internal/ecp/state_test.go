@@ -58,11 +58,12 @@ func TestDecodeRejectsOutOfRangeState(t *testing.T) {
 
 // TestQueriesDoNotTrack: asking about an untouched line (Recorded, Free,
 // HardErrors, WDBits, CorrectionMask, CorrectRead, ClearWD) reports its
-// HardFn-derived state without storing any, so a checkpoint holds no line.
+// lifetime-derived state without storing any, so a checkpoint holds no
+// line.
 func TestQueriesDoNotTrack(t *testing.T) {
 	tab := mustNew(t, 6)
-	tab.HardFn = func(a pcm.LineAddr) int { return int(a) }
-	const a = 4
+	tab.SetLifetime(1)
+	a := agedLine(t, tab, 0, 4)
 	if tab.Recorded(a) != 4 || tab.Free(a) != 2 || tab.HardErrors(a) != 4 {
 		t.Fatalf("recorded=%d free=%d hard=%d, want 4/2/4", tab.Recorded(a), tab.Free(a), tab.HardErrors(a))
 	}

@@ -362,12 +362,9 @@ func Fig14(o Options) (*stats.Table, error) {
 	var specs []runner.Spec
 	for _, b := range o.Benchmarks {
 		for _, f := range LifetimeSweep {
-			specs = append(specs, runner.Spec{
-				Scheme:    core.LazyC(core.DefaultECPEntries),
-				Bench:     b,
-				Tag:       lifeTag(f),
-				Overrides: runner.Overrides{HardErrorLifetime: f},
-			})
+			s := core.LazyC(core.DefaultECPEntries)
+			s.HardErrorLifetime = f
+			specs = append(specs, runner.Spec{Scheme: s, Bench: b, Tag: lifeTag(f)})
 		}
 	}
 	res, err := o.run(specs)

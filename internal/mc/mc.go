@@ -84,9 +84,10 @@ type Config struct {
 	NoVerifyCharge, NoCorrectCharge bool
 	// MaxCascadeDepth bounds cascading verification recursion.
 	MaxCascadeDepth int
-	// HardErrorFn, when set, pre-populates per-line ECP hard-error
-	// occupancy (lifetime experiments, Fig. 14).
-	HardErrorFn func(pcm.LineAddr) int
+	// HardErrorLifetime ages the DIMM: the fraction of its lifetime in
+	// [0, 1] whose hard errors pre-populate per-line ECP occupancy
+	// (lifetime experiments, Fig. 14). 0 is pristine.
+	HardErrorLifetime float64
 }
 
 // forwardCycles is the latency of servicing a read from the write queue's
@@ -253,7 +254,7 @@ func New(cfg Config, dev *pcm.Device, region *alloc.Allocator, rnd *rng.Rand) (*
 	if err != nil {
 		return nil, err
 	}
-	table.HardFn = cfg.HardErrorFn
+	table.SetLifetime(cfg.HardErrorLifetime)
 	table.Bind(dev)
 	var codec lineCodec
 	switch cfg.Encoding {

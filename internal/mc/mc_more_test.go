@@ -30,14 +30,16 @@ func TestCascadeDepthTruncation(t *testing.T) {
 }
 
 func TestHardErrorsForceCorrections(t *testing.T) {
-	// A DIMM whose lines have all ECP entries eaten by hard errors cannot
-	// park WD errors: LazyC degenerates to eager correction.
-	mk := func(hard int) *testRig {
+	// On an aged DIMM hard errors eat ECP entries, so fewer WD errors can
+	// be parked: LazyC falls back to eager correction more often. ECP-2 at
+	// end of life (a mean of 1.5 hard errors per line) leaves most lines
+	// with at most one free entry.
+	mk := func(lifetime float64) *testRig {
 		cfg := baselineCfg()
 		cfg.Correction = LazyECP
-		cfg.ECPEntries = 6
+		cfg.ECPEntries = 2
 		cfg.WriteQueueCap = 2
-		cfg.HardErrorFn = func(pcm.LineAddr) int { return hard }
+		cfg.HardErrorLifetime = lifetime
 		return newRig(t, cfg)
 	}
 	drive := func(r *testRig) {
@@ -51,7 +53,7 @@ func TestHardErrorsForceCorrections(t *testing.T) {
 	}
 	pristine := mk(0)
 	drive(pristine)
-	worn := mk(6)
+	worn := mk(1)
 	drive(worn)
 	if worn.c.Stats.CorrectionWrites <= pristine.c.Stats.CorrectionWrites {
 		t.Fatalf("worn DIMM corrections %d must exceed pristine %d",

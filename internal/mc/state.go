@@ -1,8 +1,6 @@
 package mc
 
 import (
-	"fmt"
-
 	"sdpcm/internal/metrics"
 	"sdpcm/internal/pcm"
 	"sdpcm/internal/snap"
@@ -45,11 +43,7 @@ func (c *Controller) EncodeState(e *snap.Encoder) {
 		b.engine.EncodeState(e)
 	}
 	c.ecp.EncodeState(e)
-	// Each of the two states is preceded by a presence flag: the codec's is
-	// always set, the barrier's is set under Barrier.
-	e.Bool(true)
 	c.codec.EncodeState(e)
-	e.Bool(c.barrier != nil)
 	if c.barrier != nil {
 		c.barrier.encodeState(e)
 	}
@@ -169,19 +163,10 @@ func (c *Controller) DecodeState(d *snap.Decoder) error {
 	if err := c.ecp.DecodeState(d, c.owns); err != nil {
 		return err
 	}
-	if hasCodec := d.Bool(); d.Err() == nil && !hasCodec {
-		return fmt.Errorf("mc: checkpoint lacks the word-line codec's state")
+	if err := c.codec.DecodeState(d, c.owns); err != nil {
+		return err
 	}
-	if d.Err() == nil {
-		if err := c.codec.DecodeState(d, c.owns); err != nil {
-			return err
-		}
-	}
-	hasBarrier := d.Bool()
-	if d.Err() == nil && hasBarrier != (c.barrier != nil) {
-		return fmt.Errorf("mc: checkpoint barrier-state presence %t does not match this controller's correction %d", hasBarrier, c.cfg.Correction)
-	}
-	if hasBarrier && d.Err() == nil {
+	if c.barrier != nil {
 		if err := c.barrier.decodeState(c, d); err != nil {
 			return err
 		}

@@ -8,20 +8,15 @@ import (
 )
 
 // EncodeState serializes the registry's histograms in name-sorted
-// (deterministic) order and the event-ring contents. Nil-safe: a disabled
-// registry encodes as absent. Two zero counts, the counter and gauge
-// sections of checkpoint version 6, precede the histograms: counters live
-// in component Stats now, and the version-6 bytes must not change.
+// (deterministic) order and the event-ring contents (when the run traces
+// events). Nil-safe: a disabled registry writes nothing. Whether the
+// registry and its ring exist follows from the run's config, which the
+// checkpoint identity pins.
 func (r *Registry) EncodeState(e *snap.Encoder) {
-	e.Begin("metrics.registry")
-	e.Bool(r != nil)
 	if r == nil {
-		e.End()
 		return
 	}
-	e.Uvarint(0) // counters
-	e.Uvarint(0) // gauges
-
+	e.Begin("metrics.registry")
 	names := make([]string, 0, len(r.hists))
 	for n := range r.hists {
 		names = append(names, n)
@@ -42,7 +37,6 @@ func (r *Registry) EncodeState(e *snap.Encoder) {
 		e.U64(h.n)
 	}
 
-	e.Bool(r.trace != nil)
 	if r.trace != nil {
 		t := r.trace
 		e.Int(cap(t.buf))
@@ -63,30 +57,17 @@ func (r *Registry) EncodeState(e *snap.Encoder) {
 }
 
 // DecodeState restores the histograms and event ring written by
-// EncodeState. The restore is in place — Histogram handles held by
+// EncodeState into a registry of the same configuration (a nil registry
+// reads nothing). The restore is in place — Histogram handles held by
 // already-instrumented components stay valid. The checkpoint must name
-// exactly the histograms this run registered, with the same bounds, and its
-// counter and gauge sections must be empty: a decoded name this run does
-// not publish would otherwise surface in (or be summed into) its snapshot.
+// exactly the histograms this run registered, with the same bounds: a
+// decoded name this run does not publish would otherwise surface in its
+// snapshot.
 func (r *Registry) DecodeState(d *snap.Decoder) error {
-	d.Begin("metrics.registry")
-	present := d.Bool()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if present != (r != nil) {
-		return fmt.Errorf("metrics: checkpoint registry presence %t does not match this run's %t", present, r != nil)
-	}
-	if !present {
-		d.End()
+	if r == nil {
 		return d.Err()
 	}
-
-	for _, section := range []string{"counter", "gauge"} {
-		if n := d.Count(); d.Err() == nil && n != 0 {
-			return fmt.Errorf("metrics: checkpoint holds %d %s instruments, the registry keeps none", n, section)
-		}
-	}
+	d.Begin("metrics.registry")
 	nh := d.Count()
 	if d.Err() == nil && nh != len(r.hists) {
 		return fmt.Errorf("metrics: checkpoint holds %d histograms, this run registered %d", nh, len(r.hists))
@@ -119,11 +100,7 @@ func (r *Registry) DecodeState(d *snap.Decoder) error {
 		h.n = d.U64()
 	}
 
-	hasTrace := d.Bool()
-	if d.Err() == nil && hasTrace != (r.trace != nil) {
-		return fmt.Errorf("metrics: checkpoint trace presence %t does not match this run's %t", hasTrace, r.trace != nil)
-	}
-	if hasTrace && d.Err() == nil {
+	if r.trace != nil && d.Err() == nil {
 		t := r.trace
 		if c := d.Int(); d.Err() == nil && c != cap(t.buf) {
 			return fmt.Errorf("metrics: checkpoint trace capacity %d does not match this run's %d", c, cap(t.buf))

@@ -21,11 +21,7 @@ func TestDecodeRejectsInconsistentTrace(t *testing.T) {
 	} {
 		e := snap.NewEncoder(1)
 		e.Begin("metrics.registry")
-		e.Bool(true)
-		e.Uvarint(0) // counters
-		e.Uvarint(0) // gauges
 		e.Uvarint(0) // histograms
-		e.Bool(true)
 		e.Int(capacity)
 		e.U64(tc.next)
 		e.Uvarint(tc.held)
@@ -52,23 +48,14 @@ func TestDecodeRejectsInconsistentTrace(t *testing.T) {
 }
 
 // TestDecodeRefusesUnregisteredInstruments: a checkpoint's registry section
-// restores exactly the histograms this run registered. Counter and gauge
-// sections must be empty, and a histogram this run does not have, one it
-// lacks or one named twice is refused rather than created — it would
-// otherwise surface in, or be summed into, the run's snapshot.
+// restores exactly the histograms this run registered: a histogram this run
+// does not have, one it lacks or one named twice is refused rather than
+// created — it would otherwise surface in the run's snapshot.
 func TestDecodeRefusesUnregisteredInstruments(t *testing.T) {
 	bounds := []uint64{10, 100}
-	encode := func(counters, gauges, hists []string) []byte {
+	encode := func(hists []string) []byte {
 		e := snap.NewEncoder(1)
 		e.Begin("metrics.registry")
-		e.Bool(true)
-		for _, names := range [][]string{counters, gauges} {
-			e.Uvarint(uint64(len(names)))
-			for _, n := range names {
-				e.String(n)
-				e.U64(7)
-			}
-		}
 		e.Uvarint(uint64(len(hists)))
 		for _, n := range hists {
 			e.String(n)
@@ -82,18 +69,15 @@ func TestDecodeRefusesUnregisteredInstruments(t *testing.T) {
 			e.U64(55) // sum
 			e.U64(3)  // count
 		}
-		e.Bool(false) // no trace
-		e.End()
+		e.End() // no trace
 		return e.Finish()
 	}
 	for _, tc := range []struct {
-		name                    string
-		counters, gauges, hists []string
-		valid                   bool
+		name  string
+		hists []string
+		valid bool
 	}{
 		{name: "exact set", hists: []string{"a", "b"}, valid: true},
-		{name: "counter section", counters: []string{"injected"}, hists: []string{"a", "b"}},
-		{name: "gauge section", gauges: []string{"sim.cycles"}, hists: []string{"a", "b"}},
 		{name: "unregistered histogram", hists: []string{"a", "b", "extra"}},
 		{name: "histogram swapped for another", hists: []string{"a", "extra"}},
 		{name: "missing histogram", hists: []string{"a"}},
@@ -102,7 +86,7 @@ func TestDecodeRefusesUnregisteredInstruments(t *testing.T) {
 		r := New()
 		r.Histogram("a", bounds)
 		r.Histogram("b", bounds)
-		d, err := snap.NewDecoder(encode(tc.counters, tc.gauges, tc.hists), 1)
+		d, err := snap.NewDecoder(encode(tc.hists), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,10 +11,10 @@ import (
 
 func sampleHeatmap() *wd.HeatmapSnapshot {
 	h := wd.NewHeatmap(4, 64)
-	h.RecordInjected(pcm.AddrOf(pcm.Loc{Bank: 0, Row: 0, Slot: 0}), 12)
-	h.RecordInjected(pcm.AddrOf(pcm.Loc{Bank: 3, Row: 48, Slot: 5}), 3)
-	h.RecordParked(pcm.AddrOf(pcm.Loc{Bank: 3, Row: 48, Slot: 5}), 2)
-	h.RecordCorrection(pcm.AddrOf(pcm.Loc{Bank: 1, Row: 16, Slot: 9}), 4, 2)
+	h.RecordInjected(pcm.DefaultGeometry.AddrOf(pcm.Loc{Bank: 0, Row: 0, Slot: 0}), 12)
+	h.RecordInjected(pcm.DefaultGeometry.AddrOf(pcm.Loc{Bank: 3, Row: 48, Slot: 5}), 3)
+	h.RecordParked(pcm.DefaultGeometry.AddrOf(pcm.Loc{Bank: 3, Row: 48, Slot: 5}), 2)
+	h.RecordCorrection(pcm.DefaultGeometry.AddrOf(pcm.Loc{Bank: 1, Row: 16, Slot: 9}), 4, 2)
 	return h.Snapshot()
 }
 

@@ -106,7 +106,7 @@ func WritePerfetto(w io.Writer, events []metrics.Event) error {
 		}
 	}
 	for _, e := range events {
-		bank := pcm.Locate(pcm.LineAddr(e.Addr)).Bank
+		bank := pcm.DefaultGeometry.Locate(pcm.LineAddr(e.Addr)).Bank
 		switch e.Kind {
 		case metrics.EvQueueDrain:
 			// The slice spans the write's life in the queue: enqueue

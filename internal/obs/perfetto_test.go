@@ -101,7 +101,7 @@ func TestWritePerfettoStructure(t *testing.T) {
 	// everything else is a thread-scoped instant on its line's bank track.
 	for i, te := range f.TraceEvents[meta:] {
 		e := events[i]
-		wantBank := pcm.Locate(pcm.LineAddr(e.Addr)).Bank
+		wantBank := pcm.DefaultGeometry.Locate(pcm.LineAddr(e.Addr)).Bank
 		if te.Tid != wantBank {
 			t.Errorf("event %d on tid %d, want bank %d", i, te.Tid, wantBank)
 		}

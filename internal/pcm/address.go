@@ -73,42 +73,12 @@ func LineOf(p PageAddr, slot int) LineAddr {
 	return LineAddr(uint64(p)*LinesPerPage + uint64(slot))
 }
 
-// Locate maps a line address to its device coordinates under the
-// strip-interleaved layout of §4.1: page p lives in bank p mod NumBanks at
-// row p div NumBanks, so one strip (equal row index across all banks) holds
-// NumBanks consecutive pages and bit-line neighbours are NumBanks pages
-// apart.
-func Locate(a LineAddr) Loc {
-	p := uint64(a.Page())
-	return Loc{
-		Bank: int(p % NumBanks),
-		Row:  int(p / NumBanks),
-		Slot: a.Slot(),
-	}
-}
-
-// AddrOf is the inverse of Locate.
-func AddrOf(l Loc) LineAddr {
-	page := uint64(l.Row)*NumBanks + uint64(l.Bank)
-	return LineOf(PageAddr(page), l.Slot)
-}
-
-// StripIndex returns the device strip (row index across banks) of a page.
-func (p PageAddr) StripIndex() int { return int(uint64(p) / NumBanks) }
-
-// AdjacentLines returns the bit-line neighbours of a line: the same slot in
-// the rows physically above and below within the same bank (pages p±NumBanks).
-// ok is false for a neighbour that falls outside [0, rows) of the bank.
-func AdjacentLines(a LineAddr, rowsPerBank int) (above, below LineAddr, okAbove, okBelow bool) {
-	return DefaultGeometry.AdjacentLines(a, rowsPerBank)
-}
-
-// Geometry generalizes the strip-interleaved layout of §4.1 to a
-// configurable power-of-two bank count: page p lives in bank p mod Banks at
-// row p div Banks. The bank count is a power of two with a precomputed
-// shift, so the hot-path address arithmetic stays shifts and masks exactly
-// like the fixed-constant layout. The zero Geometry is invalid; use
-// DefaultGeometry or NewGeometry.
+// Geometry is the strip-interleaved layout of §4.1 over a power-of-two
+// bank count: page p lives in bank p mod Banks at row p div Banks, so one
+// strip (equal row index across all banks) holds Banks consecutive pages
+// and bit-line neighbours are Banks pages apart. The precomputed shift keeps
+// the hot-path address arithmetic to shifts and masks. The zero Geometry is
+// invalid; use DefaultGeometry or NewGeometry.
 type Geometry struct {
 	banks int
 	shift uint
@@ -143,9 +113,6 @@ func (g Geometry) AddrOf(l Loc) LineAddr {
 	page := uint64(l.Row)<<g.shift | uint64(l.Bank)
 	return LineOf(PageAddr(page), l.Slot)
 }
-
-// StripIndex returns the device strip (row index across banks) of a page.
-func (g Geometry) StripIndex(p PageAddr) int { return int(uint64(p) >> g.shift) }
 
 // AdjacentLines returns the bit-line neighbours of a line under the layout
 // (pages p±Banks); ok is false outside [0, rowsPerBank).

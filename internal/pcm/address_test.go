@@ -8,7 +8,7 @@ import (
 func TestLocateRoundTrip(t *testing.T) {
 	if err := quick.Check(func(raw uint32) bool {
 		a := LineAddr(raw)
-		return AddrOf(Locate(a)) == a
+		return DefaultGeometry.AddrOf(DefaultGeometry.Locate(a)) == a
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -17,7 +17,7 @@ func TestLocateRoundTrip(t *testing.T) {
 func TestLocateLayout(t *testing.T) {
 	// Page p -> bank p mod 16, row p div 16 (Figure 6 interleaving).
 	a := LineOf(PageAddr(35), 7)
-	loc := Locate(a)
+	loc := DefaultGeometry.Locate(a)
 	if loc.Bank != 35%NumBanks || loc.Row != 35/NumBanks || loc.Slot != 7 {
 		t.Fatalf("Locate = %+v", loc)
 	}
@@ -28,7 +28,7 @@ func TestStripHoldsConsecutivePages(t *testing.T) {
 	row := 5
 	banksSeen := map[int]bool{}
 	for p := row * NumBanks; p < (row+1)*NumBanks; p++ {
-		loc := Locate(LineOf(PageAddr(p), 0))
+		loc := DefaultGeometry.Locate(LineOf(PageAddr(p), 0))
 		if loc.Row != row {
 			t.Fatalf("page %d: row %d, want %d", p, loc.Row, row)
 		}
@@ -44,7 +44,7 @@ func TestAdjacentLinesAre16PagesApart(t *testing.T) {
 	// written".
 	const rows = 100
 	a := LineOf(PageAddr(100), 13)
-	above, below, okA, okB := AdjacentLines(a, rows)
+	above, below, okA, okB := DefaultGeometry.AdjacentLines(a, rows)
 	if !okA || !okB {
 		t.Fatal("interior line must have both neighbours")
 	}
@@ -55,8 +55,8 @@ func TestAdjacentLinesAre16PagesApart(t *testing.T) {
 	if above.Slot() != 13 || below.Slot() != 13 {
 		t.Fatal("neighbours must be at the same slot")
 	}
-	la, lb := Locate(above), Locate(below)
-	orig := Locate(a)
+	la, lb := DefaultGeometry.Locate(above), DefaultGeometry.Locate(below)
+	orig := DefaultGeometry.Locate(a)
 	if la.Bank != orig.Bank || lb.Bank != orig.Bank {
 		t.Fatal("neighbours must be in the same bank")
 	}
@@ -68,24 +68,24 @@ func TestAdjacentLinesAre16PagesApart(t *testing.T) {
 func TestAdjacentLinesBoundaries(t *testing.T) {
 	const rows = 4
 	// Row 0: no neighbour above.
-	_, below, okA, okB := AdjacentLines(LineOf(PageAddr(3), 0), rows)
+	_, below, okA, okB := DefaultGeometry.AdjacentLines(LineOf(PageAddr(3), 0), rows)
 	if okA {
 		t.Error("row 0 must have no above neighbour")
 	}
-	if !okB || Locate(below).Row != 1 {
+	if !okB || DefaultGeometry.Locate(below).Row != 1 {
 		t.Error("row 0 must have a below neighbour at row 1")
 	}
 	// Last row: no neighbour below.
 	lastRowPage := PageAddr((rows-1)*NumBanks + 2)
-	above, _, okA, okB := AdjacentLines(LineOf(lastRowPage, 0), rows)
+	above, _, okA, okB := DefaultGeometry.AdjacentLines(LineOf(lastRowPage, 0), rows)
 	if okB {
 		t.Error("last row must have no below neighbour")
 	}
-	if !okA || Locate(above).Row != rows-2 {
+	if !okA || DefaultGeometry.Locate(above).Row != rows-2 {
 		t.Error("last row must have an above neighbour")
 	}
 	// Single-row bank: fully isolated.
-	_, _, okA, okB = AdjacentLines(LineOf(PageAddr(0), 0), 1)
+	_, _, okA, okB = DefaultGeometry.AdjacentLines(LineOf(PageAddr(0), 0), 1)
 	if okA || okB {
 		t.Error("single-row bank must have no neighbours")
 	}
@@ -96,11 +96,11 @@ func TestAdjacencySymmetry(t *testing.T) {
 	if err := quick.Check(func(raw uint16, slotRaw uint8) bool {
 		const rows = 1 << 12
 		a := LineOf(PageAddr(raw), int(slotRaw)%LinesPerPage)
-		_, below, _, okB := AdjacentLines(a, rows)
+		_, below, _, okB := DefaultGeometry.AdjacentLines(a, rows)
 		if !okB {
 			return true
 		}
-		above, _, okA, _ := AdjacentLines(below, rows)
+		above, _, okA, _ := DefaultGeometry.AdjacentLines(below, rows)
 		return okA && above == a
 	}, nil); err != nil {
 		t.Fatal(err)
@@ -112,8 +112,8 @@ func TestPageAndSlot(t *testing.T) {
 	if a.Page() != 9 || a.Slot() != 63 {
 		t.Fatalf("Page/Slot = %d/%d", a.Page(), a.Slot())
 	}
-	if PageAddr(47).StripIndex() != 2 {
-		t.Fatalf("StripIndex(47) = %d, want 2", PageAddr(47).StripIndex())
+	if row := DefaultGeometry.Locate(LineOf(PageAddr(47), 0)).Row; row != 2 {
+		t.Fatalf("page 47 is in strip %d, want 2", row)
 	}
 }
 

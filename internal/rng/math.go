@@ -5,10 +5,6 @@ import "math"
 // Thin wrappers keep the hot paths in rng.go free of direct math imports and
 // document exactly which transcendental functions the generator relies on.
 
-func sqrt(x float64) float64 { return math.Sqrt(x) }
-
-func exp(x float64) float64 { return math.Exp(x) }
-
 func ceil(x float64) float64 { return math.Ceil(x) }
 
 // sqrtNeg2LogOverS computes sqrt(-2*ln(s)/s), the scaling factor of the

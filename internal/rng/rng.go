@@ -193,24 +193,6 @@ func (r *Rand) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
-// Perm returns a random permutation of [0,n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
-	}
-}
-
 // NormFloat64 returns a normally distributed value with mean 0 and stddev 1,
 // using the polar (Marsaglia) method.
 func (r *Rand) NormFloat64() float64 {
@@ -222,32 +204,6 @@ func (r *Rand) NormFloat64() float64 {
 			continue
 		}
 		return u * sqrtNeg2LogOverS(s)
-	}
-}
-
-// Poisson returns a Poisson-distributed value with the given mean using
-// Knuth's method for small means and a normal approximation for large ones.
-func (r *Rand) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 64 {
-		// Normal approximation with continuity correction.
-		v := mean + sqrt(mean)*r.NormFloat64() + 0.5
-		if v < 0 {
-			return 0
-		}
-		return int(v)
-	}
-	l := exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
 	}
 }
 

@@ -147,44 +147,6 @@ func TestBernoulliRate(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(10)
-	if err := quick.Check(func(nRaw uint8) bool {
-		n := int(nRaw % 64)
-		p := r.Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestShufflePreservesMultiset(t *testing.T) {
-	r := New(11)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, x := range xs {
-		got += x
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed contents: sum %d != %d", got, sum)
-	}
-}
-
 func TestNormFloat64Moments(t *testing.T) {
 	r := New(12)
 	const draws = 200000
@@ -201,33 +163,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 	if math.Abs(variance-1) > 0.03 {
 		t.Fatalf("normal variance %v too far from 1", variance)
-	}
-}
-
-func TestPoissonMean(t *testing.T) {
-	r := New(13)
-	for _, mean := range []float64{0.5, 2, 10, 100} {
-		const draws = 50000
-		sum := 0
-		for i := 0; i < draws; i++ {
-			sum += r.Poisson(mean)
-		}
-		got := float64(sum) / draws
-		if math.Abs(got-mean) > mean*0.05+0.05 {
-			t.Fatalf("Poisson(%v) empirical mean %v", mean, got)
-		}
-	}
-}
-
-func TestPoissonNonNegative(t *testing.T) {
-	r := New(14)
-	if r.Poisson(0) != 0 || r.Poisson(-3) != 0 {
-		t.Fatal("Poisson of non-positive mean must be 0")
-	}
-	for i := 0; i < 1000; i++ {
-		if r.Poisson(200) < 0 {
-			t.Fatal("Poisson returned negative value")
-		}
 	}
 }
 

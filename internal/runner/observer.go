@@ -57,7 +57,7 @@ func Progress(w io.Writer) Observer {
 		if ev.Spec.QueueCap != 0 {
 			knobs += fmt.Sprintf(" wq=%d", ev.Spec.QueueCap)
 		}
-		if l := ev.Spec.Overrides.HardErrorLifetime; l > 0 {
+		if l := ev.Spec.Scheme.HardErrorLifetime; l > 0 {
 			knobs += fmt.Sprintf(" life=%g", l)
 		}
 		fmt.Fprintf(w, "[%3d/%3d] %-3s %-22s %-10s%s %v\n",

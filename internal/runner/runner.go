@@ -12,9 +12,10 @@
 // count or completion order.
 //
 // A Runner also memoizes results by a canonical encoding of the resolved
-// config (see Key): points shared between figures — e.g. the per-benchmark
-// baseline re-run today by Fig4, Fig5, Fig11, Fig12 ... — simulate once per
-// Runner, with concurrent duplicates coalesced onto a single execution.
+// config (see sim.Config.Key): points shared between figures — e.g. the
+// per-benchmark baseline re-run today by Fig4, Fig5, Fig11, Fig12 ... —
+// simulate once per Runner, with concurrent duplicates coalesced onto a
+// single execution.
 package runner
 
 import (
@@ -66,44 +67,27 @@ func (b Base) normalized() Base {
 	return b
 }
 
-// Overrides carries the per-point knobs beyond (scheme, benchmark, queue
-// cap). Each field is declarative — a value, not a function — so the cache
-// can key on it.
-type Overrides struct {
-	// HardErrorLifetime models device aging (Fig. 14): the resolved scheme
-	// gets HardErrorFn = core.HardErrorModel(HardErrorLifetime). 0 = pristine.
-	HardErrorLifetime float64
-	// WearLevelPsi enables intra-row Start-Gap wear leveling (0 disables).
-	WearLevelPsi int
-}
-
-// Spec names one simulation point of a sweep: the design point, the
-// workload, the write-queue capacity and any per-point overrides. Tag is a
-// free-form label carried through to observers and table assembly (figures
-// typically set it to the point's column label or role).
+// Spec names one simulation point of a sweep: the design point (its
+// hard-error lifetime included), the workload and the write-queue capacity.
+// Tag is a free-form label carried through to observers and table assembly
+// (figures typically set it to the point's column label or role).
 type Spec struct {
-	Scheme    core.Scheme
-	Bench     string
-	QueueCap  int
-	Tag       string
-	Overrides Overrides
+	Scheme   core.Scheme
+	Bench    string
+	QueueCap int
+	Tag      string
 }
 
 // Resolve expands the spec into the full simulation config it names.
 func (s Spec) Resolve(b Base) sim.Config {
 	b = b.normalized()
-	sc := s.Scheme
-	if s.Overrides.HardErrorLifetime > 0 {
-		sc.HardErrorFn = core.HardErrorModel(s.Overrides.HardErrorLifetime)
-	}
 	return sim.Config{
-		Scheme:         sc,
+		Scheme:         s.Scheme,
 		Mix:            workload.HomogeneousMix(s.Bench, b.Cores),
 		RefsPerCore:    b.RefsPerCore,
 		MemPages:       b.MemPages,
 		RegionPages:    b.RegionPages,
 		WriteQueueCap:  s.QueueCap,
-		WearLevelPsi:   s.Overrides.WearLevelPsi,
 		Seed:           b.Seed,
 		CollectMetrics: b.CollectMetrics,
 		TraceEvents:    b.TraceEvents,
@@ -113,41 +97,28 @@ func (s Spec) Resolve(b Base) sim.Config {
 }
 
 // Grid declares a sweep as the cross product of its axes. Empty QueueCaps
-// and Lifetimes collapse to {0} (the Table 2 default queue and a pristine
-// DIMM), so the common scheme × benchmark grid needs only two axes.
+// collapse to {0} (the Table 2 default queue), so the common scheme ×
+// benchmark grid needs only two axes.
 type Grid struct {
 	Schemes    []core.Scheme
 	Benchmarks []string
 	QueueCaps  []int
-	Lifetimes  []float64
 	// Tag is copied to every expanded Spec.
 	Tag string
 }
 
 // Expand lists the grid's points benchmark-major (benchmark outer, then
-// scheme, queue cap, lifetime), mirroring the paper's per-figure loops.
+// scheme, then queue cap), mirroring the paper's per-figure loops.
 func (g Grid) Expand() []Spec {
 	qs := g.QueueCaps
 	if len(qs) == 0 {
 		qs = []int{0}
 	}
-	ls := g.Lifetimes
-	if len(ls) == 0 {
-		ls = []float64{0}
-	}
-	specs := make([]Spec, 0, len(g.Benchmarks)*len(g.Schemes)*len(qs)*len(ls))
+	specs := make([]Spec, 0, len(g.Benchmarks)*len(g.Schemes)*len(qs))
 	for _, b := range g.Benchmarks {
 		for _, s := range g.Schemes {
 			for _, q := range qs {
-				for _, l := range ls {
-					specs = append(specs, Spec{
-						Scheme:    s,
-						Bench:     b,
-						QueueCap:  q,
-						Tag:       g.Tag,
-						Overrides: Overrides{HardErrorLifetime: l},
-					})
-				}
+				specs = append(specs, Spec{Scheme: s, Bench: b, QueueCap: q, Tag: g.Tag})
 			}
 		}
 	}
@@ -348,12 +319,13 @@ func (r *Runner) execOwned(ctx context.Context, cfg sim.Config, key string) (sim
 	return res, false, err
 }
 
-// point executes one spec: uncacheable specs simulate directly; cacheable
-// specs go through the two-tier cache with duplicate coalescing. Waiters
-// whose owner was canceled re-claim the key rather than inheriting the
-// owner's cancellation error.
-func (r *Runner) point(ctx context.Context, cfg sim.Config, sp Spec) (res sim.Result, cached, stored bool, err error) {
-	key, cacheable := Key(cfg, sp.Overrides.HardErrorLifetime)
+// point executes one resolved config: an uncacheable one (see
+// sim.Config.Key) simulates directly; a cacheable one goes through the
+// two-tier cache with duplicate coalescing. Waiters whose owner was
+// canceled re-claim the key rather than inheriting the owner's
+// cancellation error.
+func (r *Runner) point(ctx context.Context, cfg sim.Config) (res sim.Result, cached, stored bool, err error) {
+	key, cacheable := cfg.Key()
 	if !cacheable || r.NoCache {
 		res, err = r.exec(ctx, cfg)
 		return res, false, false, err
@@ -417,7 +389,7 @@ func (r *Runner) RunContext(ctx context.Context, base Base, specs []Spec, obs Ob
 			start := time.Now()
 			cfg := sp.Resolve(base)
 			var cached, stored bool
-			results[i], cached, stored, errs[i] = r.point(ctx, cfg, sp)
+			results[i], cached, stored, errs[i] = r.point(ctx, cfg)
 			ev := PointEvent{
 				Index:  i,
 				Total:  len(specs),

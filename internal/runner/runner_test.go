@@ -13,7 +13,7 @@ import (
 
 	"sdpcm/internal/alloc"
 	"sdpcm/internal/core"
-	"sdpcm/internal/pcm"
+	"sdpcm/internal/metrics"
 	"sdpcm/internal/sim"
 	"sdpcm/internal/trace"
 	"sdpcm/internal/workload"
@@ -32,8 +32,15 @@ func testSpecs() []Spec {
 		{Scheme: core.Baseline(), Bench: "mcf"},
 		{Scheme: core.Baseline(), Bench: "lbm", Tag: "dup"},
 		{Scheme: core.LazyCPreRead(6), Bench: "mcf", QueueCap: 16},
-		{Scheme: core.LazyC(6), Bench: "lbm", Overrides: Overrides{HardErrorLifetime: 0.5}},
+		{Scheme: agedLazyC(0.5), Bench: "lbm"},
 	}
+}
+
+// agedLazyC is LazyC(ECP-6) on a DIMM at the given lifetime fraction.
+func agedLazyC(lifetime float64) core.Scheme {
+	s := core.LazyC(6)
+	s.HardErrorLifetime = lifetime
+	return s
 }
 
 // TestDeterminism asserts the tentpole guarantee: the same grid run with 1
@@ -124,7 +131,6 @@ func TestKeyDistinct(t *testing.T) {
 	type variant struct {
 		name string
 		cfg  sim.Config
-		life float64
 	}
 	mutate := func(name string, f func(*sim.Config)) variant {
 		c := base
@@ -152,12 +158,12 @@ func TestKeyDistinct(t *testing.T) {
 		mutate("integrity", func(c *sim.Config) { c.CheckIntegrity = true }),
 		mutate("coretags", func(c *sim.Config) { c.CoreTags = []alloc.Tag{alloc.Tag11, alloc.Tag12, alloc.Tag11, alloc.Tag11} }),
 		mutate("barrier", func(c *sim.Config) { c.Scheme.Barrier = true }),
-		{name: "hardlife", cfg: base, life: 0.5},
-		{name: "hardlife-2", cfg: base, life: 1.0},
+		mutate("hardlife", func(c *sim.Config) { c.Scheme.HardErrorLifetime = 0.5 }),
+		mutate("hardlife-2", func(c *sim.Config) { c.Scheme.HardErrorLifetime = 1.0 }),
 	}
 	keys := map[string]string{}
 	for _, v := range variants {
-		k, ok := Key(v.cfg, v.life)
+		k, ok := v.cfg.Key()
 		if !ok {
 			t.Fatalf("%s: unexpectedly uncacheable", v.name)
 		}
@@ -167,8 +173,8 @@ func TestKeyDistinct(t *testing.T) {
 		keys[k] = v.name
 	}
 	// Equal configs must share a key.
-	k1, _ := Key(base, 0)
-	k2, _ := Key(base, 0)
+	k1, _ := base.Key()
+	k2, _ := base.Key()
 	if k1 != k2 {
 		t.Error("identical configs got different keys")
 	}
@@ -176,16 +182,15 @@ func TestKeyDistinct(t *testing.T) {
 
 func TestKeyUncacheable(t *testing.T) {
 	cfg := sim.Config{Scheme: core.Baseline(), Streams: []trace.Stream{trace.NewSliceStream(nil)}}
-	if _, ok := Key(cfg, 0); ok {
+	if _, ok := cfg.Key(); ok {
 		t.Error("trace-replay config must not be cacheable")
 	}
-	cfg = sim.Config{Scheme: core.LazyC(6)}
-	cfg.Scheme.HardErrorFn = core.HardErrorModel(0.5)
-	if _, ok := Key(cfg, 0); ok {
-		t.Error("opaque HardErrorFn must not be cacheable")
+	cfg = sim.Config{Scheme: core.Baseline(), OnSnapshot: func(*metrics.Snapshot) {}}
+	if _, ok := cfg.Key(); ok {
+		t.Error("a config with a snapshot callback must not be cacheable")
 	}
-	if _, ok := Key(cfg, 0.5); !ok {
-		t.Error("HardErrorFn declared via lifetime override must be cacheable")
+	if _, ok := (sim.Config{Scheme: agedLazyC(0.5)}).Key(); !ok {
+		t.Error("an aged scheme must be cacheable")
 	}
 }
 
@@ -321,7 +326,7 @@ func TestCheckpointSweepResume(t *testing.T) {
 	dir := t.TempDir()
 	r := &Runner{Workers: 1, CheckpointDir: dir, CheckpointEvery: ckptInterval}
 	cfg := sp.Resolve(base)
-	key, ok := Key(cfg, 0)
+	key, ok := cfg.Key()
 	if !ok {
 		t.Fatal("spec unexpectedly uncacheable")
 	}
@@ -363,7 +368,7 @@ func TestCheckpointCorruptFallsBackCold(t *testing.T) {
 	dir := t.TempDir()
 	r := &Runner{Workers: 1, CheckpointDir: dir, CheckpointEvery: ckptInterval}
 	cfg := sp.Resolve(base)
-	key, _ := Key(cfg, 0)
+	key, _ := cfg.Key()
 	path := r.checkpointPath(key)
 	if err := os.WriteFile(path, []byte("not a checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
@@ -466,14 +471,14 @@ func TestMemoStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMemoStoreSkipsUncacheable: points without a canonical key must bypass
-// the store entirely.
+// TestMemoStoreSkipsUncacheable: a point without a canonical key (here one
+// with a snapshot callback) must bypass the store entirely.
 func TestMemoStoreSkipsUncacheable(t *testing.T) {
 	store := newMapStore()
 	r := &Runner{Workers: 1, Store: store}
-	sc := core.Baseline()
-	sc.HardErrorFn = func(pcm.LineAddr) int { return 0 } // opaque: unkeyable
-	if _, err := r.RunContext(context.Background(), testBase(), []Spec{{Scheme: sc, Bench: "lbm"}}, nil); err != nil {
+	cfg := Spec{Scheme: core.Baseline(), Bench: "lbm"}.Resolve(testBase())
+	cfg.OnSnapshot = func(*metrics.Snapshot) {}
+	if _, _, _, err := r.point(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	if store.loads != 0 || store.stores != 0 {

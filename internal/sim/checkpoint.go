@@ -7,7 +7,6 @@ import (
 
 	"sdpcm/internal/metrics"
 	"sdpcm/internal/snap"
-	"sdpcm/internal/topo"
 	"sdpcm/internal/trace"
 )
 
@@ -17,8 +16,11 @@ import (
 // single-DIMM container, version 2 the separate multi-module one and 3 the
 // one container with a registry per bank; 4 holds one registry per run and
 // one device counter set per module, 5 one controller per module, and 6
-// drops the write-queue entries' pre-read line buffers.
-const checkpointVersion = 6
+// drops the write-queue entries' pre-read line buffers. Version 7 carries
+// state only: the identity pins every config field, so no section records
+// whether a subsystem is present, and the wear-leveling rows are keyed by
+// page.
+const checkpointVersion = 7
 
 // ErrResume marks a failure to load or validate a resume checkpoint. The
 // run can always be restarted cold instead — the sweep runner does exactly
@@ -26,27 +28,10 @@ const checkpointVersion = 6
 // "configuration broken".
 var ErrResume = errors.New("sim: checkpoint resume failed")
 
-// checkpointIdentity renders every behavior-affecting Config field into a
-// canonical string stored in (and verified against) each checkpoint, so a
-// file can never silently resume a different run.
-func (c Config) checkpointIdentity(cores int) string {
-	s := c.Scheme
-	return fmt.Sprintf(
-		"scheme=%s layout=%v lazy=%t preread=%t cancel=%t ecp=%d tag=%v noverify=%t nocorrect=%t enc=%q policy=%q hardfn=%t "+
-			"mix=%s mixcores=%v streams=%d mutate=%g refs=%d mem=%d region=%d wq=%d seed=%d coretags=%v psi=%d "+
-			"metrics=%t trace=%d heat=%d snap=%d integrity=%t cores=%d",
-		s.Name, s.Layout, s.LazyCorrection, s.PreRead, s.WriteCancel, s.ECPEntries, s.Tag,
-		s.NoVerifyCharge, s.NoCorrectCharge, s.Encoding, s.BarrierKey(), s.HardErrorFn != nil,
-		c.Mix.Name, c.Mix.Cores, len(c.Streams), c.MutateChunkProb, c.RefsPerCore, c.MemPages,
-		c.RegionPages, c.WriteQueueCap, c.Seed, c.CoreTags, c.WearLevelPsi,
-		c.CollectMetrics, c.TraceEvents, c.HeatmapRegions, c.SnapshotInterval, c.CheckIntegrity, cores)
-}
-
 // runState bundles the live structures of one Run invocation so the
 // checkpoint encoder and the resume restorer see the same picture.
 type runState struct {
 	cfg   Config
-	spec  *topo.Spec
 	reg   *metrics.Registry // nil when collection is off
 	mods  []*moduleRun
 	cores []*corePending
@@ -59,10 +44,17 @@ type runState struct {
 	nextSnap  uint64
 }
 
-// identity extends the configuration identity with the canonical topology,
-// so a checkpoint can never resume under a different module layout.
+// identity names the run a checkpoint belongs to: the normalized config's
+// Key rendering, which pins every behavior-affecting field (topology,
+// hard-error lifetime and the enabled subsystems included), plus the
+// stream count of a replay run. A checkpoint resumes only under the same
+// identity, so its sections hold state alone.
 func (s *runState) identity() string {
-	return s.cfg.checkpointIdentity(len(s.cores)) + " topo=" + s.spec.Canon()
+	id := s.cfg.render()
+	if n := len(s.cfg.Streams); n > 0 {
+		id += fmt.Sprintf("|streams=%d", n)
+	}
+	return id
 }
 
 // encodeCheckpoint serializes the complete simulator state: the core states
@@ -99,13 +91,12 @@ func (s *runState) encodeCheckpoint() []byte {
 		m.ctrl.EncodeState(e)
 		m.hm.EncodeState(e)
 		m.alloc.EncodeState(e)
-		e.Bool(m.wl != nil)
 		if m.wl != nil {
 			m.wl.EncodeState(e)
 		}
 		m.encodeShadow(e)
 	}
-	s.reg.EncodeState(e) // nil-safe: a disabled registry encodes as absent
+	s.reg.EncodeState(e)
 	e.End()
 	return e.Finish()
 }
@@ -215,9 +206,6 @@ func (s *runState) decode(data []byte) error {
 		}
 		if err := m.alloc.DecodeState(d); err != nil {
 			return err
-		}
-		if has := d.Bool(); d.Err() == nil && has != (m.wl != nil) {
-			return fmt.Errorf("checkpoint wear-leveling presence %t does not match this run's %t", has, m.wl != nil)
 		}
 		if m.wl != nil {
 			if err := m.wl.DecodeState(d); err != nil {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"sdpcm/internal/core"
@@ -29,6 +31,37 @@ func FuzzResume(f *testing.F) {
 	}
 	f.Add(v1)
 	fuzzResume(f, fixtureCfg, cur)
+}
+
+// TestResumeCorpusReachesDecoders: each committed FuzzResume regression
+// input is the current fixture with one field corrupted, so it must be
+// refused by the decoder it was found in, not by the version check. A
+// checkpoint version bump carries them by applying the same corruption to
+// the new fixture.
+func TestResumeCorpusReachesDecoders(t *testing.T) {
+	for name, want := range map[string]string{
+		"alloc-tag-zero":        "alloc: checkpoint holds invalid tag",
+		"vm-frame-out-of-range": "vm: checkpoint pool frame",
+	} {
+		raw, err := os.ReadFile(filepath.Join("testdata/fuzz/FuzzResume", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+		data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if !ok || err != nil {
+			t.Fatalf("%s: not a []byte corpus entry: %v", name, err)
+		}
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cfg := fixtureCfg()
+		cfg.ResumeFrom = path
+		if _, err := Run(cfg); !errors.Is(err, ErrResume) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want ErrResume from %q", name, err, want)
+		}
+	}
 }
 
 // FuzzResumeTopology is FuzzResume on the two-module demo topology, whose

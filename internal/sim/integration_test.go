@@ -112,7 +112,7 @@ func TestQueueSizeMonotonicityForIntensiveMix(t *testing.T) {
 func TestAgingDegradesGracefully(t *testing.T) {
 	fresh := core.LazyC(6)
 	aged := core.LazyC(6)
-	aged.HardErrorFn = core.HardErrorModel(1.0)
+	aged.HardErrorLifetime = 1.0
 	rFresh := run(t, quickCfg(fresh, "lbm"))
 	rAged := run(t, quickCfg(aged, "lbm"))
 	// Aged DIMM does more corrections (fewer free entries)...
@@ -290,7 +290,7 @@ func TestEndToEndIntegrityAllSchemes(t *testing.T) {
 
 func TestIntegrityCheckedUnderAging(t *testing.T) {
 	s := core.LazyC(6)
-	s.HardErrorFn = core.HardErrorModel(1.0)
+	s.HardErrorLifetime = 1.0
 	cfg := quickCfg(s, "lbm")
 	cfg.CheckIntegrity = true
 	if _, err := Run(cfg); err != nil {

@@ -213,9 +213,9 @@ func (m *moduleRun) checkShadow() error {
 }
 
 // encodeShadow writes the integrity shadow in ascending address order, so
-// the checkpoint bytes do not depend on map iteration order.
+// the checkpoint bytes do not depend on map iteration order. A run without
+// integrity checking writes nothing.
 func (m *moduleRun) encodeShadow(e *snap.Encoder) {
-	e.Bool(m.shadow != nil)
 	if m.shadow == nil {
 		return
 	}
@@ -231,23 +231,19 @@ func (m *moduleRun) encodeShadow(e *snap.Encoder) {
 	}
 }
 
-// decodeShadow restores what encodeShadow wrote. The checkpoint must agree
-// with this run on whether integrity checking is on, and every shadowed
-// line must lie on this module's device.
+// decodeShadow restores what encodeShadow wrote. Every shadowed line must
+// lie on this module's device.
 func (m *moduleRun) decodeShadow(d *snap.Decoder) error {
-	has := d.Bool()
-	if d.Err() == nil && has != (m.shadow != nil) {
-		return fmt.Errorf("checkpoint integrity-shadow presence %t does not match this run's %t", has, m.shadow != nil)
+	if m.shadow == nil {
+		return d.Err()
 	}
-	if has {
-		n := d.Count()
-		for i := 0; i < n && d.Err() == nil; i++ {
-			a := pcm.LineAddr(d.U64())
-			if d.Err() == nil && uint64(a) >= uint64(m.dev.Lines()) {
-				d.Invalid("checkpoint integrity shadow holds line %d of a %d-line device", a, m.dev.Lines())
-			}
-			m.shadow[a] = pcm.DecodeLine(d)
+	n := d.Count()
+	for i := 0; i < n && d.Err() == nil; i++ {
+		a := pcm.LineAddr(d.U64())
+		if d.Err() == nil && uint64(a) >= uint64(m.dev.Lines()) {
+			d.Invalid("checkpoint integrity shadow holds line %d of a %d-line device", a, m.dev.Lines())
 		}
+		m.shadow[a] = pcm.DecodeLine(d)
 	}
 	return d.Err()
 }

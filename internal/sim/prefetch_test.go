@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"sdpcm/internal/core"
-	"sdpcm/internal/topo"
 	"sdpcm/internal/trace"
 	"sdpcm/internal/workload"
 )
@@ -171,7 +170,7 @@ func TestResumeRejectsRunningCoreAtLimit(t *testing.T) {
 	}
 	// The core's reference count follows the identity, the run's reference
 	// and snapshot counters, the core count, its active flag and its time.
-	id := (&runState{cfg: mk().normalized(), spec: topo.Default(), cores: make([]*corePending, 1)}).identity()
+	id := (&runState{cfg: mk().normalized()}).identity()
 	at := bytes.Index(data, []byte(id)) + len(id) + 8 + 8 + 1 + 1 + 8
 	if at < len(id) || data[at-9] != 1 || data[at] != 51 {
 		t.Fatal("core record not where expected in the checkpoint")

@@ -391,7 +391,7 @@ func Run(cfg Config) (Result, error) {
 		return sc
 	}
 	snapshotting := cfg.SnapshotInterval > 0 && cfg.OnSnapshot != nil
-	ckpt := runState{cfg: cfg, spec: spec, reg: reg, mods: mods, cores: cores, h: &h, nextSnap: cfg.SnapshotInterval}
+	ckpt := runState{cfg: cfg, reg: reg, mods: mods, cores: cores, h: &h, nextSnap: cfg.SnapshotInterval}
 	checkpointing := cfg.CheckpointEvery > 0 && cfg.CheckpointPath != ""
 	if cfg.ResumeFrom != "" {
 		if err := ckpt.restoreCheckpoint(cfg.ResumeFrom); err != nil {

@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -165,14 +164,4 @@ func cellWidth(format string) int {
 		return 10
 	}
 	return w
-}
-
-// SortedKeys returns a map's keys in sorted order (stable reporting).
-func SortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -113,14 +113,6 @@ func TestTableGeoMeanRow(t *testing.T) {
 	}
 }
 
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	got := SortedKeys(m)
-	if len(got) != 3 || got[0] != "a" || got[2] != "c" {
-		t.Fatalf("SortedKeys = %v", got)
-	}
-}
-
 func TestCellWidth(t *testing.T) {
 	if cellWidth("%10.3f") != 10 {
 		t.Fatal("width parse failed")

@@ -257,7 +257,7 @@ func ModuleFor(layout []Placement, page int) int {
 
 // Canon renders the spec in a canonical single-line form, stable across
 // JSON field ordering and whitespace — the topology component of
-// runner.Key. The default topology canonicalizes to "default".
+// sim.Config.Key. The default topology canonicalizes to "default".
 func (s *Spec) Canon() string {
 	if s.IsDefault() {
 		return "default"

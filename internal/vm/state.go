@@ -10,7 +10,7 @@ import (
 
 // EncodeState serializes the address space's mutable state: the page table
 // (in ascending virtual-page order), the TLB arrays and clock, the
-// demand-paging pool and block list, and the fault counter. The allocator
+// demand-paging pool and the fault counter. The allocator
 // reference, tag and chunk size are construction parameters.
 func (as *AddressSpace) EncodeState(e *snap.Encoder) {
 	e.Begin("vm.addrspace")
@@ -43,13 +43,6 @@ func (as *AddressSpace) EncodeState(e *snap.Encoder) {
 	e.Uvarint(uint64(len(as.pool)))
 	for _, p := range as.pool {
 		e.U64(uint64(p))
-	}
-	e.Uvarint(uint64(len(as.blocks)))
-	for _, b := range as.blocks {
-		e.U64(uint64(b.Start))
-		e.Int(b.Order)
-		e.Int(b.Tag.N)
-		e.Int(b.Tag.M)
 	}
 	e.U64(as.Faults)
 	e.End()
@@ -114,16 +107,6 @@ func (as *AddressSpace) DecodeState(d *snap.Decoder) error {
 			d.Invalid("vm: checkpoint pool frame %d outside %d pages", f, pages)
 		}
 		as.pool = append(as.pool, pcm.PageAddr(f))
-	}
-	nb := d.Count()
-	as.blocks = make([]alloc.Block, 0, nb)
-	for i := 0; i < nb && d.Err() == nil; i++ {
-		b := alloc.Block{Start: pcm.PageAddr(d.U64()), Order: d.Int(), Tag: alloc.Tag{N: d.Int(), M: d.Int()}}
-		if d.Err() == nil && (b.Order < 0 || b.Order > 62 || uint64(b.Start) >= pages ||
-			uint64(b.Start)+1<<b.Order > pages || !b.Tag.Valid()) {
-			d.Invalid("vm: checkpoint block %+v outside %d pages or invalid", b, pages)
-		}
-		as.blocks = append(as.blocks, b)
 	}
 	as.Faults = d.U64()
 	d.End()

@@ -11,7 +11,7 @@ import (
 
 // encodeSection hand-encodes a vm.addrspace section for NewAddressSpace's
 // 16×4 TLB: the given pages, the i-th mapped to frame i under (1:1), an
-// empty TLB, pool and block list, and no faults.
+// empty TLB and pool, and no faults.
 func encodeSection(vpages []uint64) []byte {
 	e := snap.NewEncoder(1)
 	e.Begin("vm.addrspace")
@@ -32,12 +32,11 @@ func encodeSection(vpages []uint64) []byte {
 		e.Bool(false)
 		e.U64(0)
 	}
-	e.U64(0) // clock
-	e.U64(0) // hits
-	e.U64(0) // misses
-	e.Uvarint(0)
-	e.Uvarint(0)
-	e.U64(0) // faults
+	e.U64(0)     // clock
+	e.U64(0)     // hits
+	e.U64(0)     // misses
+	e.Uvarint(0) // pool
+	e.U64(0)     // faults
 	e.End()
 	return e.Finish()
 }

@@ -222,8 +222,7 @@ type AddressSpace struct {
 	tag       alloc.Tag
 	chunk     int // pages requested per demand-paging refill
 
-	pool   []pcm.PageAddr
-	blocks []alloc.Block
+	pool []pcm.PageAddr
 
 	// Faults counts demand-paging events (first touches).
 	Faults uint64
@@ -282,7 +281,6 @@ func (as *AddressSpace) fault() (pcm.PageAddr, error) {
 		if err != nil {
 			return 0, fmt.Errorf("vm: demand paging: %w", err)
 		}
-		as.blocks = append(as.blocks, b)
 		as.pool = as.allocator.Usable(b)
 	}
 	frame := as.pool[0]
@@ -292,16 +290,3 @@ func (as *AddressSpace) fault() (pcm.PageAddr, error) {
 
 // MappedPages returns the number of resident pages.
 func (as *AddressSpace) MappedPages() int { return as.PT.Len() }
-
-// Release frees every block the address space holds (process exit).
-func (as *AddressSpace) Release() error {
-	for _, b := range as.blocks {
-		if err := as.allocator.Free(b); err != nil {
-			return err
-		}
-	}
-	as.blocks = nil
-	as.pool = nil
-	as.PT = NewPageTable()
-	return nil
-}

@@ -107,29 +107,6 @@ func TestOutOfMemoryPropagates(t *testing.T) {
 	}
 }
 
-func TestRelease(t *testing.T) {
-	a := newAlloc(t)
-	as, _ := NewAddressSpace(a, alloc.Tag12, 0)
-	for v := uint64(0); v < 100; v++ {
-		if _, _, err := as.Translate(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := as.Release(); err != nil {
-		t.Fatal(err)
-	}
-	st := a.Snapshot()
-	if st.AllocatedPages != 0 {
-		t.Fatalf("release left %d pages allocated", st.AllocatedPages)
-	}
-	if st.FreePages[alloc.Tag11] != 2048 {
-		t.Fatalf("memory not recovered: %+v", st)
-	}
-	if as.MappedPages() != 0 {
-		t.Fatal("page table not cleared")
-	}
-}
-
 func TestTLBGeometryValidation(t *testing.T) {
 	if _, err := NewTLB(0, 4); err == nil {
 		t.Error("zero entries must be rejected")

@@ -34,7 +34,7 @@ func TestHeatmapRecordAndSnapshot(t *testing.T) {
 	rows := 4
 	h := NewHeatmap(rows, rows)
 	a := pcm.LineAddr(5)
-	loc := pcm.Locate(a)
+	loc := pcm.DefaultGeometry.Locate(a)
 	h.RecordInjected(a, 3)
 	h.RecordParked(a, 2)
 	h.RecordCorrection(a, 4, 2)

@@ -83,7 +83,7 @@ func TestBitLineFlipsPersistInArray(t *testing.T) {
 	dev := newDev(t, true)
 	e := New(thermal.Rates{BitLine: 1.0}, rng.New(4)) // deterministic flips
 	a := pcm.LineOf(32, 2)
-	above, below, okA, okB := pcm.AdjacentLines(a, dev.RowsPerBank)
+	above, below, okA, okB := pcm.DefaultGeometry.AdjacentLines(a, dev.RowsPerBank)
 	if !okA || !okB {
 		t.Fatal("test line must have both neighbours")
 	}
@@ -103,7 +103,7 @@ func TestBitLineOnlyVulnerableCellsFlip(t *testing.T) {
 	dev := newDev(t, true)
 	e := New(thermal.Rates{BitLine: 1.0}, rng.New(5))
 	a := pcm.LineOf(32, 3)
-	above, _, _, _ := pcm.AdjacentLines(a, dev.RowsPerBank)
+	above, _, _, _ := pcm.DefaultGeometry.AdjacentLines(a, dev.RowsPerBank)
 	// Neighbour holds 1s at positions 0..3 (crystalline: invulnerable).
 	var n pcm.Line
 	n[0] = 0xf

@@ -8,13 +8,13 @@ import (
 )
 
 // EncodeState serializes the intra-row layer: the shared write counter, the
-// aggregate move count and every instantiated row leveler in ascending
-// row-key order. psi is a construction parameter.
+// aggregate move count and every instantiated row leveler in ascending page
+// order. psi is a construction parameter.
 func (w *IntraRow) EncodeState(e *snap.Encoder) {
 	e.Begin("weargap.intrarow")
 	e.Int(w.wcnt)
 	e.U64(w.Moves)
-	keys := make([]int, 0, len(w.rows))
+	keys := make([]pcm.PageAddr, 0, len(w.rows))
 	for k := range w.rows {
 		keys = append(keys, k)
 	}
@@ -22,7 +22,7 @@ func (w *IntraRow) EncodeState(e *snap.Encoder) {
 	e.Uvarint(uint64(len(keys)))
 	for _, k := range keys {
 		l := w.rows[k]
-		e.Int(k)
+		e.Uvarint(uint64(k))
 		e.Int(l.wcnt)
 		e.Int(l.start)
 		e.Int(l.gap)
@@ -44,9 +44,9 @@ func (w *IntraRow) DecodeState(d *snap.Decoder) error {
 		d.Invalid("weargap: checkpoint write counter %d outside psi %d", w.wcnt, w.psi)
 	}
 	n := d.Count()
-	w.rows = make(map[int]*Leveler, n)
+	w.rows = make(map[pcm.PageAddr]*Leveler, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
-		k := d.Int()
+		k := pcm.PageAddr(d.Uvarint())
 		l, err := New(pcm.LinesPerPage-1, w.psi) // same shape leveler() builds
 		if err != nil {
 			return err

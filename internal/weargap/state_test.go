@@ -27,7 +27,7 @@ func TestDecodeRejectsOutOfRangeState(t *testing.T) {
 		e.Int(tc.shared)
 		e.U64(0)
 		e.Uvarint(1)
-		e.Int(0) // row key
+		e.Uvarint(0) // the row's page
 		e.Int(tc.row)
 		e.Int(tc.start)
 		e.Int(tc.gap)

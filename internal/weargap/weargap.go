@@ -123,8 +123,8 @@ func (l *Leveler) MoveGap() Move {
 // written when the counter fires is the one whose gap advances.
 type IntraRow struct {
 	psi  int
-	wcnt int // shared write counter (one register in hardware)
-	rows map[int]*Leveler
+	wcnt int                       // shared write counter (one register in hardware)
+	rows map[pcm.PageAddr]*Leveler // by the page the device row holds
 
 	// Moves aggregates gap-movement copies across all rows.
 	Moves uint64
@@ -135,22 +135,20 @@ func NewIntraRow(psi int) (*IntraRow, error) {
 	if psi <= 0 {
 		return nil, fmt.Errorf("weargap: psi %d must be positive", psi)
 	}
-	return &IntraRow{psi: psi, rows: make(map[int]*Leveler)}, nil
+	return &IntraRow{psi: psi, rows: make(map[pcm.PageAddr]*Leveler)}, nil
 }
 
-// rowKey identifies a device row globally.
-func rowKey(loc pcm.Loc) int { return loc.Bank*1<<28 + loc.Row }
-
-func (w *IntraRow) leveler(loc pcm.Loc) *Leveler {
-	k := rowKey(loc)
-	l := w.rows[k]
+// leveler returns the leveler of the device row holding page p (a row holds
+// exactly one page, whatever the bank layout).
+func (w *IntraRow) leveler(p pcm.PageAddr) *Leveler {
+	l := w.rows[p]
 	if l == nil {
 		// 64 logical slots per row would need a 65th spare; rows have
 		// exactly 64, so the intra-row variant levels 63 logical lines
 		// over 64 slots (one slot of each row is the rolling spare, a
 		// 1/64 = 1.6% capacity cost).
 		l, _ = New(pcm.LinesPerPage-1, w.psi)
-		w.rows[k] = l
+		w.rows[p] = l
 	}
 	return l
 }
@@ -158,15 +156,14 @@ func (w *IntraRow) leveler(loc pcm.Loc) *Leveler {
 // MapAddr translates a logical line address to its physical line address
 // under the current rotation of its row.
 func (w *IntraRow) MapAddr(a pcm.LineAddr) pcm.LineAddr {
-	loc := pcm.Locate(a)
-	if loc.Slot >= pcm.LinesPerPage-1 {
+	slot := a.Slot()
+	if slot >= pcm.LinesPerPage-1 {
 		// The last logical slot is reserved as spare capacity and never
 		// allocated; identity-map defensively.
 		return a
 	}
-	l := w.leveler(loc)
-	loc.Slot = l.Map(loc.Slot)
-	return pcm.AddrOf(loc)
+	p := a.Page()
+	return pcm.LineOf(p, w.leveler(p).Map(slot))
 }
 
 // OnWrite notifies the layer of a write to the (logical) address and
@@ -194,12 +191,10 @@ func (w *IntraRow) NoteWrite(a pcm.LineAddr) (from, to pcm.LineAddr, moved bool)
 		return 0, 0, false
 	}
 	w.wcnt = 0
-	loc := pcm.Locate(a)
-	mv := w.leveler(loc).MoveGap()
+	p := a.Page()
+	mv := w.leveler(p).MoveGap()
 	w.Moves++
-	f, t := loc, loc
-	f.Slot, t.Slot = mv.From, mv.To
-	return pcm.AddrOf(f), pcm.AddrOf(t), true
+	return pcm.LineOf(p, mv.From), pcm.LineOf(p, mv.To), true
 }
 
 // UsableSlots returns the number of allocatable line slots per row under

@@ -173,7 +173,7 @@ func TestIntraRowStaysInRow(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		a := pcm.LineOf(pcm.PageAddr(i%48), i%w.UsableSlots())
 		phys := w.MapAddr(a)
-		lLoc, pLoc := pcm.Locate(a), pcm.Locate(phys)
+		lLoc, pLoc := pcm.DefaultGeometry.Locate(a), pcm.DefaultGeometry.Locate(phys)
 		if lLoc.Bank != pLoc.Bank || lLoc.Row != pLoc.Row {
 			t.Fatalf("remap crossed row boundary: %+v -> %+v", lLoc, pLoc)
 		}

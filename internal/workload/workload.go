@@ -21,7 +21,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 
 	"sdpcm/internal/rng"
 	"sdpcm/internal/trace"
@@ -251,12 +250,4 @@ func (m MixSpec) Generators(seed uint64) ([]*Generator, error) {
 		out[i] = g
 	}
 	return out, nil
-}
-
-// SortedCopy returns the specs sorted by name (for stable reporting).
-func SortedCopy() []Spec {
-	out := make([]Spec, len(Table3))
-	copy(out, Table3)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }

@@ -202,22 +202,6 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	}
 }
 
-func TestSortedCopy(t *testing.T) {
-	s := SortedCopy()
-	if len(s) != len(Table3) {
-		t.Fatal("SortedCopy length mismatch")
-	}
-	for i := 1; i < len(s); i++ {
-		if s[i-1].Name > s[i].Name {
-			t.Fatal("SortedCopy not sorted")
-		}
-	}
-	// Must not mutate the original.
-	if Table3[0].Name != "bwaves" {
-		t.Fatal("Table3 order mutated")
-	}
-}
-
 func TestMutatorDeterminismAndClamping(t *testing.T) {
 	m1 := NewMutator(0.2, 9)
 	m2 := NewMutator(0.2, 9)

@@ -106,9 +106,6 @@ var (
 	WCLazyC = core.WCLazyC
 	// Figure11Roster returns the paper's headline scheme list.
 	Figure11Roster = core.Figure11Roster
-	// HardErrorModel returns a deterministic per-line hard-error count for
-	// a DIMM at the given lifetime fraction (Fig. 14 aging).
-	HardErrorModel = core.HardErrorModel
 )
 
 // DefaultECPEntries is the paper's ECP provisioning (ECP-6).
@@ -381,7 +378,8 @@ type ResultTable = stats.Table
 // sequential run regardless of worker count.
 
 // SweepSpec names one simulation point of a declarative sweep: scheme,
-// benchmark, write-queue capacity, a free-form tag and per-point overrides.
+// benchmark, write-queue capacity and a free-form tag. A point's hard-error
+// lifetime is a field of its scheme.
 type SweepSpec = runner.Spec
 
 // SweepGrid declares a sweep as the cross product of its axes; Expand lists
@@ -391,10 +389,6 @@ type SweepGrid = runner.Grid
 // SweepBase holds the sweep-wide simulation parameters shared by every
 // point (trace length, cores, memory sizing, seed).
 type SweepBase = runner.Base
-
-// SweepOverrides carries declarative per-point knobs (hard-error lifetime,
-// wear-leveling period) that the result cache can key on.
-type SweepOverrides = runner.Overrides
 
 // SweepRunner executes sweep points in parallel, memoizing results by
 // resolved configuration; its fields (Workers, NoCache, Store,
