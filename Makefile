@@ -35,7 +35,7 @@ bench:
 # The pinned data-plane benchmark set the benchstat CI gate compares
 # against main. Parent names only: sub-benchmarks (WritePath/vnc, ...) run
 # because go test splits the -bench regex on '/'.
-BENCH_PIN = BenchmarkDevicePeek$$|BenchmarkDeviceWrite$$|BenchmarkDeviceDisturb$$|BenchmarkDeviceFirstTouch$$|BenchmarkDINEncode$$|BenchmarkECPRecordClear$$|BenchmarkWDInject$$|BenchmarkWritePath$$|BenchmarkDemandRead$$|BenchmarkSimulatorThroughput$$|BenchmarkSimulatorThroughputRead$$|BenchmarkGeometric$$|BenchmarkBernoulli$$|BenchmarkSampleBits$$|BenchmarkDrawMutation$$|BenchmarkTranslateMiss$$
+BENCH_PIN = BenchmarkNewDevice$$|BenchmarkDevicePeek$$|BenchmarkDeviceWrite$$|BenchmarkDeviceDisturb$$|BenchmarkDeviceFirstTouch$$|BenchmarkDINEncode$$|BenchmarkECPRecordClear$$|BenchmarkWDInject$$|BenchmarkWritePath$$|BenchmarkDemandRead$$|BenchmarkSimulatorThroughput$$|BenchmarkSimulatorThroughputRead$$|BenchmarkGeometric$$|BenchmarkBernoulli$$|BenchmarkSampleBits$$|BenchmarkDrawMutation$$|BenchmarkTranslateMiss$$
 
 # Print the pinned regex, so the CI bench-gate runs the same set on the
 # merge base without a second copy of the list.
@@ -44,7 +44,7 @@ bench-pin:
 
 # Where bench-json records the per-benchmark medians; the CI bench-gate sets
 # it explicitly so the Makefile and workflow can never disagree on the name.
-BENCH_OUT ?= BENCH_28.json
+BENCH_OUT ?= BENCH_30.json
 
 # Run the pinned set three times, keep the raw text (bench.txt, what
 # benchstat consumes) and record per-benchmark medians as $(BENCH_OUT).

@@ -28,6 +28,18 @@ func benchDevice(b *testing.B) *Device {
 	return d
 }
 
+// BenchmarkNewDevice builds the Figure 6 module, 8 GB over 16 banks, as
+// every simulated run does before its first reference; B/op is what a build
+// allocates.
+func BenchmarkNewDevice(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewDevice(Config{Pages: 8 << 30 / PageBytes, FillSeed: 7}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkDevicePeek(b *testing.B) {
 	d := benchDevice(b)
 	addrs := benchAddrs(d, 4096)

@@ -103,27 +103,45 @@ const (
 // bankStore is one bank's resident lines, packed by line rather than by
 // touched chunk: most chunks of a sparse workload hold a single line.
 //
+// The chunk index covers only the chunks up to the highest one touched so
+// far: install grows it by doubling (from chunkIndexFloor entries, capped at
+// the bank's chunk count), so a workload that touches the bottom of a bank
+// never pays for an index of the whole bank. A chunk past the index is
+// untouched.
+//
 // Index 0 of hdrs is a reserved all-zero sentinel, so finding a line's slot
-// is three indexed loads and no branch: an untouched chunk maps to header 0,
-// whose slots are all 0, and slot 0 means "not resident". Lines live in a
+// is one compare and three indexed loads: an untouched chunk maps to header
+// 0, whose slots are all 0, and slot 0 means "not resident". Lines live in a
 // block arena that never moves them. Apart from the arena's list of block
 // pointers every table is pointer-free, so the GC scans almost nothing.
 type bankStore struct {
-	chunks []uint32             // bank-local chunk index → header; 0 = untouched
-	hdrs   [][chunkLines]uint32 // per touched chunk: line slot → arena index; 0 = not resident
-	lines  Arena[Line]          // resident lines, in install order; slot 0 means not resident
+	chunks    []uint32             // bank-local chunk index → header; 0 = untouched
+	hdrs      [][chunkLines]uint32 // per touched chunk: line slot → arena index; 0 = not resident
+	lines     Arena[Line]          // resident lines, in install order; slot 0 means not resident
+	maxChunks int                  // the bank's chunk count, which bounds the index
 }
+
+// chunkIndexFloor is the length of a bank's chunk index after its first
+// growth (256 B, 1024 lines).
+const chunkIndexFloor = 64
 
 // slot returns the arena index of a bank-local line, or 0 when the line is
 // not resident.
 func (st *bankStore) slot(local int) uint32 {
-	return st.hdrs[st.chunks[local>>chunkShift]][local&chunkMask]
+	ci := local >> chunkShift
+	if uint(ci) >= uint(len(st.chunks)) {
+		return 0
+	}
+	return st.hdrs[st.chunks[ci]][local&chunkMask]
 }
 
 // install makes a non-resident bank-local line resident with content l and
 // returns its arena slot. The line never moves afterwards.
 func (st *bankStore) install(local int, l Line) uint32 {
 	ci := local >> chunkShift
+	if ci >= len(st.chunks) {
+		st.grow(ci)
+	}
 	h := st.chunks[ci]
 	if h == 0 {
 		h = uint32(len(st.hdrs))
@@ -135,11 +153,26 @@ func (st *bankStore) install(local int, l Line) uint32 {
 	return s
 }
 
+// grow extends the chunk index to cover chunk ci, which must lie inside the
+// bank. make and copy, not append: append clears the whole extension, while
+// a large make from fresh memory leaves the pages a sparse index never
+// touches unfaulted.
+func (st *bankStore) grow(ci int) {
+	n := max(2*len(st.chunks), chunkIndexFloor)
+	for n <= ci {
+		n *= 2
+	}
+	chunks := make([]uint32, min(n, st.maxChunks))
+	copy(chunks, st.chunks)
+	st.chunks = chunks
+}
+
 // Device is one PCM DIMM's worth of data cell arrays. Storage is a per-bank
 // dense store: a line is materialized (filled with the deterministic
 // background pattern) on its first write or effective disturbance, and
 // takes one arena slot plus, for the first line of its chunk, one 64-byte
-// chunk header. Untouched lines have no storage — Peek computes their
+// chunk header and an index entry, the index growing to the highest
+// touched chunk. Untouched lines have no storage — Peek computes their
 // background lazily — so disturbance vulnerability of untouched neighbours
 // is modelled without materialising the full capacity, while every access to
 // resident storage is plain array indexing with zero allocation.
@@ -218,11 +251,10 @@ func NewDevice(cfg Config) (*Device, error) {
 	}
 	linesPerBank := d.RowsPerBank * LinesPerPage
 	d.numLines = linesPerBank * nbanks
-	chunksPerBank := (linesPerBank + chunkLines - 1) / chunkLines
 	for b := range d.store {
 		d.store[b] = bankStore{
-			chunks: make([]uint32, chunksPerBank),
-			hdrs:   make([][chunkLines]uint32, 1),
+			hdrs:      make([][chunkLines]uint32, 1),
+			maxChunks: linesPerBank / chunkLines, // LinesPerPage is a multiple of chunkLines
 		}
 	}
 	return d, nil
@@ -412,7 +444,18 @@ func (d *Device) Write(a LineAddr, new Line, kind WriteKind) WriteResult {
 // not a programmed pulse and adds no wear. The stored line is mutated in
 // place; a disturbance that flips nothing leaves an untouched line
 // unmaterialized.
-func (d *Device) Disturb(a LineAddr, flips Mask) int {
+func (d *Device) Disturb(a LineAddr, flips Mask) int { return d.disturb(a, nil, &flips) }
+
+// DisturbPeeked is Disturb for a caller that holds the line's current
+// content, as Peek(a) returned it: an untouched line is installed from
+// content rather than from a recomputed background.
+func (d *Device) DisturbPeeked(a LineAddr, content Line, flips Mask) int {
+	return d.disturb(a, &content, &flips)
+}
+
+// disturb applies flips to line a; content, when not nil, is the line's
+// current image, so an untouched line need not compute its background.
+func (d *Device) disturb(a LineAddr, content *Line, flips *Mask) int {
 	d.checkRange(a)
 	bank, local := d.geo.bankLocal(a)
 	st := &d.store[bank]
@@ -428,17 +471,22 @@ func (d *Device) Disturb(a LineAddr, flips Mask) int {
 			}
 		}
 	} else {
-		bg := d.background(a)
+		var img Line
+		if content != nil {
+			img = *content
+		} else {
+			img = d.background(a)
+		}
 		for i := range flips {
-			n += bits.OnesCount64(flips[i] &^ bg[i])
+			n += bits.OnesCount64(flips[i] &^ img[i])
 		}
 		if n > 0 {
-			// Install the background image already in hand rather than
-			// going through line(), which would recompute it.
+			// Install the image already in hand rather than going through
+			// line(), which would recompute the background.
 			for i := range flips {
-				bg[i] |= flips[i]
+				img[i] |= flips[i]
 			}
-			st.install(local, bg)
+			st.install(local, img)
 		}
 	}
 	if n > 0 {

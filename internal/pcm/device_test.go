@@ -4,6 +4,8 @@ import (
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"sdpcm/internal/snap"
 )
 
 func newTestDevice(t *testing.T, pages int, zero bool) *Device {
@@ -308,8 +310,10 @@ func TestDisturbDoesNotMaterializeOnNoop(t *testing.T) {
 	}
 }
 
-// storeBytes is the memory a device's store holds beyond its fixed chunk
-// tables: the capacity of every bank's header table and line blocks.
+// storeBytes is the memory a device's store holds beyond its chunk indexes
+// (4 B per chunk up to a bank's highest touched one, which a scatter over
+// the whole device grows to the bank's chunk count): the capacity of every
+// bank's header table and line blocks.
 func storeBytes(d *Device) int {
 	n := 0
 	for b := range d.store {
@@ -401,4 +405,89 @@ func TestDeviceHotPathAllocFree(t *testing.T) {
 		t.Errorf("Disturb allocates %v/run", n)
 	}
 	_ = sink
+}
+
+// TestChunkIndexGrowsWithTouches: a fresh device holds no chunk index, reads
+// and no-op disturbances never grow it, and writes grow each bank's index by
+// doubling only as far as the bank's highest touched chunk, never past the
+// bank. A checkpoint restores every line into a fresh device.
+func TestChunkIndexGrowsWithTouches(t *testing.T) {
+	d, err := NewDevice(Config{Pages: 1 << 21, FillSeed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	emptyIndex := func(when string) {
+		t.Helper()
+		for b := range d.store {
+			if c := cap(d.store[b].chunks); c != 0 {
+				t.Fatalf("%s: bank %d holds a %d-entry chunk index", when, b, c)
+			}
+		}
+	}
+	emptyIndex("fresh device")
+	last := LineAddr(d.Lines() - 1)
+	bg := d.background(last)
+	if d.Peek(last) != bg || d.PeekWord(last, 7) != bg[7] {
+		t.Fatal("an untouched line must read as its background")
+	}
+	if _, s := d.Slot(last); s != 0 || d.Resident(last) {
+		t.Fatal("an untouched line has no slot")
+	}
+	if n := d.Disturb(last, Mask(bg)); n != 0 {
+		t.Fatalf("disturbing crystalline cells flipped %d", n)
+	}
+	if n := d.DisturbPeeked(last, bg, Mask(bg)); n != 0 {
+		t.Fatalf("disturbing crystalline cells flipped %d", n)
+	}
+	emptyIndex("after reads and no-op disturbances")
+
+	// Low addresses only: the first 5000 lines, every seventh one.
+	hi := make([]int, d.Banks()) // highest touched chunk per bank, -1 = none
+	for b := range hi {
+		hi[b] = -1
+	}
+	for a := LineAddr(0); a < 5000; a += 7 {
+		d.Write(a, Line{uint64(a)}, NormalWrite)
+		b, local := d.geo.bankLocal(a)
+		hi[b] = max(hi[b], local>>chunkShift)
+	}
+	for b := range d.store {
+		st := &d.store[b]
+		c := cap(st.chunks)
+		if hi[b] < 0 {
+			if c != 0 {
+				t.Fatalf("untouched bank %d holds a %d-entry chunk index", b, c)
+			}
+			continue
+		}
+		if c <= hi[b] || c > max(2*(hi[b]+1), chunkIndexFloor) || c > st.maxChunks {
+			t.Fatalf("bank %d: chunk index of %d entries for highest chunk %d (bank has %d)", b, c, hi[b], st.maxChunks)
+		}
+	}
+
+	// A small bank caps the index at its chunk count.
+	small := newTestDevice(t, 16, true)
+	small.Write(0, Line{1}, NormalWrite)
+	if c, want := cap(small.store[0].chunks), small.store[0].maxChunks; c != want {
+		t.Fatalf("a 4-chunk bank grew a %d-entry index, want %d", c, want)
+	}
+
+	e := snap.NewEncoder(1)
+	d.EncodeState(e)
+	dec, err := snap.NewDecoder(e.Finish(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, err := NewDevice(Config{Pages: 1 << 21, FillSeed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d2.DecodeState(dec); err != nil {
+		t.Fatal(err)
+	}
+	for a := LineAddr(0); a < 5000; a++ {
+		if d2.Resident(a) != d.Resident(a) || d2.Peek(a) != d.Peek(a) {
+			t.Fatalf("line %d differs after decode", a)
+		}
+	}
 }

@@ -2,7 +2,6 @@ package pcm
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 
@@ -21,35 +20,32 @@ import (
 // Slots change only when the device's DecodeState restores it, so a table
 // over a restored device must be rebuilt by address (DecodeEntries).
 type LineTable struct {
-	dev     *Device
-	private bool       // dev is the table's own (NewLineTable(nil))
-	vals    [][]uint32 // per bank, by slot; 0 where no entry
-	set     [][]uint64 // per bank: bit s set = slot s holds an entry
-	n       int        // entries
+	dev  *Device
+	vals [][]uint32 // per bank, by slot; 0 where no entry
+	set  [][]uint64 // per bank: bit s set = slot s holds an entry
+	n    int        // entries
 }
+
+// standaloneRows is the row count of a standalone table's private device:
+// the most a bank can hold under the store's 32-bit line index.
+const standaloneRows = math.MaxUint32/LinesPerPage - 1
 
 // NewLineTable returns an empty table keyed by dev's slots. A nil dev gives
 // a standalone table, for a codec or ECP table driven without a controller:
-// its slots come from a private zero-filled one-bank device whose chunk
-// table Put extends when a line falls past it.
+// its slots come from a private zero-filled one-bank device spanning the
+// whole 32-bit line range, which costs nothing until lines arrive.
 func NewLineTable(dev *Device) LineTable {
-	private := dev == nil
-	if private {
+	if dev == nil {
 		var err error
-		if dev, err = NewDevice(Config{Pages: 1, Banks: 1, ZeroFill: true}); err != nil {
+		if dev, err = NewDevice(Config{Pages: standaloneRows, Banks: 1, ZeroFill: true}); err != nil {
 			panic(err)
 		}
 	}
-	return newLineTable(dev, private)
-}
-
-func newLineTable(dev *Device, private bool) LineTable {
-	return LineTable{dev: dev, private: private,
-		vals: make([][]uint32, dev.Banks()), set: make([][]uint64, dev.Banks())}
+	return LineTable{dev: dev, vals: make([][]uint32, dev.Banks()), set: make([][]uint64, dev.Banks())}
 }
 
 // Reset drops every entry, keeping the table's device.
-func (t *LineTable) Reset() { *t = newLineTable(t.dev, t.private) }
+func (t *LineTable) Reset() { *t = NewLineTable(t.dev) }
 
 // Device returns the device whose slots key the table.
 func (t *LineTable) Device() *Device { return t.dev }
@@ -70,11 +66,9 @@ func (t *LineTable) Has(a LineAddr) bool {
 	return s != 0 && int(s>>6) < len(set) && set[s>>6]&(1<<(s&63)) != 0
 }
 
-// Put sets a line's entry to v, materializing the line on the device.
+// Put sets a line's entry to v, materializing the line on the device. Like
+// every device access, it panics on a line past the device.
 func (t *LineTable) Put(a LineAddr, v uint32) {
-	if t.private && !t.dev.contains(a) {
-		t.outgrow(a)
-	}
 	bank, s := t.dev.Materialize(a)
 	vals := t.vals[bank]
 	if int(s) >= len(vals) {
@@ -91,27 +85,6 @@ func (t *LineTable) Put(a LineAddr, v uint32) {
 		t.n++
 	}
 	vals[s] = v
-}
-
-// outgrow extends a standalone table's private device to hold line a. Only
-// the device's chunk table grows, so every resident line keeps its slot.
-func (t *LineTable) outgrow(a LineAddr) {
-	d := t.dev
-	rows := uint64(d.RowsPerBank)
-	for rows*LinesPerPage <= uint64(a) && rows <= math.MaxUint32 {
-		rows *= 2
-	}
-	if rows > math.MaxUint32/LinesPerPage-1 { // NewDevice's arena bound
-		panic(fmt.Sprintf("pcm: line %d is past a standalone table's 32-bit slot range", a))
-	}
-	d.RowsPerBank = int(rows)
-	d.numLines = int(rows) * LinesPerPage
-	// make and copy, not append: append would clear the whole extension,
-	// faulting in every page of a table used sparsely.
-	st := &d.store[0]
-	chunks := make([]uint32, (d.numLines+chunkLines-1)/chunkLines)
-	copy(chunks, st.chunks)
-	st.chunks = chunks
 }
 
 // Len returns the number of entries.

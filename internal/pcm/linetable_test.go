@@ -107,9 +107,10 @@ func TestLineTableEntriesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStandaloneLineTable: a table built without a device extends its
-// private device as lines arrive, keeping every slot and entry, and Reset
-// keeps it standalone.
+// TestStandaloneLineTable: a table built without a device keys its entries
+// by a private device spanning the 32-bit line range, whose slots and
+// entries stay put as lines arrive far apart; Reset keeps it standalone, and
+// a line past that range panics.
 func TestStandaloneLineTable(t *testing.T) {
 	tab := NewLineTable(nil)
 	tab.Put(3, 30)
@@ -117,10 +118,10 @@ func TestStandaloneLineTable(t *testing.T) {
 	_, s := tab.Device().Slot(3)
 	tab.Put(1<<24, 7)
 	if _, s2 := tab.Device().Slot(3); s2 != s {
-		t.Fatal("extending the private device must keep slots")
+		t.Fatal("a far line must keep the earlier lines' slots")
 	}
 	if tab.Get(3) != 30 || !tab.Has(0) || tab.Get(1<<24) != 7 || tab.Len() != 3 {
-		t.Fatal("extending the private device must keep every entry")
+		t.Fatal("a far line must keep every entry")
 	}
 	if tab.Device().Lines() <= 1<<24 {
 		t.Fatalf("private device holds %d lines, want past %d", tab.Device().Lines(), 1<<24)

@@ -23,7 +23,8 @@ func DecodeLine(d *snap.Decoder) Line {
 
 // EncodeState serializes the device's mutable state: its counters and then,
 // per bank, for every touched chunk in ascending chunk index, its residency
-// bitmap and resident lines in bit order. Geometry, timing and the
+// bitmap and resident lines in bit order. How far a bank's chunk index has
+// grown is not stored: only touched chunks are written. Geometry, timing and the
 // background fill are construction parameters and are not stored — decode
 // targets a freshly built Device of the same Config.
 func (d *Device) EncodeState(e *snap.Encoder) {
@@ -57,7 +58,9 @@ func (d *Device) EncodeState(e *snap.Encoder) {
 
 // DecodeState restores state written by EncodeState into a device freshly
 // constructed with the same Config. Chunk indices must ascend strictly and
-// every bitmap must name at least one line, as EncodeState writes them.
+// lie inside the bank, and every bitmap must name at least one line, as
+// EncodeState writes them. A used device keeps its grown chunk index,
+// cleared.
 func (d *Device) DecodeState(dec *snap.Decoder) error {
 	dec.Begin("pcm.device")
 	metrics.DecodeFields(dec, d.stats.Counters())
@@ -75,8 +78,8 @@ func (d *Device) DecodeState(dec *snap.Decoder) error {
 			resident := dec.U64()
 			switch {
 			case dec.Err() != nil:
-			case ci >= uint64(len(st.chunks)):
-				dec.Invalid("pcm: checkpoint chunk index %d out of range (bank %d has %d)", ci, b, len(st.chunks))
+			case ci >= uint64(st.maxChunks):
+				dec.Invalid("pcm: checkpoint chunk index %d out of range (bank %d has %d)", ci, b, st.maxChunks)
 			case ci < next:
 				dec.Invalid("pcm: checkpoint chunk index %d of bank %d repeats or descends", ci, b)
 			case resident == 0:

@@ -193,20 +193,6 @@ func (r *Rand) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
-// NormFloat64 returns a normally distributed value with mean 0 and stddev 1,
-// using the polar (Marsaglia) method.
-func (r *Rand) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s >= 1 || s == 0 {
-			continue
-		}
-		return u * sqrtNeg2LogOverS(s)
-	}
-}
-
 // Geometric returns the number of failures before the first success in a
 // sequence of Bernoulli(p) trials. It returns 0 for p >= 1 and panics for
 // p <= 0; a run of more than 2^24 failures stops at 2^24+1.

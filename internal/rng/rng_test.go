@@ -147,25 +147,6 @@ func TestBernoulliRate(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(12)
-	const draws = 200000
-	var sum, sumSq float64
-	for i := 0; i < draws; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / draws
-	variance := sumSq/draws - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("normal mean %v too far from 0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Fatalf("normal variance %v too far from 1", variance)
-	}
-}
-
 func TestGeometricMean(t *testing.T) {
 	r := New(15)
 	const p, draws = 0.25, 50000

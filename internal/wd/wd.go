@@ -250,7 +250,7 @@ func (e *Engine) bitLineFlips(dev *pcm.Device, neighbour pcm.LineAddr, aggressor
 	}
 	n := e.rnd.SampleBits(flips[:], flips[:], c)
 	if n > 0 {
-		dev.Disturb(neighbour, *flips)
+		dev.DisturbPeeked(neighbour, content, *flips)
 		e.Stats.BitLineFlips += uint64(n)
 		e.hm.RecordInjected(neighbour, n)
 		if e.tr != nil {
